@@ -207,6 +207,8 @@ def cmd_exist(cfg: dict) -> int:
 
 def cmd_evolve(cfg: dict) -> int:
     kind, profile = _kind(cfg), _profile(cfg)
+    if int(cfg["stride"]) < 1:
+        raise ConfigError("stride must be at least 1")
     out = _out_dir(cfg)
     origin = None
     if cfg["origin_m"] is not None and cfg["origin_n"] is not None:
@@ -313,7 +315,9 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(command, args)
         return args.func(cfg)
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
+        # library preconditions (supercell size, domain extent, ...) are
+        # configuration errors at this level
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (NoMidGapState, NotAZeroMode, DegenerateGapless) as exc:

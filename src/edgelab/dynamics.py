@@ -1,11 +1,13 @@
 """Wavepacket dynamics on finite 2D domains.
 
 A domain is a rectangle of cells in the interface frame with a two-valued
-material map; the assembled Hamiltonian applies the interface bond rule
-(intracell b, intercell b + delta, c across the material boundary) with open
-outer edges.  Time evolution of i dPhi/dt = H Phi uses classic RK4; domains
-are sized so packets never reach the outer edge, keeping the evolution
-norm-conserving to RK4 accuracy.
+material map.  Its Hamiltonian is assembled in one vectorized pass over the
+cell grid from the same frame bond list and bond rule that build the Bloch
+chains (:func:`edgelab.lattice.frame_bonds`,
+:func:`edgelab.hamiltonian.bond_weights`: intracell b, intercell b + delta,
+c across the material boundary), with open outer edges.  Time evolution of
+i dPhi/dt = H Phi uses classic RK4; domains are sized so packets never reach
+the outer edge, keeping the evolution norm-conserving to RK4 accuracy.
 """
 
 from __future__ import annotations
@@ -20,15 +22,14 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import StepTooLarge
-from .hamiltonian import HoppingProfile
+from .hamiltonian import HoppingProfile, bond_weights
 from .lattice import (
     InterfaceKind,
-    SiteIndex,
+    cell_site_positions,
+    frame_bonds,
     frame_to_cell,
-    cell_to_frame,
     frame_vectors,
-    neighbors,
-    site_position,
+    material_sign,
 )
 from .spectrum import perturbation_m0
 from .transfer import build_type1_zero_modes, build_type2_zero_modes
@@ -66,19 +67,21 @@ class DomainSpec:
     bend: tuple[int, int] | None = None
     origin: tuple[int, int] | None = None
 
-    def material(self, m: int, n: int) -> int:
-        """Piecewise material map; the bent boundary is the rotation image of
-        the straight one, so both legs are interfaces of the same kind."""
+    def material(self, m, n):
+        """Piecewise material map, elementwise over cell coordinates; the bent
+        boundary is the rotation image of the straight one, so both legs are
+        interfaces of the same kind."""
         if self.bend is None:
-            return 1 if n >= 0 else -1
+            return material_sign(self.kind, m, n)
+        m, n = np.asarray(m), np.asarray(n)
         mb, turn = self.bend
         if self.kind is InterfaceKind.TYPE_I:
-            if turn >= 0:
-                return 1 if (n >= 0 or m >= mb) else -1
-            return 1 if (n >= 0 and m - n <= mb) else -1
-        if turn >= 0:
-            return 1 if (n >= 0 and 3 * (m - mb) + n <= 0) else -1
-        return 1 if (n >= 0 or 3 * (m - mb) + 2 * n >= 0) else -1
+            plus = (n >= 0) | (m >= mb) if turn >= 0 else (n >= 0) & (m - n <= mb)
+        elif turn >= 0:
+            plus = (n >= 0) & (3 * (m - mb) + n <= 0)
+        else:
+            plus = (n >= 0) | (3 * (m - mb) + 2 * n >= 0)
+        return np.where(plus, 1, -1)
 
 
 @dataclass
@@ -113,16 +116,6 @@ class Domain:
         return np.abs(amplitudes.reshape(-1, 6)) ** 2 @ np.ones(6)
 
 
-def _bond_weight(profile: HoppingProfile, intracell: bool, s1: int, s2: int) -> float:
-    if s1 != s2:
-        # a bond crossing the interface is always intercell
-        return profile.c
-    b = profile.b_plus if s1 > 0 else profile.b_minus
-    if intracell:
-        return b
-    return b + (profile.delta_plus if s1 > 0 else profile.delta_minus)
-
-
 def build_domain(spec: DomainSpec) -> Domain:
     """Enumerate sites, assemble the sparse real-symmetric Hamiltonian, and
     precompute interface geometry used by the diagnostics."""
@@ -137,52 +130,28 @@ def build_domain(spec: DomainSpec) -> Domain:
     n_range = np.arange(n_lo, n_lo + Mb)
     va, vb = frame_vectors(spec.kind)
 
-    sigma = np.empty((Ma, Mb), dtype=int)
-    for im, m in enumerate(m_range):
-        for i_n, n in enumerate(n_range):
-            sigma[im, i_n] = spec.material(m, n)
-
-    def inside(m, n):
-        return m_lo <= m < m_lo + Ma and n_lo <= n < n_lo + Mb
-
+    # cells in flat-index order down the rows, the 18 bonds across the columns
+    m, n = (g.reshape(-1, 1) for g in np.meshgrid(m_range, n_range, indexing="ij"))
+    sigma = spec.material(m, n)
+    j, j2, dm, dn, intracell = frame_bonds(spec.kind).T
+    m2, n2 = m + dm, n + dn
+    inside = (m2 >= m_lo) & (m2 < m_lo + Ma) & (n2 >= n_lo) & (n2 < n_lo + Mb)
+    cell2 = np.where(inside, (m2 - m_lo) * Mb + (n2 - n_lo), 0)
+    s2 = sigma[cell2, 0]
+    w = bond_weights(spec.profile, intracell, sigma, s2)
+    rows = (6 * np.arange(Ma * Mb)[:, None] + j - 1)[inside]
+    cols = (6 * cell2 + j2 - 1)[inside]
     n_sites = Ma * Mb * 6
-    positions = np.empty((n_sites, 2))
-    rows, cols, vals = [], [], []
-    interface_cells: set[tuple[int, int]] = set()
+    H = sp.csr_matrix((-w[inside], (rows, cols)), shape=(n_sites, n_sites))
 
-    for im, m in enumerate(m_range):
-        for i_n, n in enumerate(n_range):
-            p, q = frame_to_cell(spec.kind, int(m), int(n))
-            base = (im * Mb + i_n) * 6
-            s1 = sigma[im, i_n]
-            for j in range(1, 7):
-                site = SiteIndex(j, (p, q))
-                positions[base + j - 1] = site_position(site)
-                for nb in neighbors(site):
-                    m2, n2 = cell_to_frame(spec.kind, *nb.cell)
-                    if not inside(m2, n2):
-                        continue
-                    i2 = ((m2 - m_lo) * Mb + (n2 - n_lo)) * 6 + (nb.j - 1)
-                    i1 = base + j - 1
-                    if i1 >= i2:
-                        continue  # each bond once; symmetrize below
-                    s2 = sigma[m2 - m_lo, n2 - n_lo]
-                    w = _bond_weight(spec.profile, nb.cell == (p, q), s1, s2)
-                    rows.append(i1)
-                    cols.append(i2)
-                    vals.append(-w)
-                    if s1 != s2:
-                        interface_cells.add((int(m), int(n)))
-                        interface_cells.add((int(m2), int(n2)))
+    p, q = frame_to_cell(spec.kind, m[:, 0], n[:, 0])
+    positions = cell_site_positions(p, q).reshape(-1, 2)
+    # crossing bonds come in mirrored pairs, so this marks both of their ends
+    at_interface = (inside & (sigma != s2)).any(axis=1)
 
-    upper = sp.coo_matrix((vals, (rows, cols)), shape=(n_sites, n_sites))
-    H = (upper + upper.T).tocsr()
-
-    cell_centers = np.array([
-        [m, n] for m in m_range for n in n_range
-    ]) @ np.vstack([va, vb])
-    if interface_cells:
-        ipos = np.array([m * va + n * vb for m, n in sorted(interface_cells)])
+    cell_centers = np.column_stack([m, n]) @ np.vstack([va, vb])
+    if at_interface.any():
+        ipos = m[at_interface] * va + n[at_interface] * vb
         diff = cell_centers[:, None, :] - ipos[None, :, :]
         dist = np.sqrt((diff**2).sum(axis=2)).min(axis=1)
     else:
@@ -201,7 +170,7 @@ def build_domain(spec: DomainSpec) -> Domain:
         legs = (d1, leg2 / np.linalg.norm(leg2))
 
     return Domain(spec=spec, m_range=m_range, n_range=n_range, positions=positions,
-                  hamiltonian=H, sigma=sigma, cell_interface_dist=dist,
+                  hamiltonian=H, sigma=sigma.reshape(Ma, Mb), cell_interface_dist=dist,
                   vertex_position=vertex, leg_directions=legs)
 
 
@@ -233,25 +202,17 @@ def initial_wavepacket(domain: Domain, profile: HoppingProfile, center_m: float,
     evals, evecs = np.linalg.eigh(m0)
     coeff = evecs[:, 1] if direction > 0 else evecs[:, 0]
     mode_a, mode_b = modes
+    L = max(max(map(abs, mode.support())) for mode in modes)
+    chi = (coeff[0] * mode_a.as_vector(L) + coeff[1] * mode_b.as_vector(L)).reshape(-1, 6)
 
-    chi: dict[int, np.ndarray] = {}
-    for n in set(mode_a.amplitudes) | set(mode_b.amplitudes):
-        row = np.zeros(6, dtype=complex)
-        if n in mode_a.amplitudes:
-            row += coeff[0] * mode_a.amplitudes[n]
-        if n in mode_b.amplitudes:
-            row += coeff[1] * mode_b.amplitudes[n]
-        chi[n] = row
-
-    amps = np.zeros(domain.positions.shape[0], dtype=complex)
+    # transverse profile on the rows n in [n0, n1] shared by chi and the domain
+    n0, n1 = max(-L, domain.n_range[0]), min(L, domain.n_range[-1])
     env = np.exp(-((domain.m_range - center_m) ** 2) / (2.0 * width**2))
-    for im, m in enumerate(domain.m_range):
-        if env[im] < 1e-18:
-            continue
-        for n, row in chi.items():
-            if domain.n_range[0] <= n <= domain.n_range[-1]:
-                base = domain.index(int(m), int(n), 1)
-                amps[base:base + 6] += env[im] * row
+    keep = env >= 1e-18
+    amps = np.zeros((*domain.n_cells, 6), dtype=complex)
+    amps[keep, n0 - domain.n_range[0]:n1 - domain.n_range[0] + 1] += (
+        env[keep, None, None] * chi[None, n0 + L:n1 + L + 1])
+    amps = amps.reshape(-1)
     amps /= np.linalg.norm(amps)
     return WavepacketState(domain=domain, amplitudes=amps, time=0.0, norm0=1.0)
 
@@ -315,6 +276,8 @@ def record_run(domain: Domain, state: WavepacketState, t_final: float,
                config: dict | None = None) -> dict:
     """Evolve to t_final, writing |amplitude|^2 snapshots every ``stride``
     steps plus a JSON manifest with the diagnostic time series."""
+    if stride < 1:
+        raise ValueError("stride must be at least 1")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     H = domain.hamiltonian

@@ -4,20 +4,29 @@ After the Bloch reduction along the interface, each quasi-momentum k in
 [-pi, pi) yields a one-dimensional chain of cells indexed by n, six sites per
 cell.  The chain is truncated to n in [-N, N] with open ends; couplings that
 would leave the window are dropped.
+
+Every operator comes from one place: the frame bond list of
+:func:`edgelab.lattice.frame_bonds`, weighted by :func:`bond_weights` and
+assembled by :func:`chain_operator` into H(k), dH/dk or the matrix-free
+products on finitely supported amplitude maps.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.sparse as sp
 
-from .lattice import InterfaceKind
+from .lattice import InterfaceKind, frame_bonds, material_sign
 
 __all__ = [
     "HoppingProfile",
     "CoefficientRow",
     "BlochOperator",
+    "bond_weights",
+    "chain_operator",
     "coeffs_type1",
     "coeffs_type2",
     "bloch_h1",
@@ -50,6 +59,9 @@ class HoppingProfile:
     c: float
 
     def __post_init__(self):
+        if not all(math.isfinite(x) for x in
+                   (self.b_plus, self.b_minus, self.delta_plus, self.delta_minus, self.c)):
+            raise ValueError("hopping parameters must be finite")
         if not (self.b_plus > 0 and self.b_minus > 0):
             raise ValueError("intracell hoppings must be positive")
         if self.c <= 0:
@@ -107,11 +119,6 @@ def coeffs_type2(profile: HoppingProfile, n: int) -> CoefficientRow:
     return CoefficientRow(a=_a_type2(profile, n), b=b, c=_a_type2(profile, n), d=d)
 
 
-def _rows(kind: InterfaceKind, profile: HoppingProfile, lo: int, hi: int):
-    f = coeffs_type1 if kind is InterfaceKind.TYPE_I else coeffs_type2
-    return {n: f(profile, n) for n in range(lo - 4, hi + 5)}
-
-
 @dataclass(frozen=True)
 class BlochOperator:
     """A truncated interface Hamiltonian at fixed quasi-momentum.
@@ -139,47 +146,36 @@ def chain_index(n: int, j: int, half_width: int) -> int:
     return (n + half_width) * 6 + (j - 1)
 
 
-def _h1_terms(k: float, rows, n: int):
-    """Row contributions (j, j', n', weight) of the type-I operator at cell n."""
-    r = rows[n]
-    rm = rows[n - 1]
-    eik = np.exp(1j * k)
-    emk = np.exp(-1j * k)
-    return [
-        (1, 4, n, -r.b), (1, 5, n, -r.b), (1, 6, n - 1, -rm.c * emk),
-        (2, 4, n, -r.b), (2, 5, n, -r.d * eik), (2, 6, n, -r.b),
-        (3, 4, n + 1, -r.c), (3, 5, n, -r.b), (3, 6, n, -r.b),
-        (4, 1, n, -r.b), (4, 2, n, -r.b), (4, 3, n - 1, -rm.c),
-        (5, 1, n, -r.b), (5, 2, n, -r.d * emk), (5, 3, n, -r.b),
-        (6, 1, n + 1, -r.c * eik), (6, 2, n, -r.b), (6, 3, n, -r.b),
-    ]
+def bond_weights(profile: HoppingProfile, intracell, s1, s2) -> np.ndarray:
+    """The interface bond rule, elementwise over bonds with end materials s1,
+    s2: c across the interface, b within a cell, b + delta between cells."""
+    plus = np.asarray(s1) > 0
+    b = np.where(plus, profile.b_plus, profile.b_minus)
+    delta = np.where(plus, profile.delta_plus, profile.delta_minus)
+    return np.where(np.not_equal(s1, s2), profile.c, np.where(intracell, b, b + delta))
 
 
-def _h2_terms(k: float, rows, n: int):
-    """Row contributions of the type-II operator at cell n (has n+-2 bonds)."""
-    r = rows[n]
-    rm1, rm2 = rows[n - 1], rows[n - 2]
-    eik = np.exp(1j * k)
-    emk = np.exp(-1j * k)
-    return [
-        (1, 4, n, -r.b), (1, 5, n, -r.b), (1, 6, n + 1, -r.c * emk),
-        (2, 4, n, -r.b), (2, 5, n - 2, -rm2.d * eik), (2, 6, n, -r.b),
-        (3, 4, n + 1, -r.c), (3, 5, n, -r.b), (3, 6, n, -r.b),
-        (4, 1, n, -r.b), (4, 2, n, -r.b), (4, 3, n - 1, -rm1.c),
-        (5, 1, n, -r.b), (5, 2, n + 2, -r.d * emk), (5, 3, n, -r.b),
-        (6, 1, n - 1, -rm1.c * eik), (6, 2, n, -r.b), (6, 3, n, -r.b),
-    ]
+def chain_operator(kind: InterfaceKind, profile: HoppingProfile, lo: int, hi: int,
+                   k: float = 0.0, derivative: bool = False) -> sp.csr_matrix:
+    """Sparse chain operator on the cells [lo, hi] with open ends.
+
+    Entries are -w exp(i k dm) for H(k), or i dm (-w) for dH/dk at k = 0
+    when ``derivative`` is set; site (n, j) has flat index 6 (n - lo) + j - 1.
+    """
+    j, j2, dm, dn, intracell = frame_bonds(kind).T
+    n = np.arange(lo, hi + 1)[:, None]
+    n2 = n + dn
+    w = bond_weights(profile, intracell, material_sign(kind, 0, n), material_sign(kind, 0, n2))
+    vals = 1j * dm * -w if derivative else -w * np.exp(1j * k * dm)
+    keep = (n2 >= lo) & (n2 <= hi) & (vals != 0)  # dH/dk vanishes on dm = 0 bonds
+    rows = (6 * (n - lo) + j - 1)[keep]
+    cols = (6 * (n2 - lo) + j2 - 1)[keep]
+    dim = 6 * (hi - lo + 1)
+    return sp.csr_matrix((vals[keep], (rows, cols)), shape=(dim, dim))
 
 
-def _build(kind: InterfaceKind, profile: HoppingProfile, k: float, N: int) -> BlochOperator:
-    rows = _rows(kind, profile, -N, N)
-    terms = _h1_terms if kind is InterfaceKind.TYPE_I else _h2_terms
-    dim = 6 * (2 * N + 1)
-    H = np.zeros((dim, dim), dtype=complex)
-    for n in range(-N, N + 1):
-        for j, j2, n2, w in terms(k, rows, n):
-            if -N <= n2 <= N:
-                H[chain_index(n, j, N), chain_index(n2, j2, N)] = w
+def _bloch(kind: InterfaceKind, profile: HoppingProfile, k: float, N: int) -> BlochOperator:
+    H = chain_operator(kind, profile, -N, N, k).toarray()
     return BlochOperator(kind=kind, profile=profile, k=k, half_width=N, matrix=H)
 
 
@@ -187,60 +183,28 @@ def bloch_h1(profile: HoppingProfile, k: float, N: int) -> BlochOperator:
     """Type-I interface Hamiltonian on 2N+1 cells; N >= 2."""
     if N < 2:
         raise ValueError("type-I supercell needs N >= 2 to contain the interface rows")
-    return _build(InterfaceKind.TYPE_I, profile, k, N)
+    return _bloch(InterfaceKind.TYPE_I, profile, k, N)
 
 
 def bloch_h2(profile: HoppingProfile, k: float, N: int) -> BlochOperator:
     """Type-II interface Hamiltonian on 2N+1 cells; N >= 4 (n+-2 couplings)."""
     if N < 4:
         raise ValueError("type-II supercell needs N >= 4 for the n+-2 couplings")
-    return _build(InterfaceKind.TYPE_II, profile, k, N)
-
-
-def _h1_first_order_terms(rows, n: int):
-    r, rm = rows[n], rows[n - 1]
-    return [
-        (1, 6, n - 1, 1j * rm.c),
-        (2, 5, n, -1j * r.d),
-        (5, 2, n, 1j * r.d),
-        (6, 1, n + 1, -1j * r.c),
-    ]
-
-
-def _h2_first_order_terms(rows, n: int):
-    r, rm1, rm2 = rows[n], rows[n - 1], rows[n - 2]
-    return [
-        (1, 6, n + 1, 1j * r.c),
-        (2, 5, n - 2, -1j * rm2.d),
-        (5, 2, n + 2, 1j * r.d),
-        (6, 1, n - 1, -1j * rm1.c),
-    ]
-
-
-def _build_first_order(kind: InterfaceKind, profile: HoppingProfile, N: int) -> np.ndarray:
-    rows = _rows(kind, profile, -N, N)
-    terms = _h1_first_order_terms if kind is InterfaceKind.TYPE_I else _h2_first_order_terms
-    dim = 6 * (2 * N + 1)
-    H1 = np.zeros((dim, dim), dtype=complex)
-    for n in range(-N, N + 1):
-        for j, j2, n2, w in terms(rows, n):
-            if -N <= n2 <= N:
-                H1[chain_index(n, j, N), chain_index(n2, j2, N)] = w
-    return H1
+    return _bloch(InterfaceKind.TYPE_II, profile, k, N)
 
 
 def h1_first_order(profile: HoppingProfile, N: int) -> np.ndarray:
     """dH_I/dk at k = 0 (Hermitian; rows 3 and 4 vanish identically)."""
     if N < 2:
         raise ValueError("need N >= 2")
-    return _build_first_order(InterfaceKind.TYPE_I, profile, N)
+    return chain_operator(InterfaceKind.TYPE_I, profile, -N, N, derivative=True).toarray()
 
 
 def h2_first_order(profile: HoppingProfile, N: int) -> np.ndarray:
     """dH_II/dk at k = 0 (Hermitian; rows 3 and 4 vanish identically)."""
     if N < 4:
         raise ValueError("need N >= 4")
-    return _build_first_order(InterfaceKind.TYPE_II, profile, N)
+    return chain_operator(InterfaceKind.TYPE_II, profile, -N, N, derivative=True).toarray()
 
 
 # ---------------------------------------------------------------------------
@@ -282,34 +246,28 @@ def apply_R(k: float, state: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Matrix-free application of H(k) and dH/dk to amplitude maps.  Used by the
-# zero-mode construction, whose support can exceed comfortable dense sizes.
+# Application of H(k) and dH/dk to amplitude maps through the sparse operator
+# on the support's window.  Used by the zero-mode construction, whose support
+# can exceed comfortable dense sizes.
 # ---------------------------------------------------------------------------
 
-def _apply_terms(terms_of_n, amps: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
-    out: dict[int, np.ndarray] = {}
-    lo, hi = min(amps), max(amps)
-    for n in range(lo - 2, hi + 3):
-        acc = np.zeros(6, dtype=complex)
-        for j, j2, n2, w in terms_of_n(n):
-            if n2 in amps:
-                acc[j - 1] += w * amps[n2][j2 - 1]
-        if np.any(acc):
-            out[n] = acc
-    return out
+def _apply(kind: InterfaceKind, profile: HoppingProfile, amps: dict[int, np.ndarray],
+           k: float, derivative: bool) -> dict[int, np.ndarray]:
+    # bonds reach two cells, so the image lives on the support widened by two
+    lo, hi = min(amps) - 2, max(amps) + 2
+    v = np.zeros((hi - lo + 1, 6), dtype=complex)
+    v[np.fromiter(amps, int) - lo] = list(amps.values())
+    out = (chain_operator(kind, profile, lo, hi, k, derivative) @ v.ravel()).reshape(-1, 6)
+    return {lo + int(i): out[i] for i in np.flatnonzero(out.any(axis=1))}
 
 
 def chain_apply(kind: InterfaceKind, profile: HoppingProfile, k: float,
                 amps: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
     """Apply the infinite-chain H(k) to a finitely supported amplitude map."""
-    rows = _rows(kind, profile, min(amps), max(amps))
-    terms = _h1_terms if kind is InterfaceKind.TYPE_I else _h2_terms
-    return _apply_terms(lambda n: terms(k, rows, n), amps)
+    return _apply(kind, profile, amps, k, derivative=False)
 
 
 def chain_apply_first_order(kind: InterfaceKind, profile: HoppingProfile,
                             amps: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
     """Apply dH/dk (at k = 0) to a finitely supported amplitude map."""
-    rows = _rows(kind, profile, min(amps), max(amps))
-    terms = _h1_first_order_terms if kind is InterfaceKind.TYPE_I else _h2_first_order_terms
-    return _apply_terms(lambda n: terms(rows, n), amps)
+    return _apply(kind, profile, amps, 0.0, derivative=True)

@@ -67,9 +67,14 @@ class SiteIndex:
 def site_position(site: SiteIndex) -> np.ndarray:
     """Cartesian position of a site in dimensionless lattice units."""
     p, q = site.cell
-    a3, b3 = _SITE_OFFSETS[site.j]
-    coeff = np.array([p + a3 / 3.0, q + b3 / 3.0])
-    return BASIS @ coeff
+    return cell_site_positions(np.array([p]), np.array([q]))[0, site.j - 1]
+
+
+def cell_site_positions(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Positions of the six sites of each cell (p[i], q[i]), shape (cells, 6, 2)."""
+    offsets = np.array([_SITE_OFFSETS[j] for j in range(1, 7)]) / 3.0
+    coeff = np.stack([p, q], axis=-1)[:, None, :] + offsets[None]
+    return np.matmul(BASIS[None], coeff.reshape(-1, 2, 1)).reshape(-1, 6, 2)
 
 
 def neighbors(site: SiteIndex) -> list[SiteIndex]:
@@ -112,9 +117,22 @@ def cell_to_frame(kind: InterfaceKind, p: int, q: int) -> tuple[int, int]:
     return p, q - p
 
 
-def material_sign(kind: InterfaceKind, m: int, n: int) -> int:
-    """+1 on the upper half-space n >= 0, -1 on the complement."""
-    return 1 if n >= 0 else -1
+def material_sign(kind: InterfaceKind, m, n):
+    """+1 on the upper half-space n >= 0, -1 on the complement (elementwise)."""
+    return np.where(np.asarray(n) >= 0, 1, -1)
+
+
+def frame_bonds(kind: InterfaceKind) -> np.ndarray:
+    """The 18 directed bonds of a cell in interface-frame coordinates.
+
+    Row (j, j2, dm, dn, intracell) couples site j of cell (m, n) to site j2
+    of cell (m + dm, n + dn); rows follow the order of :func:`neighbors`.
+    """
+    return np.array([
+        (j, j2, *cell_to_frame(kind, dp, dq), slot != _INTERCELL_SLOT[j])
+        for j, row in _NEIGHBOR_TABLE.items()
+        for slot, (j2, (dp, dq)) in enumerate(row)
+    ])
 
 
 def frame_vectors(kind: InterfaceKind) -> tuple[np.ndarray, np.ndarray]:

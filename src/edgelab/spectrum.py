@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import csv
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,14 +44,6 @@ DEFAULT_N = 80
 DEFAULT_MARGIN = 5
 DEFAULT_THRESHOLD = 0.2
 DEFAULT_K_POINTS = 201
-
-
-def max_workers() -> int:
-    """Thread cap for k-sweeps, from the EDGELAB_THREADS environment variable."""
-    try:
-        return max(1, int(os.environ.get("EDGELAB_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -121,18 +111,7 @@ def supercell_spectrum(kind: InterfaceKind, profile: HoppingProfile, c: float | 
         profile = profile.with_c(c)
     k_grid = np.asarray(k_grid, dtype=float)
 
-    results = [None] * len(k_grid)
-    workers = max_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = {pool.submit(_solve_one, kind, profile, k, N, margin): i
-                    for i, k in enumerate(k_grid)}
-            for fut, i in futs.items():
-                results[i] = fut.result()
-    else:
-        for i, k in enumerate(k_grid):
-            results[i] = _solve_one(kind, profile, k, N, margin)
-
+    results = [_solve_one(kind, profile, k, N, margin) for k in k_grid]
     evals = np.array([r[0] for r in results])
     loc = np.array([r[1] for r in results])
     return SpectrumTable(

@@ -155,6 +155,8 @@ def matching_c_star(profile: HoppingProfile) -> float:
 
 def type1_zero_exists(profile: HoppingProfile, c_test: float, k: float) -> bool:
     """Eigenvector-alignment criterion for a two-fold type-I zero mode."""
+    if not c_test > 0:
+        raise ValueError("test coupling c_test must be positive")
     rp = p_eigen(profile.b_plus, profile.delta_plus, k)
     rm = p_eigen(profile.b_minus, profile.delta_minus, k)
     scale = (profile.b_plus + profile.delta_plus) * (profile.b_minus + profile.delta_minus) / c_test**2

@@ -125,3 +125,27 @@ def test_byte_identical_reruns(tmp_path):
     assert run(args) == 0
     assert (out / "spectrum.csv").read_bytes() == first_csv
     assert (out / "summary.json").read_bytes() == first_json
+
+
+@pytest.mark.parametrize("argv", [
+    ["exist", "--kind", "type1", "--c-test", "0"],
+    ["exist", "--kind", "type1", "--c-test", "-1"],
+    ["exist", "--kind", "type2", "--delta-plus", "nan"],
+    ["spectrum", "--n-cells", "20"],  # default margin is not below N/4
+    ["evolve", "--extent-m", "10"],
+])
+def test_out_of_range_inputs_exit_2(tmp_path, capsys, argv):
+    assert run(argv + ["--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+
+
+def test_evolve_rejects_zero_stride_before_building(tmp_path, monkeypatch, capsys):
+    import edgelab.cli as cli
+
+    def build_domain(spec):
+        raise AssertionError("domain built before the stride was checked")
+
+    monkeypatch.setattr(cli, "build_domain", build_domain)
+    assert run(["evolve", "--stride", "0", "--out", str(tmp_path)]) == 2
+    assert "stride" in capsys.readouterr().err

@@ -46,6 +46,46 @@ def test_domain_matrix_real_symmetric_and_bond_weights():
     assert H[dom.index(m, -4, 2), dom.index(m + 1, -4, 5)] == -(60.0 - 30.0)
 
 
+def _loop_domain_hamiltonian(dom):
+    # site-by-site reference assembly from the neighbor table and the bond
+    # rule written out per bond
+    from edgelab.lattice import SiteIndex, cell_to_frame, frame_to_cell, neighbors
+
+    spec, prof = dom.spec, dom.spec.profile
+    entries = {}
+    for m in dom.m_range:
+        for n in dom.n_range:
+            s1 = spec.material(int(m), int(n))
+            cell = frame_to_cell(spec.kind, int(m), int(n))
+            for j in range(1, 7):
+                for nb in neighbors(SiteIndex(j, cell)):
+                    m2, n2 = cell_to_frame(spec.kind, *nb.cell)
+                    if not (dom.m_range[0] <= m2 <= dom.m_range[-1]
+                            and dom.n_range[0] <= n2 <= dom.n_range[-1]):
+                        continue
+                    s2 = spec.material(m2, n2)
+                    if s1 != s2:
+                        w = prof.c
+                    elif nb.cell == cell:
+                        w = prof.b_plus if s1 > 0 else prof.b_minus
+                    elif s1 > 0:
+                        w = prof.b_plus + prof.delta_plus
+                    else:
+                        w = prof.b_minus + prof.delta_minus
+                    entries[dom.index(int(m), int(n), j), dom.index(m2, n2, nb.j)] = -w
+    return entries
+
+
+@pytest.mark.parametrize("kind", [InterfaceKind.TYPE_I, InterfaceKind.TYPE_II])
+@pytest.mark.parametrize("bend", [None, (2, 1), (2, -1)])
+def test_domain_matches_site_loop_reference(kind, bend):
+    profile = HoppingProfile(57.3, 64.1, 28.9, -31.7, 47.2)
+    dom = build_domain(DomainSpec(kind, (20, 21), profile, bend=bend))
+    H = dom.hamiltonian.tocoo()
+    assert dict(zip(zip(H.row.tolist(), H.col.tolist()), H.data.tolist())) == (
+        _loop_domain_hamiltonian(dom))
+
+
 def test_row_degree_at_most_three():
     dom = small_domain()
     degree = np.diff(dom.hamiltonian.indptr)
@@ -168,6 +208,16 @@ def test_record_run_writes_artifacts(tmp_path):
     series = manifest["series"]
     assert abs(series["norm"][-1] - 1.0) < 1e-8
     assert len(series["time"]) == len(series["interface_mass"])
+
+
+def test_record_run_rejects_zero_stride(tmp_path):
+    dom = small_domain()
+    amps = np.zeros(dom.positions.shape[0], dtype=complex)
+    amps[0] = 1.0
+    from edgelab.dynamics import record_run
+
+    with pytest.raises(ValueError):
+        record_run(dom, WavepacketState(domain=dom, amplitudes=amps), 0.01, tmp_path, stride=0)
 
 
 @pytest.mark.parametrize("kind", [InterfaceKind.TYPE_I, InterfaceKind.TYPE_II])

@@ -8,6 +8,8 @@ from edgelab.hamiltonian import (
     apply_V,
     bloch_h1,
     bloch_h2,
+    chain_apply,
+    chain_apply_first_order,
     coeffs_type1,
     coeffs_type2,
     h1_first_order,
@@ -193,3 +195,35 @@ def test_h2_first_order_row5_entry():
         i5 = (n + N) * 6 + 4
         j2 = (n + 2 + N) * 6 + 1
         assert H1[i5, j2] == 1j * row.d
+
+
+def _dense(amps, N):
+    v = np.zeros(6 * (2 * N + 1), dtype=complex)
+    for n, a in amps.items():
+        v[(n + N) * 6:(n + N) * 6 + 6] = a
+    return v
+
+
+@pytest.mark.parametrize("kind,build,first_order", [
+    (InterfaceKind.TYPE_I, bloch_h1, h1_first_order),
+    (InterfaceKind.TYPE_II, bloch_h2, h2_first_order),
+])
+@pytest.mark.parametrize("k", [0.0, 0.7])
+def test_chain_apply_matches_dense_operator(kind, build, first_order, k):
+    # matrix-free products on a gappy support against the dense window
+    # operators; the support and its two-cell bond reach stay inside [-N, N]
+    N = 10
+    rng = np.random.default_rng(23)
+    amps = {n: rng.normal(size=6) + 1j * rng.normal(size=6) for n in (-3, -1, 0, 2, 5)}
+    v = _dense(amps, N)
+    interior = slice(2 * 6, (2 * N - 1) * 6)
+    scale = 90 * np.abs(v).max()
+
+    image = chain_apply(kind, MIXED, k, amps)
+    assert min(image) >= -5 and max(image) <= 7
+    expected = build(MIXED, k, N).matrix @ v
+    assert np.abs(_dense(image, N)[interior] - expected[interior]).max() < 1e-13 * scale
+
+    image1 = chain_apply_first_order(kind, MIXED, amps)
+    expected1 = first_order(MIXED, N) @ v
+    assert np.abs(_dense(image1, N)[interior] - expected1[interior]).max() < 1e-13 * scale
