@@ -209,6 +209,8 @@ def cmd_evolve(cfg: dict) -> int:
     kind, profile = _kind(cfg), _profile(cfg)
     if int(cfg["stride"]) < 1:
         raise ConfigError("stride must be at least 1")
+    if not float(cfg["width"]) > 0:
+        raise ConfigError("width must be positive")
     out = _out_dir(cfg)
     origin = None
     if cfg["origin_m"] is not None and cfg["origin_n"] is not None:

@@ -149,3 +149,20 @@ def test_evolve_rejects_zero_stride_before_building(tmp_path, monkeypatch, capsy
     monkeypatch.setattr(cli, "build_domain", build_domain)
     assert run(["evolve", "--stride", "0", "--out", str(tmp_path)]) == 2
     assert "stride" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--center-m", "1000"],  # the envelope misses the domain
+    ["--width", "0"],
+    ["--width", "-4"],  # the envelope is even in the width
+    ["--t-final", "-1"],
+    ["--dt", "-0.0001"],
+])
+def test_evolve_degenerate_inputs_exit_2(tmp_path, capsys, flags):
+    out = tmp_path / "o"
+    argv = ["evolve", "--kind", "type2", "--extent-m", "24", "--extent-n", "22",
+            "--t-final", "0.01", *flags, "--out", str(out)]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert not list(out.glob("snapshot_*.csv"))

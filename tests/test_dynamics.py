@@ -261,3 +261,133 @@ def test_type1_domain_packet_moves(tmp_path):
     mass = out.domain.cell_mass(out.amplitudes)
     mm = np.repeat(out.domain.m_range, len(out.domain.n_range))
     assert (mass * mm).sum() > -7.0  # moved toward +m
+
+
+def _packet_domain():
+    dom = build_domain(DomainSpec(InterfaceKind.TYPE_II, (30, 24), MIXED, bend=(2, 1)))
+    return dom, initial_wavepacket(dom, MIXED, center_m=-3.0, width=4.0, direction=+1)
+
+
+@pytest.mark.parametrize("t", [0.7, 0.05, 1e-4, -1e-4, -0.3])
+def test_propagate_matches_expm_multiply(t):
+    from scipy.sparse.linalg import expm_multiply
+
+    from edgelab.dynamics import propagate
+
+    dom, st = _packet_domain()
+    H = dom.hamiltonian
+    ref = expm_multiply(-1j * t * H.astype(complex), st.amplitudes)
+    got = propagate(st.amplitudes, H.astype(complex), t, rho_bound(H))
+    assert np.abs(got - ref).max() < 1e-10
+    # a real H gives the same state
+    assert np.abs(propagate(st.amplitudes, H, t, rho_bound(H)) - got).max() < 1e-14
+
+
+def test_propagate_agrees_with_rk4_within_its_error():
+    from scipy.sparse.linalg import expm_multiply
+
+    from edgelab.dynamics import propagate
+
+    dom, st = _packet_domain()
+    H = dom.hamiltonian
+    dt = 0.1 / rho_bound(H)
+    rk4 = evolve(st, H, dt, 400)
+    ref = expm_multiply(-1j * rk4.time * H.astype(complex), st.amplitudes)
+    rk4_err = np.abs(rk4.amplitudes - ref).max()
+    assert 0 < rk4_err < 1e-5
+    got = propagate(st.amplitudes, H, rk4.time, rho_bound(H))
+    assert np.abs(got - rk4.amplitudes).max() <= rk4_err + 1e-12
+
+
+def test_propagate_preserves_norm():
+    from edgelab.dynamics import propagate
+
+    dom = small_domain()
+    rng = np.random.default_rng(11)
+    amps = rng.normal(size=dom.positions.shape[0]) + 1j * rng.normal(size=dom.positions.shape[0])
+    amps /= np.linalg.norm(amps)
+    H = dom.hamiltonian
+    for t in (0.01, 1.0, 4.0):
+        out = propagate(amps, H, t, rho_bound(H))
+        assert abs(np.linalg.norm(out) - 1.0) < 1e-12
+
+
+def test_propagate_trivial_cases():
+    from edgelab.dynamics import propagate
+
+    dom = small_domain()
+    rng = np.random.default_rng(5)
+    amps = rng.normal(size=dom.positions.shape[0]) + 0j
+    zero = 0.0 * dom.hamiltonian
+    assert np.array_equal(propagate(amps, zero, 1.0, rho_bound(zero)), amps)
+    assert np.abs(propagate(amps, zero, 1.0, 1.0) - amps).max() < 1e-14
+    assert np.array_equal(propagate(amps, dom.hamiltonian, 0.0, 1.0), amps)
+
+    E = 3.7
+    for t in (1.0, -2.0, 25.0):
+        out = propagate(np.array([1.0 + 0j]), np.array([[E]]), t, abs(E))
+        assert abs(out[0] - np.exp(-1j * E * t)) < 1e-13
+
+
+def _csv_writer_snapshot(path, positions, amplitudes):
+    # the snapshot format as csv.writer writes it, element by element
+    import csv
+
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["x", "y", "abs2"])
+        for pos, amp in zip(positions, amplitudes):
+            w.writerow([f"{pos[0]:.17g}", f"{pos[1]:.17g}", f"{abs(amp)**2:.17g}"])
+    return path.read_bytes()
+
+
+def test_record_run_schedule_snapshots_and_rerun(tmp_path):
+    from edgelab.dynamics import propagate, record_run
+
+    dom, st = _packet_domain()
+    H = dom.hamiltonian
+    dt = 0.1 / rho_bound(H)
+    manifest = record_run(dom, st, t_final=25.5 * dt, out_dir=tmp_path / "a", stride=10)
+    assert manifest["steps"] == 26
+    # sample times accumulate dt * chunk, as the RK4 runs did
+    assert manifest["series"]["time"] == [0.0, dt * 10, dt * 10 + dt * 10,
+                                          dt * 10 + dt * 10 + dt * 6]
+    ref = tmp_path / "reference.csv"
+    assert (tmp_path / "a" / "snapshot_0000.csv").read_bytes() == (
+        _csv_writer_snapshot(ref, dom.positions, st.amplitudes))
+    amps = st.amplitudes
+    for chunk in (10, 10, 6):
+        amps = propagate(amps, H.astype(complex), dt * chunk, rho_bound(H))
+    assert (tmp_path / "a" / "snapshot_0003.csv").read_bytes() == (
+        _csv_writer_snapshot(ref, dom.positions, amps))
+
+    record_run(dom, st, t_final=25.5 * dt, out_dir=tmp_path / "b", stride=10)
+    for a in sorted((tmp_path / "a").iterdir()):
+        assert a.read_bytes() == (tmp_path / "b" / a.name).read_bytes()
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"t_final": -1.0}, {"t_final": 0.0}, {"t_final": float("nan")}, {"t_final": float("inf")},
+    {"t_final": 0.01, "dt": -1e-4}, {"t_final": 0.01, "dt": 0.0},
+])
+def test_record_run_rejects_non_positive_times(tmp_path, kwargs):
+    from edgelab.dynamics import record_run
+
+    dom, st = _packet_domain()
+    with pytest.raises(ValueError):
+        record_run(dom, st, out_dir=tmp_path / "o", **kwargs)
+    assert not (tmp_path / "o").exists()
+
+
+def test_record_run_keeps_step_rule(tmp_path):
+    from edgelab.dynamics import record_run
+
+    dom, st = _packet_domain()
+    with pytest.raises(StepTooLarge):
+        record_run(dom, st, 0.01, tmp_path, dt=0.6 / rho_bound(dom.hamiltonian))
+
+
+def test_initial_packet_off_domain_raises():
+    dom = small_domain()
+    with pytest.raises(ValueError):
+        initial_wavepacket(dom, MIXED, center_m=1000.0, width=4.0, direction=+1)
