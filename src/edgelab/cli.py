@@ -131,6 +131,8 @@ def _dump_json(path: Path, payload: dict) -> None:
 
 def cmd_spectrum(cfg: dict) -> int:
     kind, profile = _kind(cfg), _profile(cfg)
+    if int(cfg["k_points"]) < 1:
+        raise ConfigError("k_points must be at least 1")
     out = _out_dir(cfg)
     # inclusive symmetric grid: odd counts place a point exactly at k = 0
     k_grid = np.linspace(-np.pi, np.pi, int(cfg["k_points"]))

@@ -54,6 +54,7 @@ __all__ = [
 ]
 
 _DIST_CHUNK = 256  # cells per block of the interface-distance computation
+_MAX_SNAPSHOTS = 10_000  # snapshot_{:04d} names sort in time order up to here
 
 
 @dataclass(frozen=True)
@@ -321,7 +322,8 @@ def record_run(domain: Domain, state: WavepacketState, t_final: float,
     """Evolve to t_final, writing |amplitude|^2 snapshots every ``stride``
     sampling steps of ``dt`` plus a JSON manifest with the diagnostic time
     series.  Each snapshot interval is one :func:`propagate` call; ``dt``
-    keeps the RK4 step rule dt * rho(H) <= 0.5."""
+    keeps the RK4 step rule dt * rho(H) <= 0.5, and a run holds at most
+    10,000 snapshots."""
     if stride < 1:
         raise ValueError("stride must be at least 1")
     if not (t_final > 0 and math.isfinite(t_final)):
@@ -334,6 +336,11 @@ def record_run(domain: Domain, state: WavepacketState, t_final: float,
         dt = 0.1 / rho
     if dt * rho > 0.5:
         raise StepTooLarge("dt * rho(H) exceeds 0.5")
+    # ceil(steps / stride) <= _MAX_SNAPSHOTS - 1 holds iff the float ratio
+    # does; comparing it with an int is exact and also rejects an infinite one
+    if not t_final / dt <= (_MAX_SNAPSHOTS - 1) * stride:
+        raise ValueError(f"t_final / (dt * stride) schedules more than "
+                         f"{_MAX_SNAPSHOTS} snapshots")
     steps_total = math.ceil(t_final / dt)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -1,5 +1,10 @@
 """Supercell spectra and crossing slopes.
 
+Every bond joins sublattices 1-3 to 4-6, so the truncated chain Hamiltonian
+is H(k) = [[0, C], [C^H, 0]] in that ordering and one SVD of the chiral
+block C (half the dimension of H) gives the whole spectrum as the pairs
++-s with eigenvectors (u, +-v)/sqrt(2).
+
 The truncated chain introduces artificial boundary states; following the
 supercell workflow, every eigenpair is scored by the fraction of its mass in
 the outermost cells and discarded when that fraction is too large.  The
@@ -16,12 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoMidGapState, NotAZeroMode
-from .hamiltonian import (
-    HoppingProfile,
-    bloch_h1,
-    bloch_h2,
-    chain_apply_first_order,
-)
+from .hamiltonian import HoppingProfile, chain_apply_first_order, chain_operator
 from .lattice import InterfaceKind
 from .transfer import ZeroMode, build_type1_zero_modes, build_type2_zero_modes
 
@@ -68,28 +68,32 @@ class SpectrumTable:
 
 
 def _solve_one(kind, profile, k, N, margin):
-    build = bloch_h1 if kind is InterfaceKind.TYPE_I else bloch_h2
-    H = build(profile, k, N).matrix
-    evals, evecs = np.linalg.eigh(H)
-    mask = np.zeros(6 * (2 * N + 1))
-    mask[:6 * margin] = 1.0
-    mask[-6 * margin:] = 1.0
-    loc = mask @ (np.abs(evecs) ** 2)
+    # (u_r, -+v_r)/sqrt2 is the eigenvector of -+s_r; see the module docstring
+    sites = np.arange(6 * (2 * N + 1)).reshape(-1, 6)
+    H = chain_operator(kind, profile, -N, N, k)
+    u, s, vh = np.linalg.svd(H[sites[:, :3].ravel()][:, sites[:, 3:].ravel()].toarray())
+    n = len(s)
+    evals = np.concatenate([-s, s[::-1]])
+    # only the rows of the outer margin cells enter the boundary mass
+    edge = np.r_[0:3 * margin, n - 3 * margin:n]
+    u_edge, v_edge = u[edge], vh[:, edge].conj().T
+    half = ((np.abs(u_edge) ** 2).sum(axis=0) + (np.abs(v_edge) ** 2).sum(axis=0)) / 2
+    loc = np.concatenate([half, half[::-1]])
     # Within a degenerate cluster the eigenvector basis is solver-dependent
     # (interface and artificial-boundary zero modes mix at k = 0), so the
     # boundary-mass form is rediagonalized there: each cluster member gets
     # one of the extremal localization scores.
     tol = 1e-8 * max(1.0, float(np.abs(evals).max()))
     i = 0
-    dim = len(evals)
-    while i < dim:
+    while i < 2 * n:
         j = i + 1
-        while j < dim and evals[j] - evals[j - 1] < tol:
+        while j < 2 * n and evals[j] - evals[j - 1] < tol:
             j += 1
         if j - i > 1:
-            V = evecs[:, i:j]
-            B = V.conj().T @ (mask[:, None] * V)
-            loc[i:j] = np.sort(np.linalg.eigvalsh(B))
+            idx = np.arange(i, j)
+            r = np.where(idx < n, idx, 2 * n - 1 - idx)
+            V = np.vstack([u_edge[:, r], np.where(idx < n, -1, 1) * v_edge[:, r]])
+            loc[i:j] = np.sort(np.linalg.eigvalsh(V.conj().T @ V / 2))
         i = j
     return evals, loc
 
@@ -105,8 +109,10 @@ def supercell_spectrum(kind: InterfaceKind, profile: HoppingProfile, c: float | 
     """
     if N < 20:
         raise ValueError("supercell needs N >= 20")
-    if margin >= N // 4:
-        raise ValueError("margin must stay below N/4")
+    if not 1 <= margin < N // 4:
+        raise ValueError("margin must be at least 1 and stay below N/4")
+    if not 0 < threshold <= 1:
+        raise ValueError("threshold must lie in (0, 1]")
     if c is not None:
         profile = profile.with_c(c)
     k_grid = np.asarray(k_grid, dtype=float)

@@ -124,8 +124,10 @@ def _p_vector(lam: complex, alpha: complex, beta: complex, gamma: complex) -> np
 def p_eigen(b: float, eps: float, k: float) -> PMatrixReport:
     """Eigenvalues ordered |lambda1| < |lambda2|, eigenvectors, and (at k = 0)
     the decaying-direction slope f1 with its sign cases."""
-    if eps == 0.0 and k == 0.0:
-        raise DegenerateGapless("P is the identity at eps = 0, k = 0")
+    # b + eps rounds to b for |eps| below about 1e-16 b, and P is then
+    # exactly the identity too
+    if b + eps == b and k == 0.0:
+        raise DegenerateGapless("P is the identity at k = 0 when b + eps == b")
     alpha, beta, gamma = p_elements(b, eps, k)
     disc = np.sqrt((alpha - gamma) ** 2 - 4 * np.exp(1j * k) * beta**2 + 0j)
     lam_a = (alpha + gamma - disc) / 2

@@ -1,4 +1,6 @@
 import json
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -166,3 +168,39 @@ def test_evolve_degenerate_inputs_exit_2(tmp_path, capsys, flags):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
     assert not list(out.glob("snapshot_*.csv"))
+
+
+@pytest.mark.parametrize("flags", [
+    ["--margin", "0"],
+    ["--margin", "-1"],
+    ["--threshold", "nan"],
+    ["--k-points", "0"],
+])
+def test_spectrum_degenerate_inputs_exit_2(tmp_path, capsys, flags):
+    out = tmp_path / "o"
+    argv = ["spectrum", "--kind", "type2", "--n-cells", "24", "--k-points", "3",
+            *flags, "--out", str(out)]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert not (out / "spectrum.csv").exists()
+
+
+def test_evolve_rejects_unbounded_snapshot_schedule(tmp_path, capsys):
+    out = tmp_path / "o"
+    start = time.perf_counter()
+    # a valid step that would schedule about 2.5e9 snapshots
+    code = run(["evolve", "--kind", "type2", "--extent-m", "24", "--extent-n", "22",
+                "--t-final", "1", "--dt", "1e-12", "--out", str(out)])
+    assert code == 2
+    assert time.perf_counter() - start < 10.0
+    assert "snapshots" in capsys.readouterr().err
+    assert not list(out.glob("snapshot_*.csv"))
+
+
+def test_exist_near_zero_detuning_is_degenerate(tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # b + 1e-300 rounds to b, so P(0) is exactly the identity
+        assert run(["exist", "--kind", "type1", "--delta-plus", "1e-300",
+                    "--out", str(tmp_path / "o")]) == 3

@@ -387,6 +387,17 @@ def test_record_run_keeps_step_rule(tmp_path):
         record_run(dom, st, 0.01, tmp_path, dt=0.6 / rho_bound(dom.hamiltonian))
 
 
+def test_record_run_caps_snapshot_count(tmp_path):
+    from edgelab.dynamics import record_run
+
+    dom, st = _packet_domain()
+    dt = 0.1 / rho_bound(dom.hamiltonian)
+    # 1 + ceil(29998 / 3) = 10,001 snapshots, one more than four digits name
+    with pytest.raises(ValueError, match="snapshots"):
+        record_run(dom, st, 29_998 * dt, tmp_path / "o", stride=3, dt=dt)
+    assert not (tmp_path / "o").exists()
+
+
 def test_initial_packet_off_domain_raises():
     dom = small_domain()
     with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ from edgelab.lattice import (
     SiteIndex,
     cell_to_frame,
     classify_neighbors,
+    frame_bonds,
     frame_to_cell,
     interface_frame,
     material_sign,
@@ -65,6 +66,15 @@ def test_bipartiteness():
             assert partners <= {4, 5, 6}
         else:
             assert partners <= {1, 2, 3}
+
+
+@pytest.mark.parametrize("kind", list(InterfaceKind))
+def test_frame_bonds_join_the_two_sublattice_blocks(kind):
+    # the spectrum solver's chiral block decomposition rests on this
+    bonds = frame_bonds(kind)
+    assert len(bonds) == 18
+    for j, j2 in bonds[:, :2]:
+        assert {j, j2} & {1, 2, 3} and {j, j2} & {4, 5, 6}
 
 
 def test_equal_bond_length():

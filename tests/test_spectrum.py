@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from edgelab.errors import NoMidGapState
-from edgelab.hamiltonian import HoppingProfile, bloch_h1, coeffs_type1, h1_first_order
+from edgelab.hamiltonian import HoppingProfile, bloch_h1, bloch_h2, coeffs_type1, h1_first_order
 from edgelab.lattice import InterfaceKind
 from edgelab.spectrum import (
     edge_curves,
@@ -24,6 +24,49 @@ def test_preconditions():
         supercell_spectrum(InterfaceKind.TYPE_I, MIXED, None, [0.0], N=10)
     with pytest.raises(ValueError):
         supercell_spectrum(InterfaceKind.TYPE_I, MIXED, None, [0.0], N=24, margin=6)
+
+
+def _eigh_filter(H, margin):
+    """Eigenvalues, boundary-mass scores and degenerate-cluster flags of a
+    dense chain Hamiltonian, from the documented filter definition: the mass
+    in the outer ``margin`` cells at each end, rediagonalized inside
+    numerically degenerate clusters."""
+    evals, evecs = np.linalg.eigh(H)
+    mask = np.zeros(len(evals))
+    mask[:6 * margin] = mask[-6 * margin:] = 1.0
+    loc = mask @ (np.abs(evecs) ** 2)
+    clustered = np.zeros(len(evals), dtype=bool)
+    tol = 1e-8 * max(1.0, float(np.abs(evals).max()))
+    i = 0
+    while i < len(evals):
+        j = i + 1
+        while j < len(evals) and evals[j] - evals[j - 1] < tol:
+            j += 1
+        if j - i > 1:
+            V = evecs[:, i:j]
+            loc[i:j] = np.sort(np.linalg.eigvalsh(V.conj().T @ (mask[:, None] * V)))
+            clustered[i:j] = True
+        i = j
+    return evals, loc, clustered
+
+
+@pytest.mark.parametrize("kind", list(InterfaceKind))
+@pytest.mark.parametrize("profile", [
+    MIXED,
+    HoppingProfile(60, 60, 30, 30, 50.0),  # same material on both sides
+    HoppingProfile(60, 60, 0, 0, 60.0),  # homogeneous
+])
+def test_spectrum_matches_eigh_filter(kind, profile):
+    N, margin, threshold = 30, 5, 0.2
+    kg = [0.0, 1e-4, 0.7, np.pi, -np.pi]
+    table = supercell_spectrum(kind, profile, None, kg, N=N, margin=margin,
+                               threshold=threshold)
+    build = bloch_h1 if kind is InterfaceKind.TYPE_I else bloch_h2
+    for i, k in enumerate(kg):
+        evals, loc, clustered = _eigh_filter(build(profile, k, N).matrix, margin)
+        assert np.abs(table.eigenvalues[i] - evals).max() <= 1e-9 * profile.b_plus
+        assert np.array_equal(table.kept[i], loc < threshold)
+        assert np.abs(table.localization[i] - loc)[~clustered].max() <= 1e-8
 
 
 def test_chiral_symmetry_and_localization_range():
