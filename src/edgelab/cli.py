@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -142,15 +143,15 @@ def cmd_spectrum(cfg: dict) -> int:
     write_spectrum_csv(table, out / "spectrum.csv")
     kept_abs = [np.abs(table.eigenvalues[i][table.kept[i]]).min()
                 for i in range(len(k_grid)) if table.kept[i].any()]
-    gap_width = 2.0 * float(min(kept_abs)) if kept_abs else float("inf")
-    crossing = False
-    min_abs_e0 = None
+    # summary.json stays strict JSON: a value that does not exist is null
+    gap_width = 2.0 * float(min(kept_abs)) if kept_abs else None
     try:
-        curves = edge_curves(table)
-        min_abs_e0 = curves.min_abs_at_zero
-        crossing = bool(min_abs_e0 < 1e-6 * profile.b_plus)
+        e0 = edge_curves(table).min_abs_at_zero
     except NoMidGapState:
-        pass
+        e0 = math.nan
+    # NaN also when the grid has no k = 0 or keeps nothing there
+    min_abs_e0 = e0 if math.isfinite(e0) else None
+    crossing = e0 < 1e-6 * profile.b_plus
     _dump_json(out / "summary.json", {
         "min_abs_E0": min_abs_e0,
         "gap_width": gap_width,
@@ -189,17 +190,20 @@ def cmd_match_c(cfg: dict) -> int:
 
 def cmd_exist(cfg: dict) -> int:
     kind, profile = _kind(cfg), _profile(cfg)
+    k = float(cfg["k"])
+    if not math.isfinite(k):
+        raise ConfigError("k must be finite")
     out = _out_dir(cfg)
     if kind is InterfaceKind.TYPE_I:
         c_test = float(cfg["c_test"]) if cfg["c_test"] is not None else profile.c
-        exists = type1_zero_exists(profile, c_test, float(cfg["k"]))
+        exists = type1_zero_exists(profile, c_test, k)
     else:
         c_test = profile.c
         exists = type2_zero_exists(profile)
     _dump_json(out / "exist.json", {
         "exists": bool(exists),
         "kind": kind.value,
-        "k": float(cfg["k"]),
+        "k": k,
         "c_test": c_test,
         "config": cfg,
     })

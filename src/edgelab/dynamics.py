@@ -115,11 +115,6 @@ class Domain:
         i_n = n - self.n_range[0]
         return (im * len(self.n_range) + i_n) * 6 + (j - 1)
 
-    def cell_of(self, flat: int) -> tuple[int, int, int]:
-        cell, j = divmod(flat, 6)
-        im, i_n = divmod(cell, len(self.n_range))
-        return self.m_range[0] + im, self.n_range[0] + i_n, j + 1
-
     def cell_mass(self, amplitudes: np.ndarray) -> np.ndarray:
         return np.abs(amplitudes.reshape(-1, 6)) ** 2 @ np.ones(6)
 
@@ -190,7 +185,6 @@ class WavepacketState:
     domain: Domain
     amplitudes: np.ndarray
     time: float = 0.0
-    norm0: float = 1.0
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
@@ -226,7 +220,7 @@ def initial_wavepacket(domain: Domain, profile: HoppingProfile, center_m: float,
     if not norm > 0:
         raise ValueError("the wavepacket envelope misses the domain")
     amps /= norm
-    return WavepacketState(domain=domain, amplitudes=amps, time=0.0, norm0=1.0)
+    return WavepacketState(domain=domain, amplitudes=amps, time=0.0)
 
 
 def rho_bound(H) -> float:
@@ -238,6 +232,7 @@ def evolve(state: WavepacketState, H, dt: float, steps: int) -> WavepacketState:
     """Classic RK4 for dPhi/dt = -i H Phi; requires |dt| * rho(H) <= 0.5."""
     if abs(dt) * rho_bound(H) > 0.5:
         raise StepTooLarge("dt * rho(H) exceeds 0.5")
+    H = H.astype(complex, copy=False)  # once, not on every product with the complex y
     y = state.amplitudes.astype(complex, copy=True)
     for _ in range(steps):
         k1 = -1j * (H @ y)
@@ -245,8 +240,7 @@ def evolve(state: WavepacketState, H, dt: float, steps: int) -> WavepacketState:
         k3 = -1j * (H @ (y + 0.5 * dt * k2))
         k4 = -1j * (H @ (y + dt * k3))
         y += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return WavepacketState(domain=state.domain, amplitudes=y,
-                           time=state.time + dt * steps, norm0=state.norm0)
+    return WavepacketState(domain=state.domain, amplitudes=y, time=state.time + dt * steps)
 
 
 def _chebyshev_coefficients(x: float) -> np.ndarray:
@@ -375,8 +369,7 @@ def record_run(domain: Domain, state: WavepacketState, t_final: float,
     while done < steps_total:
         chunk = min(stride, steps_total - done)
         amps = propagate(state.amplitudes, Hc, dt * chunk, rho)
-        state = WavepacketState(domain=domain, amplitudes=amps,
-                                time=state.time + dt * chunk, norm0=state.norm0)
+        state = WavepacketState(domain=domain, amplitudes=amps, time=state.time + dt * chunk)
         done += chunk
         snap += 1
         sample(state, snap)

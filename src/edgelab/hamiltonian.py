@@ -133,10 +133,6 @@ class BlochOperator:
     half_width: int
     matrix: np.ndarray
 
-    @property
-    def n_values(self) -> np.ndarray:
-        return np.arange(-self.half_width, self.half_width + 1)
-
     def index(self, n: int, j: int) -> int:
         return chain_index(n, j, self.half_width)
 
@@ -246,9 +242,9 @@ def apply_R(k: float, state: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Application of H(k) and dH/dk to amplitude maps through the sparse operator
-# on the support's window.  Used by the zero-mode construction, whose support
-# can exceed comfortable dense sizes.
+# Application of H(k) and dH/dk to amplitude maps {n: 6-vector} through the
+# sparse operator on the support's window: the matrix-free products of the
+# public API, checked against the dense operators in the tests.
 # ---------------------------------------------------------------------------
 
 def _apply(kind: InterfaceKind, profile: HoppingProfile, amps: dict[int, np.ndarray],

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoMidGapState, NotAZeroMode
-from .hamiltonian import HoppingProfile, chain_apply_first_order, chain_operator
+from .hamiltonian import HoppingProfile, chain_operator
 from .lattice import InterfaceKind
 from .transfer import ZeroMode, build_type1_zero_modes, build_type2_zero_modes
 
@@ -184,14 +184,6 @@ class SlopeReport:
     rel_gap: float
 
 
-def _mode_inner(a: ZeroMode, image: dict[int, np.ndarray]) -> complex:
-    acc = 0.0 + 0.0j
-    for n, row in image.items():
-        if n in a.amplitudes:
-            acc += np.vdot(a.amplitudes[n], row)
-    return acc
-
-
 def perturbation_m0(kind: InterfaceKind, profile: HoppingProfile,
                     modes: tuple[ZeroMode, ZeroMode] | None = None) -> np.ndarray:
     """The 2x2 matrix of dH/dk in the zero-mode pair; Hermitian, zero
@@ -199,13 +191,11 @@ def perturbation_m0(kind: InterfaceKind, profile: HoppingProfile,
     if modes is None:
         build = build_type1_zero_modes if kind is InterfaceKind.TYPE_I else build_type2_zero_modes
         modes = build(profile)
-    mode_a, mode_b = modes
-    img_a = chain_apply_first_order(kind, profile, mode_a.amplitudes)
-    img_b = chain_apply_first_order(kind, profile, mode_b.amplitudes)
-    return np.array([
-        [_mode_inner(mode_a, img_a), _mode_inner(mode_a, img_b)],
-        [_mode_inner(mode_b, img_a), _mode_inner(mode_b, img_b)],
-    ])
+    # the window [-L, L] holds both supports, so cutting dH/dk to it drops
+    # no term of either inner product
+    L = max(max(map(abs, mode.support())) for mode in modes)
+    V = np.stack([mode.as_vector(L) for mode in modes], axis=1)
+    return V.conj().T @ (chain_operator(kind, profile, -L, L, derivative=True) @ V)
 
 
 def _min_abs_kept(kind, profile, k, N, margin, threshold) -> float:

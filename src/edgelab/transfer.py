@@ -14,12 +14,15 @@ the formulas involve cancellations and the redundancy is deliberate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, replace
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
 from .errors import DegenerateGapless, NotAZeroMode
-from .hamiltonian import HoppingProfile, chain_apply, coeffs_type2
+from .hamiltonian import HoppingProfile, chain_operator, coeffs_type2
 from .lattice import InterfaceKind
 
 __all__ = [
@@ -124,6 +127,8 @@ def _p_vector(lam: complex, alpha: complex, beta: complex, gamma: complex) -> np
 def p_eigen(b: float, eps: float, k: float) -> PMatrixReport:
     """Eigenvalues ordered |lambda1| < |lambda2|, eigenvectors, and (at k = 0)
     the decaying-direction slope f1 with its sign cases."""
+    if not math.isfinite(k):
+        raise ValueError("quasi-momentum k must be finite")
     # b + eps rounds to b for |eps| below about 1e-16 b, and P is then
     # exactly the identity too
     if b + eps == b and k == 0.0:
@@ -157,8 +162,8 @@ def matching_c_star(profile: HoppingProfile) -> float:
 
 def type1_zero_exists(profile: HoppingProfile, c_test: float, k: float) -> bool:
     """Eigenvector-alignment criterion for a two-fold type-I zero mode."""
-    if not c_test > 0:
-        raise ValueError("test coupling c_test must be positive")
+    if not 0 < c_test < math.inf:
+        raise ValueError("test coupling c_test must be positive and finite")
     rp = p_eigen(profile.b_plus, profile.delta_plus, k)
     rm = p_eigen(profile.b_minus, profile.delta_minus, k)
     scale = (profile.b_plus + profile.delta_plus) * (profile.b_minus + profile.delta_minus) / c_test**2
@@ -174,29 +179,37 @@ def type1_zero_exists(profile: HoppingProfile, c_test: float, k: float) -> bool:
 
 @dataclass(frozen=True)
 class ZeroMode:
-    """A normalized kernel vector of H(0), stored cell by cell.
+    """A normalized kernel vector of H(0), stored as one array of cells.
 
-    ``amplitudes[n]`` is the complex 6-vector of cell n.  ``decay_rate`` is
-    the per-two-cell contraction factor of the envelope, so that
-    ||amplitudes(n)|| <= C * decay_rate**(|n|/2).
+    ``cells[i]`` is the complex 6-vector of cell ``lo + i``, so the support
+    is the ``len(cells)`` consecutive cells from ``lo``.  ``amplitudes`` is a
+    read-only view n -> ``cells[n - lo]`` of the same rows.  ``decay_rate``
+    is the per-two-cell contraction factor of the envelope, so that
+    ||amplitudes[n]|| <= C * decay_rate**(|n|/2).
     """
 
     kind: InterfaceKind
     label: str
-    amplitudes: dict[int, np.ndarray]
+    lo: int
+    cells: np.ndarray
     decay_rate: float
     residual: float
 
+    @cached_property
+    def amplitudes(self) -> Mapping[int, np.ndarray]:
+        return MappingProxyType(dict(zip(range(self.lo, self.lo + len(self.cells)), self.cells)))
+
     def support(self) -> tuple[int, int]:
-        return min(self.amplitudes), max(self.amplitudes)
+        return self.lo, self.lo + len(self.cells) - 1
 
     def as_vector(self, half_width: int) -> np.ndarray:
-        """Dense chain vector on n in [-half_width, half_width]."""
-        out = np.zeros(6 * (2 * half_width + 1), dtype=complex)
-        for n, amp in self.amplitudes.items():
-            if -half_width <= n <= half_width:
-                out[(n + half_width) * 6:(n + half_width) * 6 + 6] = amp
-        return out
+        """Dense chain vector on n in [-half_width, half_width]: the support
+        truncated to the window, zero elsewhere."""
+        out = np.zeros((2 * half_width + 1, 6), dtype=complex)
+        lo, hi = max(self.lo, -half_width), min(self.support()[1], half_width)
+        if lo <= hi:
+            out[lo + half_width:hi + half_width + 1] = self.cells[lo - self.lo:hi - self.lo + 1]
+        return out.ravel()
 
 
 def _half_support(rate_per_cell: float) -> int:
@@ -206,30 +219,24 @@ def _half_support(rate_per_cell: float) -> int:
     return min(_MAX_HALF_SUPPORT, max(8, math.ceil(37.0 / -math.log(rate_per_cell))))
 
 
-def _residual(kind: InterfaceKind, profile: HoppingProfile, amps: dict[int, np.ndarray]) -> float:
-    image = chain_apply(kind, profile, 0.0, amps)
-    num = math.sqrt(sum(float(np.sum(np.abs(v) ** 2)) for v in image.values()))
-    den = math.sqrt(sum(float(np.sum(np.abs(v) ** 2)) for v in amps.values()))
-    return num / den
+def _residual(kind: InterfaceKind, profile: HoppingProfile, lo: int, cells: np.ndarray) -> float:
+    # bonds reach two cells, so the image lives on the support widened by two
+    wide = np.pad(cells, ((2, 2), (0, 0)))
+    image = chain_operator(kind, profile, lo - 2, lo + len(cells) + 1) @ wide.ravel()
+    return float(np.linalg.norm(image) / np.linalg.norm(cells))
 
 
 def _finalize(kind: InterfaceKind, profile: HoppingProfile, label: str,
-              amps: dict[int, np.ndarray], rate2: float) -> ZeroMode:
-    norm = math.sqrt(sum(float(np.sum(np.abs(v) ** 2)) for v in amps.values()))
-    amps = {n: v / norm for n, v in amps.items()}
+              lo: int, cells: np.ndarray, rate2: float) -> ZeroMode:
+    cells = cells / math.sqrt(sum(np.sum(np.abs(cells) ** 2, axis=1)))
     # sign convention: first entry above noise (scanning n, then j) is positive
-    peak = max(float(np.max(np.abs(v))) for v in amps.values())
-    for n in sorted(amps):
-        row = amps[n]
-        idx = np.flatnonzero(np.abs(row) > 1e-12 * peak)
-        if idx.size:
-            if row[idx[0]].real < 0:
-                amps = {m: -v for m, v in amps.items()}
-            break
-    res = _residual(kind, profile, amps)
-    if res >= _RESIDUAL_TOL:
+    flat = np.abs(cells.ravel())
+    if cells.flat[np.argmax(flat > 1e-12 * flat.max())].real < 0:
+        cells = -cells
+    res = _residual(kind, profile, lo, cells)
+    if not res < _RESIDUAL_TOL:
         raise NotAZeroMode(f"kernel residual {res:.3e} exceeds {_RESIDUAL_TOL}")
-    return ZeroMode(kind=kind, label=label, amplitudes=amps, decay_rate=rate2, residual=res)
+    return ZeroMode(kind=kind, label=label, lo=lo, cells=cells, decay_rate=rate2, residual=res)
 
 
 def build_type1_zero_modes(profile: HoppingProfile) -> tuple[ZeroMode, ZeroMode]:
@@ -264,40 +271,36 @@ def build_type1_zero_modes(profile: HoppingProfile) -> tuple[ZeroMode, ZeroMode]
     minus_even = -np.linalg.solve(Am[2], Am[3])
     minus_bnd = -np.linalg.solve(Am[4], a6t)
 
-    pair = {0: v0}
+    # pair[M + m] = (u4, u6) of the cell pair (2m, 2m - 1)
+    pair = np.empty((2 * M + 1, 2))
+    pair[M] = v0
     for m in range(1, M + 1):
-        pair[m] = lam1p**m * v1p
-    for m in range(-1, -M - 1, -1):
-        pair[m] = g7 * lam2m**m * v2m
+        pair[M + m] = lam1p**m * v1p
+        pair[M - m] = g7 * lam2m**-m * v2m
 
-    u4: dict[int, float] = {}
-    u5: dict[int, float] = {}
-    u6: dict[int, float] = {}
-    u4[0], u6[-1] = v0
-    for m in range(1, M + 1):
-        u4[2 * m], u6[2 * m - 1] = pair[m]
-    for m in range(-1, -M - 1, -1):
-        u4[2 * m], u6[2 * m - 1] = pair[m]
+    # row n + 2M is cell n; columns 3, 4, 5 are u4, u5, u6 and sublattice A
+    # stays zero.  u6 of cell -2M - 1 lies outside the support and is dropped.
+    o = 2 * M
+    cells = np.zeros((4 * M + 1, 6))
+    cells[0::2, 3] = pair[:, 0]
+    cells[1::2, 5] = pair[1:, 1]
 
-    u6[0], u5[0] = plus_bnd @ v0
+    cells[o, [5, 4]] = plus_bnd @ v0
     for m in range(1, M + 1):
-        u6[2 * m], u5[2 * m] = plus_even @ pair[m]
+        cells[o + 2 * m, [5, 4]] = plus_even @ pair[M + m]
     for m in range(0, M):
-        u5[2 * m + 1], u4[2 * m + 1] = plus_odd @ pair[m + 1]
+        cells[o + 2 * m + 1, [4, 3]] = plus_odd @ pair[M + m + 1]
 
-    u5[-1], u4[-1] = minus_bnd @ v0
+    cells[o - 1, [4, 3]] = minus_bnd @ v0
     for m in range(-1, -M, -1):
-        u5[2 * m - 1], u4[2 * m - 1] = minus_odd @ pair[m]
+        cells[o + 2 * m - 1, [4, 3]] = minus_odd @ pair[M + m]
     for m in range(0, -M, -1):
-        u6[2 * m - 2], u5[2 * m - 2] = minus_even @ np.array([u5[2 * m - 1], u4[2 * m - 1]])
+        cells[o + 2 * m - 2, [5, 4]] = minus_even @ cells[o + 2 * m - 1, [4, 3]]
 
-    amps_a = {}
-    for n in range(-2 * M, 2 * M + 1):
-        amps_a[n] = np.array([0, 0, 0, u4[n], u5[n], u6[n]], dtype=complex)
-    amps_b = {n: v[[3, 4, 5, 0, 1, 2]] for n, v in amps_a.items()}  # T(0) image
-
-    mode_a = _finalize(InterfaceKind.TYPE_I, profile, "A", amps_a, rate2)
-    mode_b = _finalize(InterfaceKind.TYPE_I, profile, "B", amps_b, rate2)
+    cells = cells.astype(complex)
+    mode_a = _finalize(InterfaceKind.TYPE_I, profile, "A", -o, cells, rate2)
+    t_image = cells[:, [3, 4, 5, 0, 1, 2]]
+    mode_b = _finalize(InterfaceKind.TYPE_I, profile, "B", -o, t_image, rate2)
     return mode_a, mode_b
 
 
@@ -378,56 +381,60 @@ def type2_zero_exists(profile: HoppingProfile) -> bool:
     return True
 
 
-def _geometric_sublattice_a(profile: HoppingProfile, M: int) -> dict[int, float]:
+# The sequences below live on n in [-M, M] and are stored at index n + M.
+
+def _geometric_sublattice_a(profile: HoppingProfile, M: int) -> np.ndarray:
     # x_{n+1} = (b_n / c_n) x_n solves rows 1..3 with pattern (0,0,0,x,0,-x)
-    x = {0: 1.0}
+    x = np.empty(2 * M + 1)
+    x[M] = 1.0
     for n in range(0, M):
         r = coeffs_type2(profile, n)
-        x[n + 1] = (r.b / r.c) * x[n]
+        x[M + n + 1] = (r.b / r.c) * x[M + n]
     for n in range(0, -M, -1):
         r = coeffs_type2(profile, n - 1)
-        x[n - 1] = (r.c / r.b) * x[n]
+        x[M + n - 1] = (r.c / r.b) * x[M + n]
     return x
 
 
-def _geometric_sublattice_b(profile: HoppingProfile, M: int) -> dict[int, float]:
+def _geometric_sublattice_b(profile: HoppingProfile, M: int) -> np.ndarray:
     # s_n = (c_{n-1} / b_n) s_{n-1} solves rows 4..6 with pattern (s,0,-s,0,0,0)
-    s = {0: 1.0}
+    s = np.empty(2 * M + 1)
+    s[M] = 1.0
     for n in range(1, M + 1):
         rm = coeffs_type2(profile, n - 1)
         r = coeffs_type2(profile, n)
-        s[n] = (rm.c / r.b) * s[n - 1]
+        s[M + n] = (rm.c / r.b) * s[M + n - 1]
     for n in range(0, -M, -1):
         rm = coeffs_type2(profile, n - 1)
         r = coeffs_type2(profile, n)
-        s[n - 1] = (r.b / rm.c) * s[n]
+        s[M + n - 1] = (r.b / rm.c) * s[M + n]
     return s
 
 
-def _xi_mode(profile: HoppingProfile, M: int) -> tuple[dict[int, float], dict[int, float]]:
+def _xi_mode(profile: HoppingProfile, M: int) -> tuple[np.ndarray, np.ndarray]:
     """Sublattice-B sequence (y_n, z_n) for delta_plus > 0 > delta_minus:
     seed on the decaying Q-eigenvector of the + side, cross the interface
     through Q_B,0 and Q_B,-1, then solve for the two minus-side weights."""
     qp = q_eigen(profile.b_plus, profile.delta_plus)
     qm = q_eigen(profile.b_minus, profile.delta_minus)
     _, _, qb0, qbm1 = (np.real(m) for m in q_boundary_matrices(profile, 0.0))
-    xi = {1: qp.v2.copy()}
+    xi = np.empty((2 * M + 1, 3))
+    xi[M + 1] = qp.v2
     for n in range(1, M):
-        xi[n + 1] = qp.mu2 * xi[n]
-    xi[0] = np.linalg.solve(qb0, xi[1])
-    xi[-1] = np.linalg.solve(qbm1, xi[0])
-    if abs(xi[-1][0] - xi[-1][1]) > 1e-9 * np.max(np.abs(xi[-1])):
+        xi[M + n + 1] = qp.mu2 * xi[M + n]
+    xi[M] = np.linalg.solve(qb0, xi[M + 1])
+    xi[M - 1] = np.linalg.solve(qbm1, xi[M])
+    seed = xi[M - 1]
+    if abs(seed[0] - seed[1]) > 1e-9 * np.max(np.abs(seed)):
         raise NotAZeroMode("minus-side seed lost its reality structure")
     h5, h6 = np.linalg.solve(np.array([[qm.t1, qm.t2], [1.0, 1.0]]),
-                             np.array([xi[-1][0], xi[-1][2]]))
+                             np.array([seed[0], seed[2]]))
     for n in range(-2, -M - 1, -1):
-        xi[n] = h5 * qm.mu1 ** (n + 1) * qm.v1 + h6 * qm.mu2 ** (n + 1) * qm.v2
-    y = {n: v[0] - v[2] for n, v in xi.items()}
-    z = {n: v[2] for n, v in xi.items()}
-    return y, z
+        xi[M + n] = h5 * qm.mu1 ** (n + 1) * qm.v1 + h6 * qm.mu2 ** (n + 1) * qm.v2
+    return xi[:, 0] - xi[:, 2], xi[:, 2]
 
 
-def _chi_mode(profile: HoppingProfile, M: int) -> tuple[dict[int, float], dict[int, float]]:
+def _chi_mode(profile: HoppingProfile, M: int) -> tuple[np.ndarray, np.ndarray]:
     """Sublattice-A sequences (v4_n, v5_n) for delta_plus < 0 < delta_minus:
     two decaying + side directions, one linear matching condition across the
     interface rows."""
@@ -446,17 +453,21 @@ def _chi_mode(profile: HoppingProfile, M: int) -> tuple[dict[int, float], dict[i
     h1, h2 = a2, -a1
     if abs(h1) < 1e-300 and abs(h2) < 1e-300:
         raise NotAZeroMode("degenerate matching system")
-    chi = {}
+    chi = np.empty((2 * M + 1, 3))
     for n in range(0, M + 1):
-        chi[n] = h1 * qp.mu1 ** (-n) * qp.v1 + h2 * qp.mu2 ** (-n) * qp.v2
-    chi[-1] = qam1 @ chi[0]
-    chi_m2 = cross @ chi[0]
+        chi[M + n] = h1 * qp.mu1 ** (-n) * qp.v1 + h2 * qp.mu2 ** (-n) * qp.v2
+    chi[M - 1] = qam1 @ chi[M]
+    chi_m2 = cross @ chi[M]
     c2 = (chi_m2[0] - qm.t1 * chi_m2[2]) / (qm.t2 - qm.t1)
     for n in range(-2, -M - 1, -1):
-        chi[n] = c2 * qm.mu2 ** (-(n + 2)) * qm.v2
-    v4 = {n: v[0] - v[2] for n, v in chi.items()}
-    v5 = {n: v[2] for n, v in chi.items()}
-    return v4, v5
+        chi[M + n] = c2 * qm.mu2 ** (-(n + 2)) * qm.v2
+    return chi[:, 0] - chi[:, 2], chi[:, 2]
+
+
+def _cells(*columns) -> np.ndarray:
+    """Complex (cells, 6) array from six sublattice columns, each a sequence
+    over the cells or 0."""
+    return np.stack(np.broadcast_arrays(*columns), axis=1).astype(complex)
 
 
 def build_type2_zero_modes(profile: HoppingProfile) -> tuple[ZeroMode, ZeroMode]:
@@ -477,27 +488,23 @@ def build_type2_zero_modes(profile: HoppingProfile) -> tuple[ZeroMode, ZeroMode]
         rate_b = max(qp.mu2, 1.0 / min(abs(qm.mu1), qm.mu2))
         Ma, Mb = _half_support(rate_a), _half_support(rate_b)
         x = _geometric_sublattice_a(profile, Ma)
-        amps_a = {n: np.array([0, 0, 0, x[n], 0, -x[n]], dtype=complex) for n in x}
         y, z = _xi_mode(profile, Mb)
-        amps_b = {n: np.array([y[n], z[n], y[n], 0, 0, 0], dtype=complex) for n in y}
+        cells_a, cells_b = _cells(0, 0, 0, x, 0, -x), _cells(y, z, y, 0, 0, 0)
     else:
         rate_a = max(1.0 / min(abs(qp.mu1), qp.mu2), qm.mu2)
         rate_b = max(tp, 1.0 / tm)
         Ma, Mb = _half_support(rate_a), _half_support(rate_b)
         v4, v5 = _chi_mode(profile, Ma)
-        amps_a = {n: np.array([0, 0, 0, v4[n], v5[n], v4[n]], dtype=complex) for n in v4}
         s = _geometric_sublattice_b(profile, Mb)
-        amps_b = {n: np.array([s[n], 0, -s[n], 0, 0, 0], dtype=complex) for n in s}
+        cells_a, cells_b = _cells(0, 0, 0, v4, v5, v4), _cells(s, 0, -s, 0, 0, 0)
 
-    mode_a = _finalize(InterfaceKind.TYPE_II, profile, "A", amps_a, rate_a**2)
-    mode_b = _finalize(InterfaceKind.TYPE_II, profile, "B", amps_b, rate_b**2)
+    mode_a = _finalize(InterfaceKind.TYPE_II, profile, "A", -Ma, cells_a, rate_a**2)
+    mode_b = _finalize(InterfaceKind.TYPE_II, profile, "B", -Mb, cells_b, rate_b**2)
 
     # sign conventions from the eigenvector-form lemma: x_n > 0, y_n < 0
     if dp > 0:
-        if mode_a.amplitudes[0][3].real < 0:
-            mode_a = ZeroMode(mode_a.kind, "A", {n: -v for n, v in mode_a.amplitudes.items()},
-                              mode_a.decay_rate, mode_a.residual)
-        if mode_b.amplitudes[0][0].real > 0:
-            mode_b = ZeroMode(mode_b.kind, "B", {n: -v for n, v in mode_b.amplitudes.items()},
-                              mode_b.decay_rate, mode_b.residual)
+        if mode_a.cells[Ma, 3].real < 0:
+            mode_a = replace(mode_a, cells=-mode_a.cells)
+        if mode_b.cells[Mb, 0].real > 0:
+            mode_b = replace(mode_b, cells=-mode_b.cells)
     return mode_a, mode_b

@@ -45,6 +45,38 @@ def test_config_error_exit_codes(tmp_path):
     assert run(["exist", "--config", str(notjson), "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("flags", [
+    ["--kind", "type1", "--k", "nan"],
+    ["--kind", "type2", "--k", "nan"],
+    ["--kind", "type1", "--k", "inf"],
+    ["--kind", "type2", "--k", "inf"],
+    ["--kind", "type1", "--c-test", "inf"],
+])
+def test_exist_rejects_non_finite_inputs(tmp_path, capsys, flags):
+    out = tmp_path / "o"
+    assert run(["exist", *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (out / "exist.json").exists()
+
+
+def _strict_json(text):
+    def refuse(name):
+        raise ValueError(f"non-finite JSON constant {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("flags, null_key", [
+    (["--k-points", "4"], "min_abs_E0"),  # an even grid has no k = 0
+    (["--k-points", "3", "--threshold", "1e-12"], "gap_width"),  # nothing is kept
+])
+def test_spectrum_summary_is_strict_json(tmp_path, flags, null_key):
+    out = tmp_path / "o"
+    assert run(["spectrum", "--kind", "type2", "--n-cells", "24", *flags, "--out", str(out)]) == 0
+    summary = _strict_json((out / "summary.json").read_text())
+    assert summary[null_key] is None
+    assert summary["crossing"] is False
+
+
 def test_spectrum_crossing_verdicts(tmp_path):
     out = tmp_path / "cross"
     code = run(["spectrum", "--kind", "type2", "--delta-plus", "30", "--delta-minus", "-30",

@@ -366,6 +366,42 @@ def test_zero_mode_envelope_bound():
             assert np.linalg.norm(v) <= bound + 1e-300
 
 
+@pytest.mark.parametrize("k", [np.nan, np.inf, -np.inf])
+def test_non_finite_k_is_rejected(k):
+    with pytest.raises(ValueError):
+        p_eigen(60.0, 30.0, k)
+    # unchecked, a NaN k reaches the beta = 0 branch of _p_vector and the
+    # verdict comes out True
+    with pytest.raises(ValueError):
+        type1_zero_exists(HoppingProfile(60, 60, 30, -30, 50), 50.0, k)
+
+
+@pytest.mark.parametrize("kind, dp, dm", [
+    (InterfaceKind.TYPE_I, 30.0, -30.0),
+    (InterfaceKind.TYPE_II, 30.0, -30.0),
+    (InterfaceKind.TYPE_II, -30.0, 30.0),
+])
+def test_zero_mode_amplitude_view(kind, dp, dm):
+    profile = HoppingProfile(60, 60, dp, dm, 50.0)
+    if kind is InterfaceKind.TYPE_I:
+        modes = build_type1_zero_modes(profile.with_c(matching_c_star(profile)))
+    else:
+        modes = build_type2_zero_modes(profile)
+    for mode in modes:
+        amps = mode.amplitudes
+        with pytest.raises(TypeError):
+            amps[0] = np.zeros(6)
+        assert mode.support() == (min(amps), max(amps))
+        reach = max(map(abs, mode.support()))
+        # truncation inside the support and zero padding beyond it
+        for L in (reach // 2, reach + 3):
+            ref = np.zeros(6 * (2 * L + 1), dtype=complex)
+            for n, row in amps.items():
+                if -L <= n <= L:
+                    ref[6 * (n + L):6 * (n + L) + 6] = row
+            assert np.array_equal(mode.as_vector(L), ref)
+
+
 def test_boundary_a_matrices():
     a1 = boundary_a1(60.0, 50.0, 0.3)
     assert a1[1, 1] == -50.0 * np.exp(-0.3j)
