@@ -97,6 +97,10 @@ def _load_config(command: str, args: argparse.Namespace) -> dict:
             cfg[key] = flag
     resolved = {k: _DEFAULTS[k] for k in _ALLOWED_KEYS[command]}
     resolved.update(cfg)
+    # flags and config files alike: NaN or infinity is never a valid setting
+    bad = sorted(k for k, v in resolved.items() if isinstance(v, float) and not math.isfinite(v))
+    if bad:
+        raise ConfigError(f"non-finite values for {bad}")
     return resolved
 
 
@@ -135,8 +139,10 @@ def cmd_spectrum(cfg: dict) -> int:
     if int(cfg["k_points"]) < 1:
         raise ConfigError("k_points must be at least 1")
     out = _out_dir(cfg)
-    # inclusive symmetric grid: odd counts place a point exactly at k = 0
+    # inclusive grid, made bitwise antisymmetric so that every k pairs with
+    # its mirror -k (one solve per pair); odd counts place a point at k = 0
     k_grid = np.linspace(-np.pi, np.pi, int(cfg["k_points"]))
+    k_grid = (k_grid - k_grid[::-1]) / 2
     table = supercell_spectrum(kind, profile, None, k_grid,
                                N=int(cfg["n_cells"]), margin=int(cfg["margin"]),
                                threshold=float(cfg["threshold"]))
@@ -191,8 +197,6 @@ def cmd_match_c(cfg: dict) -> int:
 def cmd_exist(cfg: dict) -> int:
     kind, profile = _kind(cfg), _profile(cfg)
     k = float(cfg["k"])
-    if not math.isfinite(k):
-        raise ConfigError("k must be finite")
     out = _out_dir(cfg)
     if kind is InterfaceKind.TYPE_I:
         c_test = float(cfg["c_test"]) if cfg["c_test"] is not None else profile.c

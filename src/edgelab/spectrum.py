@@ -3,7 +3,17 @@
 Every bond joins sublattices 1-3 to 4-6, so the truncated chain Hamiltonian
 is H(k) = [[0, C], [C^H, 0]] in that ordering and one SVD of the chiral
 block C (half the dimension of H) gives the whole spectrum as the pairs
-+-s with eigenvectors (u, +-v)/sqrt(2).
++-s with eigenvectors (u, +-v)/sqrt(2).  H(-k) is the complex conjugate of
+H(k), so k and -k share every result and each distinct |k| is solved once;
+``edgelab spectrum`` makes its grid bitwise antisymmetric for that reason.
+C is real at k = 0, and for type II at every k once written in a cell-local
+basis invariant under the type-II antiunitary R, so the SVD is a real one
+there; type I away from k = 0 keeps the complex SVD.  Against one complex
+SVD per k point, energies and localizations move in their last bits (the
+grid points by at most 4.4e-16); the keep/discard verdicts of the README and
+acceptance configurations do not change.  The README ``edgelab spectrum``
+(type II, N = 80, 201 k points) takes 10-12 s on two cores, against 32-35 s
+with one complex SVD per k point.
 
 The truncated chain introduces artificial boundary states; following the
 supercell workflow, every eigenpair is scored by the fraction of its mass in
@@ -19,6 +29,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import NoMidGapState, NotAZeroMode
 from .hamiltonian import HoppingProfile, chain_operator
@@ -67,11 +78,32 @@ class SpectrumTable:
     threshold: float
 
 
-def _solve_one(kind, profile, k, N, margin):
-    # (u_r, -+v_r)/sqrt2 is the eigenvector of -+s_r; see the module docstring
+# Per cell, the columns (e1 + e3)/sqrt2, e2 and i (e1 - e3)/sqrt2 on sublattices
+# 1-3 (and the same on 4-6); with the phase e^{ink/2} of cell n they are the
+# vectors that apply_R leaves invariant.
+_R_CELL = np.array([[1, 0, 1j], [0, np.sqrt(2), 0], [1, 0, -1j]]) / np.sqrt(2)
+
+
+def _chiral_block(kind, profile, k, N):
+    """The chiral block C = H[A][:, B] of the chain on [-N, N], dense; real
+    at k = 0 and, for type II, at every k in the basis of _R_CELL.  That
+    basis change acts within cells, so margin masses and cluster Gram
+    matrices are the same in either basis."""
     sites = np.arange(6 * (2 * N + 1)).reshape(-1, 6)
     H = chain_operator(kind, profile, -N, N, k)
-    u, s, vh = np.linalg.svd(H[sites[:, :3].ravel()][:, sites[:, 3:].ravel()].toarray())
+    C = H[sites[:, :3].ravel()][:, sites[:, 3:].ravel()]
+    if kind is InterfaceKind.TYPE_II:
+        U = sp.kron(sp.diags(np.exp(0.5j * k * np.arange(-N, N + 1))), _R_CELL)
+        C = U.conj().T @ C @ U
+    elif k != 0:
+        return C.toarray()
+    # the discarded imaginary part is rounding, about 1e-14 of max|C|
+    return C.real.toarray()
+
+
+def _solve_one(kind, profile, k, N, margin):
+    # (u_r, -+v_r)/sqrt2 is the eigenvector of -+s_r; see the module docstring
+    u, s, vh = np.linalg.svd(_chiral_block(kind, profile, k, N))
     n = len(s)
     evals = np.concatenate([-s, s[::-1]])
     # only the rows of the outer margin cells enter the boundary mass
@@ -117,9 +149,12 @@ def supercell_spectrum(kind: InterfaceKind, profile: HoppingProfile, c: float | 
         profile = profile.with_c(c)
     k_grid = np.asarray(k_grid, dtype=float)
 
-    results = [_solve_one(kind, profile, k, N, margin) for k in k_grid]
-    evals = np.array([r[0] for r in results])
-    loc = np.array([r[1] for r in results])
+    # H(-k) = conj(H(k)) bitwise, so k and -k share singular values, margin
+    # masses and cluster rediagonalization: one solve per distinct |k|
+    abs_k, mirror = np.unique(np.abs(k_grid), return_inverse=True)
+    results = [_solve_one(kind, profile, k, N, margin) for k in abs_k]
+    evals = np.array([r[0] for r in results])[mirror]
+    loc = np.array([r[1] for r in results])[mirror]
     return SpectrumTable(
         kind=kind, profile=profile, c_used=profile.c, k_grid=k_grid,
         eigenvalues=evals, localization=loc, kept=loc < threshold,

@@ -161,6 +161,61 @@ def test_byte_identical_reruns(tmp_path):
     assert (out / "summary.json").read_bytes() == first_json
 
 
+def test_spectrum_grid_is_antisymmetric_and_reruns_identical(tmp_path):
+    out = tmp_path / "sym"
+    args = ["spectrum", "--kind", "type2", "--n-cells", "24", "--k-points", "7",
+            "--out", str(out)]
+    assert run(args) == 0
+    first = (out / "spectrum.csv").read_bytes()
+    rows = [line.split(",") for line in first.decode().splitlines()[1:]]
+    ks = list(dict.fromkeys(float(r[0]) for r in rows))  # %.17g round-trips
+    assert len(ks) == 7 and ks[3] == 0.0
+    assert ks == [-k for k in ks[::-1]]
+    by_k = {}
+    for r in rows:
+        by_k.setdefault(float(r[0]), []).append(r[1:])
+    assert all(by_k[k] == by_k[-k] for k in ks)  # mirror rows are identical
+    assert run(args) == 0
+    assert (out / "spectrum.csv").read_bytes() == first
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--kind", "type2", "--extent-m", "24", "--extent-n", "22",
+     "--t-final", "0.01", "--width", "inf"],
+    ["evolve", "--kind", "type2", "--extent-m", "24", "--extent-n", "22",
+     "--t-final", "0.01", "--center-m", "nan"],
+    ["bulk", "--eps", "nan"],
+    ["bulk", "--b", "inf"],
+    ["spectrum", "--kind", "type2", "--n-cells", "24", "--threshold", "inf"],
+    ["match-c", "--c=-inf"],
+])
+def test_non_finite_flags_exit_2(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before any arithmetic
+        assert run(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "non-finite" in err
+    assert not list(tmp_path.rglob("*.json"))
+
+
+@pytest.mark.parametrize("command, text", [
+    ("evolve", '{"width": NaN, "extent_m": 24, "extent_n": 22, "t_final": 0.01}'),
+    ("bulk", '{"eps": Infinity}'),
+    ("exist", '{"kind": "type2", "k": NaN}'),
+    ("spectrum", '{"delta_plus": 1e999}'),  # overflows to infinity
+])
+def test_non_finite_config_values_exit_2(tmp_path, capsys, command, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["exist", "--kind", "type1", "--c-test", "0"],
     ["exist", "--kind", "type1", "--c-test", "-1"],

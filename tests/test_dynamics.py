@@ -86,6 +86,40 @@ def test_domain_matches_site_loop_reference(kind, bend):
         _loop_domain_hamiltonian(dom))
 
 
+def _brute_force_interface_dist(dom):
+    # interface cells from the neighbor table and the material map, cell
+    # centers as the mean of their six site positions, then the minimum over
+    # all pairs of cells
+    from edgelab.lattice import SiteIndex, cell_to_frame, frame_to_cell, neighbors
+
+    spec = dom.spec
+    at_interface = []
+    for m in dom.m_range:
+        for n in dom.n_range:
+            cell = frame_to_cell(spec.kind, int(m), int(n))
+            partners = [cell_to_frame(spec.kind, *nb.cell)
+                        for j in range(1, 7) for nb in neighbors(SiteIndex(j, cell))]
+            at_interface.append(any(
+                dom.m_range[0] <= m2 <= dom.m_range[-1]
+                and dom.n_range[0] <= n2 <= dom.n_range[-1]
+                and spec.material(m2, n2) != spec.material(int(m), int(n))
+                for m2, n2 in partners))
+    centers = dom.positions.reshape(-1, 6, 2).mean(axis=1)
+    diff = centers[:, None, :] - centers[np.array(at_interface)][None, :, :]
+    return np.sqrt((diff**2).sum(axis=2)).min(axis=1)
+
+
+@pytest.mark.parametrize("kind", [InterfaceKind.TYPE_I, InterfaceKind.TYPE_II])
+@pytest.mark.parametrize("bend", [None, (2, 1), (-3, -1)])
+def test_cell_interface_dist_matches_all_pairs_minimum(kind, bend):
+    # 20 x 21 = 420 cells, so the distance table spans more than one row chunk
+    dom = build_domain(DomainSpec(kind, (20, 21), MIXED, bend=bend))
+    ref = _brute_force_interface_dist(dom)
+    assert dom.cell_interface_dist.shape == ref.shape
+    assert np.abs(dom.cell_interface_dist - ref).max() < 1e-12
+    assert np.sum(ref < 1e-12) > 20  # interface cells sit at distance zero
+
+
 def test_row_degree_at_most_three():
     dom = small_domain()
     degree = np.diff(dom.hamiltonian.indptr)

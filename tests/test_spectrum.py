@@ -7,6 +7,7 @@ from edgelab.errors import NoMidGapState
 from edgelab.hamiltonian import HoppingProfile, bloch_h1, bloch_h2, coeffs_type1, h1_first_order
 from edgelab.lattice import InterfaceKind
 from edgelab.spectrum import (
+    _chiral_block,
     edge_curves,
     perturbation_m0,
     perturbation_matrix,
@@ -67,6 +68,50 @@ def test_spectrum_matches_eigh_filter(kind, profile):
         assert np.abs(table.eigenvalues[i] - evals).max() <= 1e-9 * profile.b_plus
         assert np.array_equal(table.kept[i], loc < threshold)
         assert np.abs(table.localization[i] - loc)[~clustered].max() <= 1e-8
+
+
+@pytest.mark.parametrize("kind", list(InterfaceKind))
+def test_mirror_rows_are_identical(kind):
+    kg = np.array([-np.pi, -2.1, -0.7, 0.0, 0.7, 2.1, np.pi])
+    table = supercell_spectrum(kind, MIXED, None, kg, N=24)
+    for field in (table.eigenvalues, table.localization, table.kept):
+        assert np.array_equal(field, field[::-1])
+
+
+@pytest.mark.parametrize("kind", list(InterfaceKind))
+def test_non_symmetric_grid_matches_per_point_solves(kind):
+    kg = [0.3, -0.1, 0.7]
+    table = supercell_spectrum(kind, MIXED, None, kg, N=24)
+    build = bloch_h1 if kind is InterfaceKind.TYPE_I else bloch_h2
+    for i, k in enumerate(kg):
+        single = supercell_spectrum(kind, MIXED, None, [k], N=24)
+        assert np.array_equal(table.eigenvalues[i], single.eigenvalues[0])
+        assert np.array_equal(table.localization[i], single.localization[0])
+        # the row at -0.1 is the solve at +0.1; the signed-k operator agrees
+        evals, loc, _ = _eigh_filter(build(MIXED, k, 24).matrix, table.margin)
+        assert np.abs(table.eigenvalues[i] - evals).max() <= 1e-9 * MIXED.b_plus
+        assert np.array_equal(table.kept[i], loc < table.threshold)
+
+
+@pytest.mark.parametrize("kind, k", [
+    (InterfaceKind.TYPE_II, 0.3),
+    (InterfaceKind.TYPE_II, 0.7),
+    (InterfaceKind.TYPE_II, 2.1),
+    (InterfaceKind.TYPE_II, np.pi),
+    (InterfaceKind.TYPE_I, 0.0),
+    (InterfaceKind.TYPE_I, 0.7),  # no real form away from k = 0
+])
+def test_real_chiral_block_keeps_singular_values(kind, k):
+    N = 24
+    block = _chiral_block(kind, MIXED, k, N)
+    assert block.dtype == (np.complex128 if kind is InterfaceKind.TYPE_I and k else np.float64)
+    build = bloch_h1 if kind is InterfaceKind.TYPE_I else bloch_h2
+    H = build(MIXED, k, N).matrix
+    a = np.arange(6 * (2 * N + 1)).reshape(-1, 6)
+    C = H[a[:, :3].ravel()][:, a[:, 3:].ravel()]
+    s_real = np.linalg.svd(block, compute_uv=False)
+    s_complex = np.linalg.svd(C, compute_uv=False)
+    assert np.abs(s_real - s_complex).max() <= 1e-12 * MIXED.b_plus
 
 
 def test_chiral_symmetry_and_localization_range():
