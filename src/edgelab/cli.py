@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: spectrum | match-c | exist | evolve | bulk.  Parameters come
-from a flat JSON config file, overridden by command-line flags; every output
-JSON embeds the fully resolved configuration.  Outputs are byte-stable for
+from a flat JSON config file, overridden by command-line flags; ``_SETTINGS``
+declares each one's type, default and commands once.  Every output JSON
+embeds the fully resolved configuration.  Outputs are byte-stable for
 identical configs: fixed eigensolver ordering, fixed sign conventions, no
 timestamps.
 """
@@ -34,6 +35,7 @@ from .spectrum import (
     DEFAULT_N,
     DEFAULT_THRESHOLD,
     edge_curves,
+    min_abs_kept,
     supercell_spectrum,
     write_spectrum_csv,
 )
@@ -44,42 +46,68 @@ from .transfer import (
     type2_zero_exists,
 )
 
-_PROFILE_KEYS = {"kind", "b_plus", "b_minus", "delta_plus", "delta_minus", "c"}
-_COMMON_KEYS = _PROFILE_KEYS | {"out_dir", "seed"}
-_ALLOWED_KEYS = {
-    "spectrum": _COMMON_KEYS | {"n_cells", "k_points", "margin", "threshold", "require_crossing"},
-    "match-c": _COMMON_KEYS | {"n_cells"},
-    "exist": _COMMON_KEYS | {"k", "c_test"},
-    "evolve": _COMMON_KEYS | {
-        "extent_m", "extent_n", "origin_m", "origin_n", "bend_m", "turn",
-        "center_m", "width", "direction", "t_final", "stride", "dt",
-    },
-    "bulk": {"b", "eps", "path_points", "out_dir", "seed"},
+# The commands that take a hopping profile: all but bulk.
+_PROFILED = ("spectrum", "match-c", "exist", "evolve")
+
+# key: (type, default, commands).  Each key is the flag --key-with-dashes
+# (out_dir is --out) on those commands and a config-file key of that JSON
+# type; None is a valid value only where it is the default ("unset").
+_SETTINGS = {
+    "kind": (str, "type1", _PROFILED),
+    "b_plus": (float, 60.0, _PROFILED),
+    "b_minus": (float, 60.0, _PROFILED),
+    "delta_plus": (float, 30.0, _PROFILED),
+    "delta_minus": (float, -30.0, _PROFILED),
+    "c": (float, 50.0, _PROFILED),
+    "out_dir": (str, "edgelab_out", _PROFILED + ("bulk",)),
+    "n_cells": (int, DEFAULT_N, ("spectrum", "match-c")),
+    "k_points": (int, DEFAULT_K_POINTS, ("spectrum",)),
+    "margin": (int, DEFAULT_MARGIN, ("spectrum",)),
+    "threshold": (float, DEFAULT_THRESHOLD, ("spectrum",)),
+    "require_crossing": (bool, False, ("spectrum",)),
+    "k": (float, 0.0, ("exist",)),
+    "c_test": (float, None, ("exist",)),
+    "extent_m": (int, 60, ("evolve",)),
+    "extent_n": (int, 40, ("evolve",)),
+    "origin_m": (int, None, ("evolve",)),
+    "origin_n": (int, None, ("evolve",)),
+    "bend_m": (int, None, ("evolve",)),
+    "turn": (int, 1, ("evolve",)),
+    "center_m": (float, -10.0, ("evolve",)),
+    "width": (float, 8.0, ("evolve",)),
+    "direction": (int, 1, ("evolve",)),
+    "t_final": (float, 1.0, ("evolve",)),
+    "stride": (int, 400, ("evolve",)),
+    "dt": (float, None, ("evolve",)),
+    "b": (float, 5.0, ("bulk",)),
+    "eps": (float, 2.0, ("bulk",)),
+    "path_points": (int, 120, ("bulk",)),
 }
 
-_DEFAULTS = {
-    "kind": "type1",
-    "b_plus": 60.0, "b_minus": 60.0, "delta_plus": 30.0, "delta_minus": -30.0, "c": 50.0,
-    "out_dir": "edgelab_out",
-    "seed": None,  # reserved: all commands are deterministic
-    "n_cells": DEFAULT_N,
-    "k_points": DEFAULT_K_POINTS,
-    "margin": DEFAULT_MARGIN,
-    "threshold": DEFAULT_THRESHOLD,
-    "require_crossing": False,
-    "k": 0.0,
-    "c_test": None,
-    "extent_m": 60, "extent_n": 40,
-    "origin_m": None, "origin_n": None,
-    "bend_m": None, "turn": 1,
-    "center_m": -10.0, "width": 8.0, "direction": 1,
-    "t_final": 1.0, "stride": 400, "dt": None,
-    "b": 5.0, "eps": 2.0, "path_points": 120,
-}
+
+def _checked(key: str, value):
+    typ, default, _ = _SETTINGS[key]
+    if value is None and default is None:
+        return None
+    if typ is float and type(value) in (int, float):  # bool is not a number here
+        try:
+            value = float(value)
+        except OverflowError:  # a JSON integer beyond the float range
+            value = math.inf
+        # flags and config files alike: NaN or infinity is never a valid setting
+        if not math.isfinite(value):
+            raise ConfigError(f"non-finite value for {key}: {value}")
+        return value
+    if type(value) is not typ:
+        raise ConfigError(f"{key} must be of type {typ.__name__}, got {value!r}")
+    return value
 
 
 def _load_config(command: str, args: argparse.Namespace) -> dict:
-    cfg = {}
+    """Defaults, then the config file, then the flags; every value is then
+    checked against its key's declared type."""
+    keys = [key for key, (_, _, commands) in _SETTINGS.items() if command in commands]
+    cfg = {key: _SETTINGS[key][1] for key in keys}
     if args.config:
         try:
             raw = json.loads(Path(args.config).read_text())
@@ -87,32 +115,19 @@ def _load_config(command: str, args: argparse.Namespace) -> dict:
             raise ConfigError(f"cannot read config: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config must be a flat JSON object")
-        unknown = set(raw) - _ALLOWED_KEYS[command]
+        unknown = set(raw) - set(keys)
         if unknown:
             raise ConfigError(f"unknown config keys for {command}: {sorted(unknown)}")
         cfg.update(raw)
-    for key in _ALLOWED_KEYS[command]:
-        flag = getattr(args, key.replace("-", "_"), None)
-        if flag is not None:
-            cfg[key] = flag
-    resolved = {k: _DEFAULTS[k] for k in _ALLOWED_KEYS[command]}
-    resolved.update(cfg)
-    # flags and config files alike: NaN or infinity is never a valid setting
-    bad = sorted(k for k, v in resolved.items() if isinstance(v, float) and not math.isfinite(v))
-    if bad:
-        raise ConfigError(f"non-finite values for {bad}")
-    return resolved
+    cfg.update((key, getattr(args, key)) for key in keys if getattr(args, key) is not None)
+    return {key: _checked(key, value) for key, value in cfg.items()}
 
 
 def _profile(cfg: dict) -> HoppingProfile:
-    try:
-        return HoppingProfile(
-            b_plus=float(cfg["b_plus"]), b_minus=float(cfg["b_minus"]),
-            delta_plus=float(cfg["delta_plus"]), delta_minus=float(cfg["delta_minus"]),
-            c=float(cfg["c"]),
-        )
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc)) from exc
+    return HoppingProfile(
+        b_plus=cfg["b_plus"], b_minus=cfg["b_minus"],
+        delta_plus=cfg["delta_plus"], delta_minus=cfg["delta_minus"], c=cfg["c"],
+    )
 
 
 def _kind(cfg: dict) -> InterfaceKind:
@@ -136,21 +151,19 @@ def _dump_json(path: Path, payload: dict) -> None:
 
 def cmd_spectrum(cfg: dict) -> int:
     kind, profile = _kind(cfg), _profile(cfg)
-    if int(cfg["k_points"]) < 1:
+    if cfg["k_points"] < 1:
         raise ConfigError("k_points must be at least 1")
     out = _out_dir(cfg)
     # inclusive grid, made bitwise antisymmetric so that every k pairs with
     # its mirror -k (one solve per pair); odd counts place a point at k = 0
-    k_grid = np.linspace(-np.pi, np.pi, int(cfg["k_points"]))
+    k_grid = np.linspace(-np.pi, np.pi, cfg["k_points"])
     k_grid = (k_grid - k_grid[::-1]) / 2
-    table = supercell_spectrum(kind, profile, None, k_grid,
-                               N=int(cfg["n_cells"]), margin=int(cfg["margin"]),
-                               threshold=float(cfg["threshold"]))
+    table = supercell_spectrum(kind, profile, None, k_grid, N=cfg["n_cells"],
+                               margin=cfg["margin"], threshold=cfg["threshold"])
     write_spectrum_csv(table, out / "spectrum.csv")
-    kept_abs = [np.abs(table.eigenvalues[i][table.kept[i]]).min()
-                for i in range(len(k_grid)) if table.kept[i].any()]
     # summary.json stays strict JSON: a value that does not exist is null
-    gap_width = 2.0 * float(min(kept_abs)) if kept_abs else None
+    smallest = float(min_abs_kept(table).min())
+    gap_width = 2.0 * smallest if math.isfinite(smallest) else None
     try:
         e0 = edge_curves(table).min_abs_at_zero
     except NoMidGapState:
@@ -177,10 +190,10 @@ def cmd_match_c(cfg: dict) -> int:
     out = _out_dir(cfg)
     c_star = matching_c_star(profile)
     tuned = profile.with_c(c_star)
-    kind = InterfaceKind.TYPE_I
-    table = supercell_spectrum(kind, tuned, None, [0.0], N=int(cfg["n_cells"]))
-    vals = table.eigenvalues[0][table.kept[0]]
-    resid = float(np.abs(vals).min())
+    table = supercell_spectrum(InterfaceKind.TYPE_I, tuned, None, [0.0], N=cfg["n_cells"])
+    resid = float(min_abs_kept(table)[0])
+    if resid == math.inf:
+        raise NoMidGapState("no kept eigenvalue at k = 0")
     f1p = p_eigen(profile.b_plus, profile.delta_plus, 0.0).f1
     f1m = p_eigen(profile.b_minus, profile.delta_minus, 0.0).f1
     _dump_json(out / "match_c.json", {
@@ -196,18 +209,17 @@ def cmd_match_c(cfg: dict) -> int:
 
 def cmd_exist(cfg: dict) -> int:
     kind, profile = _kind(cfg), _profile(cfg)
-    k = float(cfg["k"])
     out = _out_dir(cfg)
     if kind is InterfaceKind.TYPE_I:
-        c_test = float(cfg["c_test"]) if cfg["c_test"] is not None else profile.c
-        exists = type1_zero_exists(profile, c_test, k)
+        c_test = cfg["c_test"] if cfg["c_test"] is not None else profile.c
+        exists = type1_zero_exists(profile, c_test, cfg["k"])
     else:
         c_test = profile.c
         exists = type2_zero_exists(profile)
     _dump_json(out / "exist.json", {
         "exists": bool(exists),
         "kind": kind.value,
-        "k": k,
+        "k": cfg["k"],
         "c_test": c_test,
         "config": cfg,
     })
@@ -217,36 +229,34 @@ def cmd_exist(cfg: dict) -> int:
 
 def cmd_evolve(cfg: dict) -> int:
     kind, profile = _kind(cfg), _profile(cfg)
-    if int(cfg["stride"]) < 1:
+    if cfg["stride"] < 1:
         raise ConfigError("stride must be at least 1")
-    if not float(cfg["width"]) > 0:
+    if not cfg["width"] > 0:
         raise ConfigError("width must be positive")
     out = _out_dir(cfg)
     origin = None
     if cfg["origin_m"] is not None and cfg["origin_n"] is not None:
-        origin = (int(cfg["origin_m"]), int(cfg["origin_n"]))
+        origin = (cfg["origin_m"], cfg["origin_n"])
     bend = None
     if cfg["bend_m"] is not None:
-        bend = (int(cfg["bend_m"]), int(cfg["turn"]))
-    spec = DomainSpec(kind, (int(cfg["extent_m"]), int(cfg["extent_n"])), profile,
+        bend = (cfg["bend_m"], cfg["turn"])
+    spec = DomainSpec(kind, (cfg["extent_m"], cfg["extent_n"]), profile,
                       bend=bend, origin=origin)
     domain = build_domain(spec)
-    state = initial_wavepacket(domain, profile, float(cfg["center_m"]),
-                               float(cfg["width"]), int(cfg["direction"]))
-    dt = float(cfg["dt"]) if cfg["dt"] is not None else None
-    manifest = record_run(domain, state, float(cfg["t_final"]), out,
-                          stride=int(cfg["stride"]), dt=dt, config=cfg)
+    state = initial_wavepacket(domain, profile, cfg["center_m"], cfg["width"], cfg["direction"])
+    manifest = record_run(domain, state, cfg["t_final"], out,
+                          stride=cfg["stride"], dt=cfg["dt"], config=cfg)
     print(f"evolve: {manifest['steps']} steps, final norm "
           f"{manifest['series']['norm'][-1]:.9f}")
     return 0
 
 
 def cmd_bulk(cfg: dict) -> int:
-    b, eps = float(cfg["b"]), float(cfg["eps"])
+    b, eps = cfg["b"], cfg["eps"]
     if b <= 0 or b + eps <= 0:
         raise ConfigError("need b > 0 and b + eps > 0")
     out = _out_dir(cfg)
-    path = default_k_path(int(cfg["path_points"]))
+    path = default_k_path(cfg["path_points"])
     bands = bulk_bands(b, eps, path, check_gap=True)
     write_bands_csv(bands, out / "bands.csv")
     payload = {
@@ -262,71 +272,40 @@ def cmd_bulk(cfg: dict) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser, keys) -> None:
-    p.add_argument("--config", type=str, default=None, help="JSON config file")
-    p.add_argument("--out", dest="out_dir", type=str, default=None, help="output directory")
-    p.add_argument("--seed", type=int, default=None,
-                   help="reserved; runs are deterministic")
-    if "kind" in keys:
-        p.add_argument("--kind", choices=["type1", "type2"], default=None)
-        for key in ("b-plus", "b-minus", "delta-plus", "delta-minus", "c"):
-            p.add_argument(f"--{key}", dest=key.replace("-", "_"), type=float, default=None)
-    if "n_cells" in keys:
-        p.add_argument("--n-cells", dest="n_cells", type=int, default=None)
-    if "k_points" in keys:
-        p.add_argument("--k-points", dest="k_points", type=int, default=None)
+# command: (help, handler)
+_COMMANDS = {
+    "spectrum": ("filtered supercell spectrum over a k-grid", cmd_spectrum),
+    "match-c": ("matching coupling c* with supercell confirmation", cmd_match_c),
+    "exist": ("zero-mode existence verdict", cmd_exist),
+    "evolve": ("wavepacket run with snapshot recording", cmd_evolve),
+    "bulk": ("bulk band structure and zone-center data", cmd_bulk),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="edgelab",
                                      description="edge-state analysis of generalized honeycomb interfaces")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("spectrum", help="filtered supercell spectrum over a k-grid")
-    _add_common(p, _ALLOWED_KEYS["spectrum"])
-    p.add_argument("--margin", type=int, default=None)
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--require-crossing", dest="require_crossing",
-                   action="store_const", const=True, default=None)
-    p.set_defaults(func=cmd_spectrum)
-
-    p = sub.add_parser("match-c", help="matching coupling c* with supercell confirmation")
-    _add_common(p, _ALLOWED_KEYS["match-c"])
-    p.set_defaults(func=cmd_match_c)
-
-    p = sub.add_parser("exist", help="zero-mode existence verdict")
-    _add_common(p, _ALLOWED_KEYS["exist"])
-    p.add_argument("--k", type=float, default=None)
-    p.add_argument("--c-test", dest="c_test", type=float, default=None)
-    p.set_defaults(func=cmd_exist)
-
-    p = sub.add_parser("evolve", help="wavepacket run with snapshot recording")
-    _add_common(p, _ALLOWED_KEYS["evolve"])
-    for key, typ in (("extent-m", int), ("extent-n", int), ("origin-m", int),
-                     ("origin-n", int), ("bend-m", int), ("turn", int),
-                     ("center-m", float), ("width", float), ("direction", int),
-                     ("t-final", float), ("stride", int), ("dt", float)):
-        p.add_argument(f"--{key}", dest=key.replace("-", "_"), type=typ, default=None)
-    p.set_defaults(func=cmd_evolve)
-
-    p = sub.add_parser("bulk", help="bulk band structure and zone-center data")
-    _add_common(p, _ALLOWED_KEYS["bulk"])
-    p.add_argument("--b", type=float, default=None)
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--path-points", dest="path_points", type=int, default=None)
-    p.set_defaults(func=cmd_bulk)
+    for command, (help_text, _) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--config", help="JSON config file")
+        for key, (typ, _, commands) in _SETTINGS.items():
+            if command not in commands:
+                continue
+            flag = "--out" if key == "out_dir" else "--" + key.replace("_", "-")
+            if typ is bool:
+                p.add_argument(flag, dest=key, action="store_const", const=True)
+            else:
+                choices = [kind.value for kind in InterfaceKind] if key == "kind" else None
+                p.add_argument(flag, dest=key, type=typ, choices=choices)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    command = {"cmd_spectrum": "spectrum", "cmd_match_c": "match-c",
-               "cmd_exist": "exist", "cmd_evolve": "evolve",
-               "cmd_bulk": "bulk"}[args.func.__name__]
+    args = build_parser().parse_args(argv)
     try:
-        cfg = _load_config(command, args)
-        return args.func(cfg)
+        cfg = _load_config(args.command, args)
+        return _COMMANDS[args.command][1](cfg)
     except (ConfigError, ValueError) as exc:
         # library preconditions (supercell size, domain extent, ...) are
         # configuration errors at this level

@@ -42,6 +42,7 @@ __all__ = [
     "EdgeCurves",
     "supercell_spectrum",
     "edge_curves",
+    "min_abs_kept",
     "perturbation_m0",
     "perturbation_matrix",
     "write_spectrum_csv",
@@ -176,34 +177,28 @@ def _bulk_gap(profile: HoppingProfile) -> float:
     return min(abs(profile.delta_plus), abs(profile.delta_minus))
 
 
+def min_abs_kept(table: SpectrumTable) -> np.ndarray:
+    """Smallest |E| among the kept eigenpairs at each k; inf where nothing
+    is kept."""
+    return np.where(table.kept, np.abs(table.eigenvalues), np.inf).min(axis=1)
+
+
 def edge_curves(table: SpectrumTable) -> EdgeCurves:
     """Extract the two mid-gap branches from a filtered spectrum table."""
-    gap = _bulk_gap(table.profile)
-    e_plus = np.empty(len(table.k_grid))
-    e_minus = np.empty(len(table.k_grid))
-    any_in_gap = False
-    for i, k in enumerate(table.k_grid):
-        vals = table.eigenvalues[i][table.kept[i]]
-        if vals.size == 0:
-            e_plus[i] = np.nan
-            e_minus[i] = np.nan
-            continue
-        any_in_gap = any_in_gap or bool(np.any(np.abs(vals) < gap - 1e-9))
-        if abs(k) < 1e-12:
-            e0 = np.abs(vals).min()
-            e_plus[i], e_minus[i] = e0, -e0
-        else:
-            pos = vals[vals >= 0]
-            neg = vals[vals < 0]
-            e_plus[i] = pos.min() if pos.size else np.nan
-            e_minus[i] = neg.max() if neg.size else np.nan
-    if not any_in_gap:
+    min_abs = min_abs_kept(table)
+    if not np.any(min_abs < _bulk_gap(table.profile) - 1e-9):
         raise NoMidGapState("no kept eigenvalue inside the bulk gap at any k")
-    zero_idx = np.flatnonzero(np.abs(table.k_grid) < 1e-12)
-    if zero_idx.size:
-        min_abs0 = float(e_plus[zero_idx[0]])
-    else:
-        min_abs0 = float("nan")
+    E, kept = table.eigenvalues, table.kept
+    e_plus = np.where(kept & (E >= 0), E, np.inf).min(axis=1)
+    e_minus = np.where(kept & (E < 0), E, -np.inf).max(axis=1)
+    # at k = 0 the two branches are the +-pair of smallest magnitude
+    at_zero = np.abs(table.k_grid) < 1e-12
+    e_plus = np.where(at_zero, min_abs, e_plus)
+    e_minus = np.where(at_zero, -min_abs, e_minus)
+    # NaN marks a branch with no kept eigenvalue
+    e_plus[np.isinf(e_plus)] = np.nan
+    e_minus[np.isinf(e_minus)] = np.nan
+    min_abs0 = float(e_plus[at_zero][0]) if at_zero.any() else float("nan")
     return EdgeCurves(k_grid=table.k_grid, e_plus=e_plus, e_minus=e_minus,
                       min_abs_at_zero=min_abs0)
 
@@ -233,12 +228,12 @@ def perturbation_m0(kind: InterfaceKind, profile: HoppingProfile,
     return V.conj().T @ (chain_operator(kind, profile, -L, L, derivative=True) @ V)
 
 
-def _min_abs_kept(kind, profile, k, N, margin, threshold) -> float:
+def _min_abs_kept_at(kind, profile, k, N, margin, threshold) -> float:
     table = supercell_spectrum(kind, profile, None, [k], N, margin, threshold)
-    vals = table.eigenvalues[0][table.kept[0]]
-    if vals.size == 0:
+    e = float(min_abs_kept(table)[0])
+    if e == np.inf:
         raise NoMidGapState(f"no kept eigenvalue at k={k}")
-    return float(np.abs(vals).min())
+    return e
 
 
 def perturbation_matrix(kind: InterfaceKind, profile: HoppingProfile,
@@ -253,8 +248,8 @@ def perturbation_matrix(kind: InterfaceKind, profile: HoppingProfile,
     """
     m0 = perturbation_m0(kind, profile)
     slope = float(abs(m0[0, 1].imag))
-    e0 = _min_abs_kept(kind, profile, 0.0, N, margin, threshold)
-    eh = _min_abs_kept(kind, profile, h, N, margin, threshold)
+    e0 = _min_abs_kept_at(kind, profile, 0.0, N, margin, threshold)
+    eh = _min_abs_kept_at(kind, profile, h, N, margin, threshold)
     fd = (eh - e0) / h
     rel = abs(slope - fd) / slope if slope > 0 else float("inf")
     return SlopeReport(m0=m0, slope=slope, fd_slope=fd, rel_gap=rel)

@@ -1,11 +1,13 @@
 import json
+import shlex
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from edgelab.cli import main
+from edgelab.cli import _load_config, build_parser, main
 
 
 def run(argv):
@@ -291,3 +293,47 @@ def test_exist_near_zero_detuning_is_degenerate(tmp_path):
         # b + 1e-300 rounds to b, so P(0) is exactly the identity
         assert run(["exist", "--kind", "type1", "--delta-plus", "1e-300",
                     "--out", str(tmp_path / "o")]) == 3
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("evolve", {"width": "inf", "kind": "type2", "extent_m": 24, "extent_n": 22, "t_final": 0.01}),
+    ("spectrum", {"require_crossing": "false", "kind": "type2", "n_cells": 24, "k_points": 3}),
+    ("spectrum", {"n_cells": 24.9, "kind": "type2", "k_points": 3}),
+    ("match-c", {"b_plus": "60"}),
+    ("bulk", {"seed": 1}),
+    ("exist", {"kind": "type2", "delta_plus": 10 ** 400}),  # beyond the float range
+])
+def test_config_values_must_have_their_keys_type(tmp_path, capsys, command, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert run([command, "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not out.exists()
+
+
+def test_config_file_number_embeds_like_the_flag(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"delta_plus": 30}')
+    out = tmp_path / "o"
+    argv = ["spectrum", "--kind", "type2", "--n-cells", "24", "--k-points", "3", "--out", str(out)]
+    assert run(argv + ["--config", str(path)]) == 0
+    from_file = (out / "summary.json").read_bytes()
+    assert run(argv + ["--delta-plus", "30"]) == 0
+    assert (out / "summary.json").read_bytes() == from_file
+
+
+def _readme_command_lines():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line) for line in block.replace("\\\n", " ").splitlines() if line.strip()]
+
+
+@pytest.mark.parametrize("argv", _readme_command_lines(), ids=lambda argv: argv[1])
+def test_readme_command_lines_parse(argv):
+    assert argv[0] == "edgelab"
+    args = build_parser().parse_args(argv[1:])
+    cfg = _load_config(args.command, args)
+    for key, value in vars(args).items():
+        if key in cfg and value is not None:
+            assert cfg[key] == value

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -9,6 +10,7 @@ from edgelab.lattice import InterfaceKind
 from edgelab.spectrum import (
     _chiral_block,
     edge_curves,
+    min_abs_kept,
     perturbation_m0,
     perturbation_matrix,
     supercell_spectrum,
@@ -148,6 +150,43 @@ def test_crossing_and_gapped_cases():
     table = supercell_spectrum(InterfaceKind.TYPE_II, same, None, kg, N=60)
     vals = table.eigenvalues[1][table.kept[1]]
     assert np.abs(vals).min() > 1.0
+
+
+def _edge_curves_loop(table):
+    """Per-k reference for edge_curves' branches and min_abs_kept."""
+    e_plus, e_minus, min_abs = [], [], []
+    for k, E, kept in zip(table.k_grid, table.eigenvalues, table.kept):
+        vals = E[kept]
+        e0 = np.abs(vals).min() if vals.size else np.inf
+        pos, neg = vals[vals >= 0], vals[vals < 0]
+        min_abs.append(e0)
+        if not vals.size:
+            e_plus.append(np.nan)
+            e_minus.append(np.nan)
+        elif abs(k) < 1e-12:
+            e_plus.append(e0)
+            e_minus.append(-e0)
+        else:
+            e_plus.append(pos.min() if pos.size else np.nan)
+            e_minus.append(neg.max() if neg.size else np.nan)
+    return np.array(e_plus), np.array(e_minus), np.array(min_abs)
+
+
+@pytest.mark.parametrize("kind", list(InterfaceKind))
+def test_edge_curves_match_per_k_loop(kind):
+    kg = np.array([-0.7, -0.2, 0.0, 0.2, 0.7, 1.3, 1e-13])  # the last counts as k = 0
+    table = supercell_spectrum(kind, MIXED, None, kg, N=24)
+    kept = table.kept.copy()
+    kept[1] = False  # nothing kept at one k
+    kept[[2, 3]] &= table.eigenvalues[[2, 3]] < 0  # only the lower branch
+    kept[[5, 6]] &= table.eigenvalues[[5, 6]] > 0  # only the upper branch
+    for t in (table, dataclasses.replace(table, kept=kept)):
+        e_plus, e_minus, min_abs = _edge_curves_loop(t)
+        curves = edge_curves(t)
+        assert np.array_equal(min_abs_kept(t), min_abs)
+        assert np.array_equal(curves.e_plus, e_plus, equal_nan=True)
+        assert np.array_equal(curves.e_minus, e_minus, equal_nan=True)
+        assert curves.min_abs_at_zero == min_abs[2]
 
 
 def test_edge_branches_symmetric_in_k():
