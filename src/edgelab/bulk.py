@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotConical
+from .errors import GapLawViolated, NotConical
 from .lattice import BASIS, V_ALPHA, V_BETA
 
 __all__ = [
@@ -102,8 +102,8 @@ def default_k_path(n_points: int = 120) -> np.ndarray:
 def bulk_bands(b: float, eps: float, k_path, check_gap: bool = True) -> np.ndarray:
     """Six ascending energies per point of ``k_path``.
 
-    With check_gap=True, verifies |E| >= |eps| (tolerance 1e-9) for every
-    band at every point.
+    With check_gap=True, verifies |E| >= |eps| for every band at every point,
+    to within eigensolver rounding: max(1e-9, 1e-13 ||H||) with ||H|| = 3b + |eps|.
     """
     k_path = np.atleast_2d(np.asarray(k_path, dtype=float))
     bands = np.empty((len(k_path), 6))
@@ -111,8 +111,9 @@ def bulk_bands(b: float, eps: float, k_path, check_gap: bool = True) -> np.ndarr
         bands[i] = np.linalg.eigvalsh(bulk_h(BulkParams(b, eps, (k[0], k[1]))))
     if check_gap:
         a = abs(eps)
-        if bands[:, :3].max() > -a + 1e-9 or bands[:, 3:].min() < a - 1e-9:
-            raise AssertionError("bulk gap law |E| >= |eps| violated")
+        tol = max(1e-9, 1e-13 * (3 * b + a))
+        if bands[:, :3].max() > -a + tol or bands[:, 3:].min() < a - tol:
+            raise GapLawViolated("bulk gap law |E| >= |eps| violated")
     return bands
 
 

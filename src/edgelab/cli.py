@@ -23,6 +23,7 @@ from .dynamics import DomainSpec, build_domain, initial_wavepacket, record_run
 from .errors import (
     ConfigError,
     DegenerateGapless,
+    GapLawViolated,
     NoMidGapState,
     NotAZeroMode,
     StepTooLarge,
@@ -233,18 +234,16 @@ def cmd_evolve(cfg: dict) -> int:
         raise ConfigError("stride must be at least 1")
     if not cfg["width"] > 0:
         raise ConfigError("width must be positive")
-    out = _out_dir(cfg)
-    origin = None
-    if cfg["origin_m"] is not None and cfg["origin_n"] is not None:
-        origin = (cfg["origin_m"], cfg["origin_n"])
-    bend = None
-    if cfg["bend_m"] is not None:
-        bend = (cfg["bend_m"], cfg["turn"])
-    spec = DomainSpec(kind, (cfg["extent_m"], cfg["extent_n"]), profile,
-                      bend=bend, origin=origin)
-    domain = build_domain(spec)
+    if cfg["direction"] not in (1, -1):
+        raise ConfigError(f"direction must be +1 or -1, got {cfg['direction']}")
+    if (cfg["origin_m"] is None) != (cfg["origin_n"] is None):
+        raise ConfigError("origin_m and origin_n must be given together")
+    origin = None if cfg["origin_m"] is None else (cfg["origin_m"], cfg["origin_n"])
+    bend = None if cfg["bend_m"] is None else (cfg["bend_m"], cfg["turn"])
+    domain = build_domain(DomainSpec(kind, (cfg["extent_m"], cfg["extent_n"]), profile,
+                                     bend=bend, origin=origin))
     state = initial_wavepacket(domain, profile, cfg["center_m"], cfg["width"], cfg["direction"])
-    manifest = record_run(domain, state, cfg["t_final"], out,
+    manifest = record_run(domain, state, cfg["t_final"], cfg["out_dir"],
                           stride=cfg["stride"], dt=cfg["dt"], config=cfg)
     print(f"evolve: {manifest['steps']} steps, final norm "
           f"{manifest['series']['norm'][-1]:.9f}")
@@ -305,13 +304,18 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _load_config(args.command, args)
-        return _COMMANDS[args.command][1](cfg)
+        # an overflow raises here rather than carry inf into a verdict
+        with np.errstate(over="raise"):
+            return _COMMANDS[args.command][1](cfg)
     except (ConfigError, ValueError) as exc:
         # library preconditions (supercell size, domain extent, ...) are
         # configuration errors at this level
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (NoMidGapState, NotAZeroMode, DegenerateGapless) as exc:
+    except ArithmeticError as exc:
+        print(f"config error: floating-point overflow: {exc}", file=sys.stderr)
+        return 2
+    except (NoMidGapState, NotAZeroMode, DegenerateGapless, GapLawViolated) as exc:
         print(f"domain failure: {exc}", file=sys.stderr)
         return 3
     except StepTooLarge as exc:

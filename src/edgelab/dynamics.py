@@ -56,6 +56,14 @@ __all__ = [
 _DIST_CHUNK = 256  # cells per block of the interface-distance computation
 _MAX_SNAPSHOTS = 10_000  # snapshot_{:04d} names sort in time order up to here
 
+# (kind, turn) -> frame vector (a, b) of the outgoing leg a v_a + b v_b of a bend
+_LEGS = {
+    (InterfaceKind.TYPE_I, 1): (0, -1),
+    (InterfaceKind.TYPE_I, -1): (1, 1),
+    (InterfaceKind.TYPE_II, 1): (-1, 3),
+    (InterfaceKind.TYPE_II, -1): (2, -3),
+}
+
 
 @dataclass(frozen=True)
 class DomainSpec:
@@ -75,6 +83,10 @@ class DomainSpec:
     bend: tuple[int, int] | None = None
     origin: tuple[int, int] | None = None
 
+    def __post_init__(self):
+        if self.bend is not None and (self.kind, self.bend[1]) not in _LEGS:
+            raise ValueError(f"bend turn must be +1 or -1, got {self.bend[1]}")
+
     def material(self, m, n):
         """Piecewise material map, elementwise over cell coordinates; the bent
         boundary is the rotation image of the straight one, so both legs are
@@ -83,12 +95,10 @@ class DomainSpec:
             return material_sign(self.kind, m, n)
         m, n = np.asarray(m), np.asarray(n)
         mb, turn = self.bend
-        if self.kind is InterfaceKind.TYPE_I:
-            plus = (n >= 0) | (m >= mb) if turn >= 0 else (n >= 0) & (m - n <= mb)
-        elif turn >= 0:
-            plus = (n >= 0) & (3 * (m - mb) + n <= 0)
-        else:
-            plus = (n >= 0) | (3 * (m - mb) + 2 * n >= 0)
+        a, b = _LEGS[self.kind, turn]
+        # left of the outgoing leg: added to n >= 0 if the leg dips below, else cut
+        side = a * n - b * (m - mb) >= 0
+        plus = (n >= 0) | side if b < 0 else (n >= 0) & side
         return np.where(plus, 1, -1)
 
 
@@ -167,10 +177,8 @@ def build_domain(spec: DomainSpec) -> Domain:
         mb, turn = spec.bend
         vertex = mb * va
         d1 = va / np.linalg.norm(va)  # packets arrive traveling toward +m
-        if spec.kind is InterfaceKind.TYPE_I:
-            leg2 = -vb if turn >= 0 else va + vb
-        else:
-            leg2 = -va + 3.0 * vb if turn >= 0 else 2.0 * va - 3.0 * vb
+        a, b = _LEGS[spec.kind, turn]
+        leg2 = a * va + b * vb
         legs = (d1, leg2 / np.linalg.norm(leg2))
 
     return Domain(spec=spec, m_range=m_range, n_range=n_range, positions=positions,

@@ -19,6 +19,10 @@ class NoMidGapState(EdgelabError):
     """A filtered supercell spectrum contains no state inside the bulk gap."""
 
 
+class GapLawViolated(EdgelabError):
+    """Bulk bands enter the gap |E| < |eps| by more than eigensolver rounding."""
+
+
 class StepTooLarge(EdgelabError):
     """RK4 step violates dt * rho(H) <= 0.5."""
 

@@ -396,27 +396,11 @@ def _geometric_sublattice_a(profile: HoppingProfile, M: int) -> np.ndarray:
     return x
 
 
-def _geometric_sublattice_b(profile: HoppingProfile, M: int) -> np.ndarray:
-    # s_n = (c_{n-1} / b_n) s_{n-1} solves rows 4..6 with pattern (s,0,-s,0,0,0)
-    s = np.empty(2 * M + 1)
-    s[M] = 1.0
-    for n in range(1, M + 1):
-        rm = coeffs_type2(profile, n - 1)
-        r = coeffs_type2(profile, n)
-        s[M + n] = (rm.c / r.b) * s[M + n - 1]
-    for n in range(0, -M, -1):
-        rm = coeffs_type2(profile, n - 1)
-        r = coeffs_type2(profile, n)
-        s[M + n - 1] = (r.b / rm.c) * s[M + n]
-    return s
-
-
-def _xi_mode(profile: HoppingProfile, M: int) -> tuple[np.ndarray, np.ndarray]:
+def _xi_mode(profile: HoppingProfile, qp: QMatrixReport, qm: QMatrixReport,
+             M: int) -> tuple[np.ndarray, np.ndarray]:
     """Sublattice-B sequence (y_n, z_n) for delta_plus > 0 > delta_minus:
-    seed on the decaying Q-eigenvector of the + side, cross the interface
-    through Q_B,0 and Q_B,-1, then solve for the two minus-side weights."""
-    qp = q_eigen(profile.b_plus, profile.delta_plus)
-    qm = q_eigen(profile.b_minus, profile.delta_minus)
+    seed on qp's decaying eigenvector (the + side), cross the interface
+    through Q_B,0 and Q_B,-1, then solve for the weights on qm's eigenvectors."""
     _, _, qb0, qbm1 = (np.real(m) for m in q_boundary_matrices(profile, 0.0))
     xi = np.empty((2 * M + 1, 3))
     xi[M + 1] = qp.v2
@@ -434,36 +418,6 @@ def _xi_mode(profile: HoppingProfile, M: int) -> tuple[np.ndarray, np.ndarray]:
     return xi[:, 0] - xi[:, 2], xi[:, 2]
 
 
-def _chi_mode(profile: HoppingProfile, M: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sublattice-A sequences (v4_n, v5_n) for delta_plus < 0 < delta_minus:
-    two decaying + side directions, one linear matching condition across the
-    interface rows."""
-    qp = q_eigen(profile.b_plus, profile.delta_plus)
-    qm = q_eigen(profile.b_minus, profile.delta_minus)
-    qam1, qam2, _, _ = (np.real(m) for m in q_boundary_matrices(profile, 0.0))
-    cross = qam2 @ qam1
-
-    def v1m_weight(vec: np.ndarray) -> float:
-        # coefficient along the growing minus-side direction v1m in a
-        # (S, S, Z)-shaped vector
-        return (vec[0] - qm.t2 * vec[2]) / (qm.t1 - qm.t2)
-
-    a1 = v1m_weight(cross @ qp.v1)
-    a2 = v1m_weight(cross @ qp.v2)
-    h1, h2 = a2, -a1
-    if abs(h1) < 1e-300 and abs(h2) < 1e-300:
-        raise NotAZeroMode("degenerate matching system")
-    chi = np.empty((2 * M + 1, 3))
-    for n in range(0, M + 1):
-        chi[M + n] = h1 * qp.mu1 ** (-n) * qp.v1 + h2 * qp.mu2 ** (-n) * qp.v2
-    chi[M - 1] = qam1 @ chi[M]
-    chi_m2 = cross @ chi[M]
-    c2 = (chi_m2[0] - qm.t1 * chi_m2[2]) / (qm.t2 - qm.t1)
-    for n in range(-2, -M - 1, -1):
-        chi[M + n] = c2 * qm.mu2 ** (-(n + 2)) * qm.v2
-    return chi[:, 0] - chi[:, 2], chi[:, 2]
-
-
 def _cells(*columns) -> np.ndarray:
     """Complex (cells, 6) array from six sublattice columns, each a sequence
     over the cells or 0."""
@@ -478,33 +432,27 @@ def build_type2_zero_modes(profile: HoppingProfile) -> tuple[ZeroMode, ZeroMode]
         raise DegenerateGapless("zero detuning closes the bulk gap")
     if dp * dm > 0:
         raise NotAZeroMode("no type-II zero modes between topologically identical materials")
-    tp = (profile.b_plus + dp) / profile.b_plus
-    tm = (profile.b_minus + dm) / profile.b_minus
+    if dp < 0:
+        # the inversion (n, j) -> (-1 - n, 7 - j) maps this chain onto the one
+        # with the two materials swapped, where delta_plus > 0
+        swapped = HoppingProfile(profile.b_minus, profile.b_plus, dm, dp, profile.c)
+        image_b, image_a = build_type2_zero_modes(swapped)
+        return tuple(_finalize(InterfaceKind.TYPE_II, profile, label, -m.lo - len(m.cells),
+                               m.cells[::-1, ::-1], m.decay_rate)
+                     for label, m in (("A", image_a), ("B", image_b)))
     qp = q_eigen(profile.b_plus, dp)
     qm = q_eigen(profile.b_minus, dm)
-
-    if dp > 0:
-        rate_a = max(1.0 / tp, tm)
-        rate_b = max(qp.mu2, 1.0 / min(abs(qm.mu1), qm.mu2))
-        Ma, Mb = _half_support(rate_a), _half_support(rate_b)
-        x = _geometric_sublattice_a(profile, Ma)
-        y, z = _xi_mode(profile, Mb)
-        cells_a, cells_b = _cells(0, 0, 0, x, 0, -x), _cells(y, z, y, 0, 0, 0)
-    else:
-        rate_a = max(1.0 / min(abs(qp.mu1), qp.mu2), qm.mu2)
-        rate_b = max(tp, 1.0 / tm)
-        Ma, Mb = _half_support(rate_a), _half_support(rate_b)
-        v4, v5 = _chi_mode(profile, Ma)
-        s = _geometric_sublattice_b(profile, Mb)
-        cells_a, cells_b = _cells(0, 0, 0, v4, v5, v4), _cells(s, 0, -s, 0, 0, 0)
-
-    mode_a = _finalize(InterfaceKind.TYPE_II, profile, "A", -Ma, cells_a, rate_a**2)
-    mode_b = _finalize(InterfaceKind.TYPE_II, profile, "B", -Mb, cells_b, rate_b**2)
+    rate_a = max(1.0 / qp.mu3, qm.mu3)  # mu3 = (b + delta) / b
+    rate_b = max(qp.mu2, 1.0 / min(abs(qm.mu1), qm.mu2))
+    Ma, Mb = _half_support(rate_a), _half_support(rate_b)
+    x = _geometric_sublattice_a(profile, Ma)
+    y, z = _xi_mode(profile, qp, qm, Mb)
+    mode_a = _finalize(InterfaceKind.TYPE_II, profile, "A", -Ma, _cells(0, 0, 0, x, 0, -x), rate_a**2)
+    mode_b = _finalize(InterfaceKind.TYPE_II, profile, "B", -Mb, _cells(y, z, y, 0, 0, 0), rate_b**2)
 
     # sign conventions from the eigenvector-form lemma: x_n > 0, y_n < 0
-    if dp > 0:
-        if mode_a.cells[Ma, 3].real < 0:
-            mode_a = replace(mode_a, cells=-mode_a.cells)
-        if mode_b.cells[Mb, 0].real > 0:
-            mode_b = replace(mode_b, cells=-mode_b.cells)
+    if mode_a.cells[Ma, 3].real < 0:
+        mode_a = replace(mode_a, cells=-mode_a.cells)
+    if mode_b.cells[Mb, 0].real > 0:
+        mode_b = replace(mode_b, cells=-mode_b.cells)
     return mode_a, mode_b

@@ -287,6 +287,57 @@ def test_evolve_rejects_unbounded_snapshot_schedule(tmp_path, capsys):
     assert not list(out.glob("snapshot_*.csv"))
 
 
+@pytest.mark.parametrize("flags, word", [
+    (["--bend-m", "3", "--turn", "0"], "turn"),
+    (["--bend-m", "3", "--turn", "7"], "turn"),
+    (["--origin-m", "-30"], "origin"),  # used to run a centred domain
+    (["--origin-n", "-20"], "origin"),
+    (["--direction", "0"], "direction"),  # used to run a left-moving packet
+])
+def test_evolve_rejects_inputs_it_would_ignore(tmp_path, capsys, flags, word):
+    out = tmp_path / "o"
+    argv = ["evolve", "--kind", "type2", "--extent-m", "24", "--extent-n", "22",
+            "--t-final", "0.01", *flags, "--out", str(out)]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and word in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("b, eps", [("1e8", "1e-3"), ("9.7", "1e15")])
+def test_bulk_gap_law_tolerance_scales_with_the_hoppings(tmp_path, b, eps):
+    # eigvalsh rounding grows with ||H|| = 3b + |eps|; an absolute 1e-9 failed both
+    assert run(["bulk", "--b", b, "--eps", eps, "--out", str(tmp_path / "o")]) == 0
+
+
+def test_bulk_gap_law_violation_is_a_domain_failure(tmp_path, monkeypatch, capsys):
+    import edgelab.bulk as bulk
+
+    bulk_h = bulk.bulk_h
+    monkeypatch.setattr(bulk, "bulk_h", lambda params: bulk_h(params) + abs(params.eps) / 2 * np.eye(6))
+    out = tmp_path / "o"
+    assert run(["bulk", "--b", "1e8", "--eps", "1e-3", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("domain failure:") and "gap law" in err
+    assert not (out / "bulk.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["exist", "--kind", "type2", "--b-plus", "141.6", "--b-minus", "146.9",
+     "--delta-plus", "67.9", "--delta-minus", "-86.6", "--c", "1e300"],
+    ["match-c", "--b-plus", "101.7", "--b-minus", "1e-300", "--delta-plus", "126",
+     "--delta-minus", "18.5", "--c", "48.9", "--n-cells", "24"],
+    # the overflowed norm used to give "exists": true
+    ["exist", "--kind", "type1", "--b-plus", "1e300", "--b-minus", "60", "--delta-plus", "124.7",
+     "--delta-minus", "-27.7", "--c", "60", "--k", "3.0761136677239937"],
+])
+def test_overflow_exits_2(tmp_path, capsys, argv):
+    assert run(argv + ["--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "overflow" in err
+    assert not list(tmp_path.rglob("*.json"))
+
+
 def test_exist_near_zero_detuning_is_degenerate(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -10,6 +10,7 @@ from edgelab.hamiltonian import (
     bloch_h2,
     chain_apply,
     chain_apply_first_order,
+    chain_operator,
     coeffs_type1,
     coeffs_type2,
     h1_first_order,
@@ -161,6 +162,21 @@ def test_symmetry_involutions():
     for k in (0.0, 0.4, -2.2):
         assert np.abs(apply_T(k, apply_T(k, u)) - u).max() < 1e-13
         assert np.abs(apply_R(k, apply_R(k, u)) - u).max() < 1e-13
+
+
+@pytest.mark.parametrize("kind", list(InterfaceKind))
+def test_inversion_swaps_the_materials(kind):
+    # (n, j) -> (-1 - n, 7 - j) maps the chain onto the one with the two
+    # materials swapped; it reverses the bond offsets, so k enters conjugated
+    profile = HoppingProfile(47, 71, -20, 33, 52)
+    swapped = HoppingProfile(71, 47, 33, -20, 52)
+    N = 9
+
+    def image(k):
+        return chain_operator(kind, swapped, -N - 1, N - 1, k).toarray()[::-1, ::-1]
+
+    assert np.array_equal(chain_operator(kind, profile, -N, N, 0.0).toarray(), image(0.0))
+    assert np.array_equal(chain_operator(kind, profile, -N, N, 0.37).toarray(), np.conj(image(0.37)))
 
 
 @pytest.mark.parametrize("build,first_order", [(bloch_h1, h1_first_order),

@@ -356,6 +356,34 @@ def test_type2_modes_mirrored_pattern():
         assert row[2].real == pytest.approx(-row[0].real)
 
 
+def test_type2_modes_of_random_inverted_profiles():
+    # delta_plus < 0 < delta_minus with b and |delta| unequal across the
+    # interface, so that swapping only b, only delta or reflecting n -> -n
+    # in place of the inversion n -> -1 - n cannot pass
+    rng = np.random.default_rng(91)
+    N = 60
+    for _ in range(6):
+        bp, bm = rng.uniform(40.0, 80.0, 2)
+        profile = HoppingProfile(bp, bm, -rng.uniform(0.3, 0.6) * bp,
+                                 rng.uniform(0.3, 0.9) * bm, rng.uniform(30.0, 70.0))
+        mode_a, mode_b = build_type2_zero_modes(profile)
+        assert (mode_a.label, mode_b.label) == ("A", "B")
+        H = bloch_h2(profile, 0.0, N).matrix
+        for mode in (mode_a, mode_b):
+            v = mode.as_vector(N)
+            assert np.linalg.norm((H @ v)[6 * 3:-6 * 3]) / np.linalg.norm(v) < 1e-10
+            peak = max(np.linalg.norm(row) for row in mode.amplitudes.values())
+            for n, row in mode.amplitudes.items():
+                assert np.linalg.norm(row) <= 4.0 * peak * mode.decay_rate ** (abs(n) / 2.0)
+        for row in mode_a.amplitudes.values():
+            assert np.abs(row[:3]).max() == 0
+            assert row[5].real == pytest.approx(row[3].real)
+        for row in mode_b.amplitudes.values():
+            assert np.abs(row[3:]).max() == 0
+            assert row[1] == 0
+            assert row[2].real == pytest.approx(-row[0].real)
+
+
 def test_zero_mode_envelope_bound():
     profile = HoppingProfile(60, 60, 30, -30, 50.0)
     for mode in build_type2_zero_modes(profile) + build_type1_zero_modes(
