@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from functools import cached_property
 from types import MappingProxyType
 
@@ -47,7 +47,7 @@ __all__ = [
 
 _PARALLEL_TOL = 1e-10
 _RESIDUAL_TOL = 1e-10
-_MAX_HALF_SUPPORT = 400
+_MAX_HALF_SUPPORT = 20_000
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +137,9 @@ def p_eigen(b: float, eps: float, k: float) -> PMatrixReport:
     disc = np.sqrt((alpha - gamma) ** 2 - 4 * np.exp(1j * k) * beta**2 + 0j)
     lam_a = (alpha + gamma - disc) / 2
     lam_b = (alpha + gamma + disc) / 2
-    lam1, lam2 = (lam_a, lam_b) if abs(lam_a) <= abs(lam_b) else (lam_b, lam_a)
+    lam2 = lam_b if abs(lam_a) <= abs(lam_b) else lam_a
+    # the smaller root loses digits to cancellation; take it from det P instead
+    lam1 = np.exp(-2j * k) / lam2
     f1 = None
     if k == 0.0:
         ar, br, gr = alpha.real, beta.real, gamma.real
@@ -216,7 +218,11 @@ def _half_support(rate_per_cell: float) -> int:
     # extend until the predicted envelope falls below 1e-16 of the maximum
     if rate_per_cell >= 1.0:
         raise NotAZeroMode("candidate does not decay")
-    return min(_MAX_HALF_SUPPORT, max(8, math.ceil(37.0 / -math.log(rate_per_cell))))
+    cells = 37.0 / -math.log(rate_per_cell)
+    if cells > _MAX_HALF_SUPPORT:
+        raise NotAZeroMode(f"the mode needs {math.ceil(cells)} cells a side to decay to 1e-16, "
+                           f"beyond the limit of {_MAX_HALF_SUPPORT}")
+    return max(8, math.ceil(cells))
 
 
 def _residual(kind: InterfaceKind, profile: HoppingProfile, lo: int, cells: np.ndarray) -> float:
@@ -239,69 +245,41 @@ def _finalize(kind: InterfaceKind, profile: HoppingProfile, label: str,
     return ZeroMode(kind=kind, label=label, lo=lo, cells=cells, decay_rate=rate2, residual=res)
 
 
+def _type1_half(b: float, eps: float, c: float, M: int) -> np.ndarray:
+    """Cells 0..2M of the type-I zero mode on the n >= 0 side held by the
+    material (b, eps), with u4(0) = 1; sublattice A stays zero."""
+    r = p_eigen(b, eps, 0.0)
+    A1, A2, _, _, A5, A6 = (np.real(m) for m in a_matrices(b, eps, 0.0))
+    # pair[m] = (u4 of cell 2m, u6 of cell 2m - 1)
+    pair = r.lambda1.real ** np.arange(M + 1)[:, None] * np.array([1.0, r.f1])
+    pair[0] = (1.0, (b + eps) * r.f1 / c)
+    cells = np.zeros((2 * M + 1, 6))
+    cells[0::2, 3] = pair[:, 0]
+    cells[1::2, 5] = pair[1:, 1]
+    cells[0::2, [5, 4]] = pair @ -np.linalg.solve(A2, A1).T
+    cells[1::2, [4, 3]] = pair[1:] @ -np.linalg.solve(A5, A6).T
+    cells[0, [5, 4]] = -np.linalg.solve(A2, np.real(boundary_a1(b, c, 0.0))) @ pair[0]
+    return cells
+
+
 def build_type1_zero_modes(profile: HoppingProfile) -> tuple[ZeroMode, ZeroMode]:
     """Construct the two type-I zero modes at k = 0 from the propagation
     recursions; requires the profile's c to satisfy the matching condition."""
     if not type1_zero_exists(profile, profile.c, 0.0):
         raise NotAZeroMode("coupling c does not satisfy the matching condition")
-    bp, dp = profile.b_plus, profile.delta_plus
-    bm, dm = profile.b_minus, profile.delta_minus
-    c = profile.c
-    rp = p_eigen(bp, dp, 0.0)
-    rm = p_eigen(bm, dm, 0.0)
-    lam1p = rp.lambda1.real
-    lam2m = rm.lambda2.real
-    v1p = np.array([1.0, rp.f1])
-    v2m = np.array([1.0, 1.0 / rm.f1])
-    v0 = np.array([1.0, (bp + dp) * rp.f1 / c])
-    g7 = c / (bm + dm)
-
-    rate2 = max(lam1p, 1.0 / lam2m)  # contraction per two cells
-    # number of pairs until the envelope falls below 1e-16 of the maximum
-    M = min(_MAX_HALF_SUPPORT // 2, max(6, math.ceil(37.0 / -math.log(rate2))))
-
-    A = [np.real(m) for m in a_matrices(bp, dp, 0.0)]
-    Am = [np.real(m) for m in a_matrices(bm, dm, 0.0)]
-    a1t = np.real(boundary_a1(bp, c, 0.0))
-    a6t = np.real(boundary_a6(bm, c))
-    plus_even = -np.linalg.solve(A[1], A[0])        # (u4,u6-) -> (u6,u5), same cell
-    plus_odd = -np.linalg.solve(A[4], A[5])         # (u4,u6) at 2m+2 -> (u5,u4) at 2m+1
-    plus_bnd = -np.linalg.solve(A[1], a1t)
-    minus_odd = -np.linalg.solve(Am[4], Am[5])
-    minus_even = -np.linalg.solve(Am[2], Am[3])
-    minus_bnd = -np.linalg.solve(Am[4], a6t)
-
-    # pair[M + m] = (u4, u6) of the cell pair (2m, 2m - 1)
-    pair = np.empty((2 * M + 1, 2))
-    pair[M] = v0
-    for m in range(1, M + 1):
-        pair[M + m] = lam1p**m * v1p
-        pair[M - m] = g7 * lam2m**-m * v2m
-
-    # row n + 2M is cell n; columns 3, 4, 5 are u4, u5, u6 and sublattice A
-    # stays zero.  u6 of cell -2M - 1 lies outside the support and is dropped.
-    o = 2 * M
-    cells = np.zeros((4 * M + 1, 6))
-    cells[0::2, 3] = pair[:, 0]
-    cells[1::2, 5] = pair[1:, 1]
-
-    cells[o, [5, 4]] = plus_bnd @ v0
-    for m in range(1, M + 1):
-        cells[o + 2 * m, [5, 4]] = plus_even @ pair[M + m]
-    for m in range(0, M):
-        cells[o + 2 * m + 1, [4, 3]] = plus_odd @ pair[M + m + 1]
-
-    cells[o - 1, [4, 3]] = minus_bnd @ v0
-    for m in range(-1, -M, -1):
-        cells[o + 2 * m - 1, [4, 3]] = minus_odd @ pair[M + m]
-    for m in range(0, -M, -1):
-        cells[o + 2 * m - 2, [5, 4]] = minus_even @ cells[o + 2 * m - 1, [4, 3]]
-
-    cells = cells.astype(complex)
-    mode_a = _finalize(InterfaceKind.TYPE_I, profile, "A", -o, cells, rate2)
-    t_image = cells[:, [3, 4, 5, 0, 1, 2]]
-    mode_b = _finalize(InterfaceKind.TYPE_I, profile, "B", -o, t_image, rate2)
-    return mode_a, mode_b
+    bp, bm, dp, dm, c = astuple(profile)
+    rp, rm = p_eigen(bp, dp, 0.0), p_eigen(bm, dm, 0.0)
+    # each half reaches 2M >= _half_support cells past its cell 0
+    Mp, Mm = (-(-_half_support(math.sqrt(r.lambda1.real)) // 2) for r in (rp, rm))
+    # the inversion (n, j) -> (-1 - n, j') with 1 <-> 3, 4 <-> 6 and 2, 5 fixed
+    # maps the chain at k = 0 onto the one with the materials swapped, so the
+    # n <= -1 half is the other material's n >= 0 half.  Its u4(0) = 1 becomes
+    # u6(-1), scaled to this side's; at c = c* its u6(-1) becomes u4(0) = 1.
+    lower = _type1_half(bm, dm, c, Mm)[::-1, [2, 1, 0, 5, 4, 3]] * ((bp + dp) * rp.f1 / c)
+    cells = np.concatenate([lower, _type1_half(bp, dp, c, Mp)]).astype(complex)
+    rate2 = max(rp.lambda1.real, rm.lambda1.real)
+    return tuple(_finalize(InterfaceKind.TYPE_I, profile, label, -len(lower), v, rate2)
+                 for label, v in (("A", cells), ("B", cells[:, [3, 4, 5, 0, 1, 2]])))
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +353,8 @@ def type2_zero_exists(profile: HoppingProfile) -> bool:
     (delta_plus * delta_minus < 0); verified constructively when true."""
     if profile.delta_plus == 0.0 or profile.delta_minus == 0.0:
         raise DegenerateGapless("existence dichotomy requires nonzero detunings")
-    if profile.delta_plus * profile.delta_minus >= 0:
+    # compare signs: the product of two tiny detunings underflows to -0.0
+    if (profile.delta_plus > 0) == (profile.delta_minus > 0):
         return False
     build_type2_zero_modes(profile)  # raises NotAZeroMode on residual failure
     return True
@@ -430,7 +409,7 @@ def build_type2_zero_modes(profile: HoppingProfile) -> tuple[ZeroMode, ZeroMode]
     dp, dm = profile.delta_plus, profile.delta_minus
     if dp == 0.0 or dm == 0.0:
         raise DegenerateGapless("zero detuning closes the bulk gap")
-    if dp * dm > 0:
+    if (dp > 0) == (dm > 0):
         raise NotAZeroMode("no type-II zero modes between topologically identical materials")
     if dp < 0:
         # the inversion (n, j) -> (-1 - n, 7 - j) maps this chain onto the one

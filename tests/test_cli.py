@@ -388,3 +388,76 @@ def test_readme_command_lines_parse(argv):
     for key, value in vars(args).items():
         if key in cfg and value is not None:
             assert cfg[key] == value
+
+
+@pytest.mark.parametrize("delta_minus", ["-2", "-1"])
+def test_exist_type2_slowly_decaying_pair(tmp_path, delta_minus):
+    # supports of 260 and 2214 cells a side
+    out = tmp_path / "o"
+    assert run(["exist", "--kind", "type2", "--delta-plus", "30", f"--delta-minus={delta_minus}",
+                "--out", str(out)]) == 0
+    assert json.loads((out / "exist.json").read_text())["exists"] is True
+
+
+def test_exist_type2_support_beyond_the_limit_is_a_domain_failure(tmp_path, capsys):
+    out = tmp_path / "o"
+    start = time.perf_counter()
+    assert run(["exist", "--kind", "type2", "--delta-plus", "30", "--delta-minus=-1e-3",
+                "--out", str(out)]) == 3
+    assert time.perf_counter() - start < 5.0  # refused before anything is built
+    err = capsys.readouterr().err
+    assert err.startswith("domain failure:") and "2219982 cells" in err and "20000" in err
+    assert not (out / "exist.json").exists()
+
+
+@pytest.mark.parametrize("size", ["1e-200", "1e-15"])
+def test_exist_type2_tiny_opposite_detunings(tmp_path, capsys, size):
+    # the product of the two detunings underflows to -0.0 at 1e-200; the
+    # signs still say the materials are distinct
+    out = tmp_path / "o"
+    assert run(["exist", "--kind", "type2", "--delta-plus", size, f"--delta-minus=-{size}",
+                "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("domain failure:")
+    assert run(["exist", "--kind", "type2", "--delta-plus", size, "--delta-minus", size,
+                "--out", str(out)]) == 0
+    assert json.loads((out / "exist.json").read_text())["exists"] is False
+
+
+_FUZZ_FLAGS = {
+    "exist": ("b-plus", "b-minus", "delta-plus", "delta-minus", "c", "c-test", "k"),
+    "match-c": ("b-plus", "b-minus", "delta-plus", "delta-minus", "c"),
+    "bulk": ("b", "eps"),
+}
+_FUZZ_FIXED = {"exist": (), "match-c": ("--n-cells=24",), "bulk": ("--path-points=12",)}
+_FUZZ_EDGES = (0.0, 1e-15, -1e-15, 1e-300, -1e-300, 1e300, -1e300)
+
+
+def _strict_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+def test_cli_fuzz_exits_with_documented_codes(tmp_path, capsys):
+    # every flag as --flag=value, or argparse reads -1e-300 as an option
+    rng = np.random.default_rng(2026)
+    for i in range(300):
+        command = str(rng.choice(list(_FUZZ_FLAGS)))
+        argv = [command, *_FUZZ_FIXED[command], f"--out={tmp_path / str(i)}"]
+        if command == "exist":
+            argv.append(f"--kind={rng.choice(['type1', 'type2'])}")
+        for flag in _FUZZ_FLAGS[command]:
+            if rng.random() < 0.5:  # an omitted flag keeps its valid default
+                continue
+            if rng.random() < 0.2:
+                value = float(rng.choice(_FUZZ_EDGES))
+            else:
+                value = float(rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-4.0, 4.0))
+            argv.append(f"--{flag}={value!r}")
+        try:
+            code = run(argv)
+        except Exception as exc:  # any exception escaping main is the failure
+            pytest.fail(f"{argv} raised {exc!r}")
+        assert code in (0, 2, 3), argv
+        if code == 0:
+            for path in (tmp_path / str(i)).glob("*.json"):
+                json.loads(path.read_text(), parse_constant=_strict_constant)
+        capsys.readouterr()

@@ -179,6 +179,28 @@ def test_inversion_swaps_the_materials(kind):
     assert np.array_equal(chain_operator(kind, profile, -N, N, 0.37).toarray(), np.conj(image(0.37)))
 
 
+def test_type1_mirror_swaps_the_materials():
+    # (n, j) -> (-1 - n, j') with 1 <-> 3, 4 <-> 6 and 2, 5 fixed keeps each
+    # sublattice and maps the type-I chain onto the one with the two materials
+    # swapped: exactly at k = 0, and up to the cell phase exp(-ikn) at k != 0
+    profile = HoppingProfile(47, 71, -20, 33, 52)
+    swapped = HoppingProfile(71, 47, 33, -20, 52)
+    N = 9
+    site = (6 * np.arange(2 * N + 1)[::-1, None] + [2, 1, 0, 5, 4, 3]).ravel()
+
+    def pair(k):
+        image = chain_operator(InterfaceKind.TYPE_I, swapped, -N - 1, N - 1, k).toarray()
+        return chain_operator(InterfaceKind.TYPE_I, profile, -N, N, k).toarray(), image[np.ix_(site, site)]
+
+    H, image = pair(0.0)
+    assert np.array_equal(H, image)
+    k = 0.37
+    H, image = pair(k)
+    phase = np.repeat(np.exp(-1j * k * np.arange(-N, N + 1)), 6)
+    assert np.abs(H - phase[:, None] * image * phase.conj()).max() < 1e-13 * np.abs(H).max()
+    assert np.abs(H - image).max() > 1.0  # the phase is needed
+
+
 @pytest.mark.parametrize("build,first_order", [(bloch_h1, h1_first_order),
                                                (bloch_h2, h2_first_order)])
 def test_first_order_is_k_derivative(build, first_order):

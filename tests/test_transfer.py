@@ -251,6 +251,66 @@ def test_build_type1_rejects_untuned_coupling():
         build_type1_zero_modes(HoppingProfile(60, 60, 30, -30, 50.0))
 
 
+def test_type1_modes_of_random_profiles():
+    # b and |delta| unequal across the interface and all four sign pairings,
+    # so that a lower half built from the wrong material, without the
+    # sublattice reversal or without the scale cannot pass
+    rng = np.random.default_rng(17)
+    N = 60
+    for signs in [(1, 1), (1, -1), (-1, 1), (-1, -1)] * 2:
+        bp, bm = rng.uniform(20.0, 50.0), rng.uniform(60.0, 90.0)
+        rp, rm = rng.uniform(0.25, 0.45), rng.uniform(0.55, 0.8)
+        if rng.random() < 0.5:
+            (bp, rp), (bm, rm) = (bm, rm), (bp, rp)
+        profile = HoppingProfile(bp, bm, signs[0] * rp * bp, signs[1] * rm * bm, 1.0)
+        profile = profile.with_c(matching_c_star(profile))
+        mode_a, mode_b = build_type1_zero_modes(profile)
+        H = bloch_h1(profile, 0.0, N).matrix
+        for mode in (mode_a, mode_b):
+            v = mode.as_vector(N)
+            assert np.linalg.norm((H @ v)[6 * 3:-6 * 3]) / np.linalg.norm(v) < 1e-10
+            peak = max(np.linalg.norm(row) for row in mode.amplitudes.values())
+            for n, row in mode.amplitudes.items():
+                assert np.linalg.norm(row) <= 4.0 * peak * mode.decay_rate ** (abs(n) / 2.0)
+        assert np.abs(mode_a.cells[:, :3]).max() == 0
+        assert np.abs(mode_b.cells[:, 3:]).max() == 0
+        u = {n: row.real for n, row in mode_a.amplitudes.items()}
+        for n in sorted(u)[:-1]:
+            if min(abs(u[n][5]), abs(u[n + 1][3])) > 1e-10 * peak:
+                assert u[n][5] * u[n + 1][3] < 0
+        # cell -1 from the interface rows: A_5 (u5, u4)(-1) + A~_6 (u4(0), u6(-1)) = 0
+        A5 = np.real(a_matrices(bm, profile.delta_minus, 0.0)[4])
+        expect = -np.linalg.solve(A5, np.real(boundary_a6(bm, profile.c))) @ [u[0][3], u[-1][5]]
+        assert np.abs(u[-1][[4, 3]] - expect).max() < 1e-12 * np.abs(expect).max()
+
+
+def test_type1_slow_decay_is_built_or_refused_whole():
+    # (60, 60, 1, -1) needs about 1290 cells a side, (60, 60, 0.01, -0.01) more
+    # than the 20,000-cell limit
+    profile = HoppingProfile(60, 60, 1.0, -1.0, 1.0)
+    for mode in build_type1_zero_modes(profile.with_c(matching_c_star(profile))):
+        assert mode.residual < 1e-10
+        assert mode.support()[0] < -1000 and mode.support()[1] > 1000
+    profile = HoppingProfile(60, 60, 0.01, -0.01, 1.0)
+    with pytest.raises(NotAZeroMode, match="128179 cells"):
+        build_type1_zero_modes(profile.with_c(matching_c_star(profile)))
+
+
+def test_p_eigen_small_root_against_inverse_product():
+    # lambda1 = 1 / (largest eigenvalue of P^-1), with P^-1 = -A1^-1 A2 A3^-1 A4 A5^-1 A6
+    # from the explicit matrices; the root formula alone loses digits here
+    for eps in (-5.0, -9.0, -9.9, -9.99, 30.0):
+        A1, A2, A3, A4, A5, A6 = a_matrices(10.0, eps, 0.0)
+        Pinv = -np.linalg.solve(A1, A2 @ np.linalg.solve(A3, A4 @ np.linalg.solve(A5, A6)))
+        oracle = 1.0 / max(np.linalg.eigvals(Pinv), key=abs)
+        assert abs(p_eigen(10.0, eps, 0.0).lambda1 - oracle) < 1e-14 * abs(oracle)
+    # the quadratic's smaller root is off by 2e-7 relative at eps = -9.9,
+    # enough to leave this mode a kernel residual of 7e-9
+    profile = HoppingProfile(10, 20, -9.9, 5, 1.0)
+    for mode in build_type1_zero_modes(profile.with_c(matching_c_star(profile))):
+        assert mode.residual < 1e-13
+
+
 # ---------------------------------------------------------------------------
 # Q machinery and type-II zero modes
 # ---------------------------------------------------------------------------
