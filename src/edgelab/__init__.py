@@ -20,12 +20,11 @@ from .errors import (
     NotConical,
     StepTooLarge,
 )
-from .hamiltonian import BlochOperator, CoefficientRow, HoppingProfile
+from .hamiltonian import BlochOperator, HoppingProfile
 from .lattice import InterfaceKind, SiteIndex
 
 __all__ = [
     "BlochOperator",
-    "CoefficientRow",
     "ConfigError",
     "DegenerateGapless",
     "EdgelabError",

@@ -4,8 +4,8 @@ Subcommands: spectrum | match-c | exist | evolve | bulk.  Parameters come
 from a flat JSON config file, overridden by command-line flags; ``_SETTINGS``
 declares each one's type, default and commands once.  Every output JSON
 embeds the fully resolved configuration.  Outputs are byte-stable for
-identical configs: fixed eigensolver ordering, fixed sign conventions, no
-timestamps.
+identical configs on one machine, BLAS and thread count: fixed eigensolver
+ordering, fixed sign conventions, no timestamps.
 """
 
 from __future__ import annotations
@@ -139,6 +139,8 @@ def _kind(cfg: dict) -> InterfaceKind:
 
 
 def _out_dir(cfg: dict) -> Path:
+    """The output directory; each command calls this only once its results
+    are computed, so a command that fails leaves no directory behind."""
     out = Path(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -154,13 +156,13 @@ def cmd_spectrum(cfg: dict) -> int:
     kind, profile = _kind(cfg), _profile(cfg)
     if cfg["k_points"] < 1:
         raise ConfigError("k_points must be at least 1")
-    out = _out_dir(cfg)
     # inclusive grid, made bitwise antisymmetric so that every k pairs with
     # its mirror -k (one solve per pair); odd counts place a point at k = 0
     k_grid = np.linspace(-np.pi, np.pi, cfg["k_points"])
     k_grid = (k_grid - k_grid[::-1]) / 2
     table = supercell_spectrum(kind, profile, None, k_grid, N=cfg["n_cells"],
                                margin=cfg["margin"], threshold=cfg["threshold"])
+    out = _out_dir(cfg)
     write_spectrum_csv(table, out / "spectrum.csv")
     # summary.json stays strict JSON: a value that does not exist is null
     smallest = float(min_abs_kept(table).min())
@@ -188,7 +190,6 @@ def cmd_match_c(cfg: dict) -> int:
     profile = _profile(cfg)
     if profile.delta_plus == 0.0 or profile.delta_minus == 0.0:
         raise ConfigError("matching requires nonzero delta on both sides")
-    out = _out_dir(cfg)
     c_star = matching_c_star(profile)
     tuned = profile.with_c(c_star)
     table = supercell_spectrum(InterfaceKind.TYPE_I, tuned, None, [0.0], N=cfg["n_cells"])
@@ -197,7 +198,7 @@ def cmd_match_c(cfg: dict) -> int:
         raise NoMidGapState("no kept eigenvalue at k = 0")
     f1p = p_eigen(profile.b_plus, profile.delta_plus, 0.0).f1
     f1m = p_eigen(profile.b_minus, profile.delta_minus, 0.0).f1
-    _dump_json(out / "match_c.json", {
+    _dump_json(_out_dir(cfg) / "match_c.json", {
         "c_star": c_star,
         "f1_plus": f1p,
         "f1_minus": f1m,
@@ -210,14 +211,13 @@ def cmd_match_c(cfg: dict) -> int:
 
 def cmd_exist(cfg: dict) -> int:
     kind, profile = _kind(cfg), _profile(cfg)
-    out = _out_dir(cfg)
     if kind is InterfaceKind.TYPE_I:
         c_test = cfg["c_test"] if cfg["c_test"] is not None else profile.c
         exists = type1_zero_exists(profile, c_test, cfg["k"])
     else:
         c_test = profile.c
         exists = type2_zero_exists(profile)
-    _dump_json(out / "exist.json", {
+    _dump_json(_out_dir(cfg) / "exist.json", {
         "exists": bool(exists),
         "kind": kind.value,
         "k": cfg["k"],
@@ -254,9 +254,9 @@ def cmd_bulk(cfg: dict) -> int:
     b, eps = cfg["b"], cfg["eps"]
     if b <= 0 or b + eps <= 0:
         raise ConfigError("need b > 0 and b + eps > 0")
-    out = _out_dir(cfg)
     path = default_k_path(cfg["path_points"])
     bands = bulk_bands(b, eps, path, check_gap=True)
+    out = _out_dir(cfg)
     write_bands_csv(bands, out / "bands.csv")
     payload = {
         "gamma_eigenvalues": [float(x) for x in gamma_eigs(b, eps)],

@@ -21,9 +21,12 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 from .errors import StepTooLarge
 from .hamiltonian import HoppingProfile, bond_weights
@@ -132,6 +135,8 @@ class Domain:
 def build_domain(spec: DomainSpec) -> Domain:
     """Enumerate sites, assemble the sparse real-symmetric Hamiltonian, and
     precompute interface geometry used by the diagnostics."""
+    import scipy.sparse as sp  # only the 2D domain pays for sparse storage
+
     Ma, Mb = spec.extent
     if Ma < 20 or Mb < 20:
         raise ValueError("domain extents must be at least 20x20 cells")

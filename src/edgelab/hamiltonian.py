@@ -6,9 +6,9 @@ cell.  The chain is truncated to n in [-N, N] with open ends; couplings that
 would leave the window are dropped.
 
 Every operator comes from one place: the frame bond list of
-:func:`edgelab.lattice.frame_bonds`, weighted by :func:`bond_weights` and
-assembled by :func:`chain_operator` into H(k), dH/dk or the matrix-free
-products on finitely supported amplitude maps.
+:func:`edgelab.lattice.frame_bonds`, weighted by :func:`bond_weights`.  It is
+assembled densely by :func:`chain_operator` into H(k) or dH/dk, and applied
+matrix-free to (cells, 6) amplitude arrays by :func:`chain_apply`.
 """
 
 from __future__ import annotations
@@ -17,18 +17,14 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
 
 from .lattice import InterfaceKind, frame_bonds, material_sign
 
 __all__ = [
     "HoppingProfile",
-    "CoefficientRow",
     "BlochOperator",
     "bond_weights",
     "chain_operator",
-    "coeffs_type1",
-    "coeffs_type2",
     "bloch_h1",
     "bloch_h2",
     "h1_first_order",
@@ -74,52 +70,6 @@ class HoppingProfile:
 
 
 @dataclass(frozen=True)
-class CoefficientRow:
-    """The four bond weights (a_n, b_n, c_n, d_n) entering cell row n."""
-
-    a: float
-    b: float
-    c: float
-    d: float
-
-
-def _a_type1(p: HoppingProfile, n: int) -> float:
-    if n >= 1:
-        return p.b_plus + p.delta_plus
-    if n == 0:
-        return p.c
-    return p.b_minus + p.delta_minus
-
-
-def coeffs_type1(profile: HoppingProfile, n: int) -> CoefficientRow:
-    """Type-I coefficient row; the c-column satisfies c_n = a_{n+1}."""
-    b = profile.b_plus if n >= 0 else profile.b_minus
-    d = profile.b_plus + profile.delta_plus if n >= 0 else profile.b_minus + profile.delta_minus
-    return CoefficientRow(a=_a_type1(profile, n), b=b, c=_a_type1(profile, n + 1), d=d)
-
-
-def _a_type2(p: HoppingProfile, n: int) -> float:
-    if n >= 0:
-        return p.b_plus + p.delta_plus
-    if n == -1:
-        return p.c
-    return p.b_minus + p.delta_minus
-
-
-def coeffs_type2(profile: HoppingProfile, n: int) -> CoefficientRow:
-    """Type-II coefficient row; here c_n = a_n and the d-column has two
-    interface rows (n = -1, -2)."""
-    b = profile.b_plus if n >= 0 else profile.b_minus
-    if n >= 0:
-        d = profile.b_plus + profile.delta_plus
-    elif n in (-1, -2):
-        d = profile.c
-    else:
-        d = profile.b_minus + profile.delta_minus
-    return CoefficientRow(a=_a_type2(profile, n), b=b, c=_a_type2(profile, n), d=d)
-
-
-@dataclass(frozen=True)
 class BlochOperator:
     """A truncated interface Hamiltonian at fixed quasi-momentum.
 
@@ -151,27 +101,34 @@ def bond_weights(profile: HoppingProfile, intracell, s1, s2) -> np.ndarray:
     return np.where(np.not_equal(s1, s2), profile.c, np.where(intracell, b, b + delta))
 
 
-def chain_operator(kind: InterfaceKind, profile: HoppingProfile, lo: int, hi: int,
-                   k: float = 0.0, derivative: bool = False) -> sp.csr_matrix:
-    """Sparse chain operator on the cells [lo, hi] with open ends.
-
-    Entries are -w exp(i k dm) for H(k), or i dm (-w) for dH/dk at k = 0
-    when ``derivative`` is set; site (n, j) has flat index 6 (n - lo) + j - 1.
-    """
+def _bond_entries(kind: InterfaceKind, profile: HoppingProfile, n: np.ndarray,
+                  k: float, derivative: bool):
+    """Sites j -> j2 (0-based), cell offsets dn and entries of the 18 bonds of
+    each cell in the column ``n``: -w exp(i k dm) for H(k), or i dm (-w) for
+    dH/dk at k = 0 when ``derivative`` is set."""
     j, j2, dm, dn, intracell = frame_bonds(kind).T
-    n = np.arange(lo, hi + 1)[:, None]
-    n2 = n + dn
-    w = bond_weights(profile, intracell, material_sign(kind, 0, n), material_sign(kind, 0, n2))
+    w = bond_weights(profile, intracell, material_sign(kind, 0, n), material_sign(kind, 0, n + dn))
     vals = 1j * dm * -w if derivative else -w * np.exp(1j * k * dm)
-    keep = (n2 >= lo) & (n2 <= hi) & (vals != 0)  # dH/dk vanishes on dm = 0 bonds
-    rows = (6 * (n - lo) + j - 1)[keep]
-    cols = (6 * (n2 - lo) + j2 - 1)[keep]
-    dim = 6 * (hi - lo + 1)
-    return sp.csr_matrix((vals[keep], (rows, cols)), shape=(dim, dim))
+    return j - 1, j2 - 1, dn, vals
+
+
+def chain_operator(kind: InterfaceKind, profile: HoppingProfile, lo: int, hi: int,
+                   k: float = 0.0, derivative: bool = False) -> np.ndarray:
+    """Dense chain operator on the cells [lo, hi] with open ends; site (n, j)
+    has flat index 6 (n - lo) + j - 1.  No two bonds of the frame share a
+    (j, j2, dn), so every entry is one bond's."""
+    n = np.arange(lo, hi + 1)[:, None]
+    j, j2, dn, vals = _bond_entries(kind, profile, n, k, derivative)
+    n2 = n + dn
+    keep = (n2 >= lo) & (n2 <= hi)
+    H = np.zeros((6 * len(n), 6 * len(n)), dtype=complex)
+    # added onto zeros, so a -0.0 real part of i dm (-w) is stored as +0.0
+    H[(6 * (n - lo) + j)[keep], (6 * (n2 - lo) + j2)[keep]] += vals[keep]
+    return H
 
 
 def _bloch(kind: InterfaceKind, profile: HoppingProfile, k: float, N: int) -> BlochOperator:
-    H = chain_operator(kind, profile, -N, N, k).toarray()
+    H = chain_operator(kind, profile, -N, N, k)
     return BlochOperator(kind=kind, profile=profile, k=k, half_width=N, matrix=H)
 
 
@@ -193,14 +150,14 @@ def h1_first_order(profile: HoppingProfile, N: int) -> np.ndarray:
     """dH_I/dk at k = 0 (Hermitian; rows 3 and 4 vanish identically)."""
     if N < 2:
         raise ValueError("need N >= 2")
-    return chain_operator(InterfaceKind.TYPE_I, profile, -N, N, derivative=True).toarray()
+    return chain_operator(InterfaceKind.TYPE_I, profile, -N, N, derivative=True)
 
 
 def h2_first_order(profile: HoppingProfile, N: int) -> np.ndarray:
     """dH_II/dk at k = 0 (Hermitian; rows 3 and 4 vanish identically)."""
     if N < 4:
         raise ValueError("need N >= 4")
-    return chain_operator(InterfaceKind.TYPE_II, profile, -N, N, derivative=True).toarray()
+    return chain_operator(InterfaceKind.TYPE_II, profile, -N, N, derivative=True)
 
 
 # ---------------------------------------------------------------------------
@@ -242,28 +199,28 @@ def apply_R(k: float, state: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Application of H(k) and dH/dk to amplitude maps {n: 6-vector} through the
-# sparse operator on the support's window: the matrix-free products of the
-# public API, checked against the dense operators in the tests.
+# Matrix-free application of H(k) and dH/dk on the infinite chain.
 # ---------------------------------------------------------------------------
 
-def _apply(kind: InterfaceKind, profile: HoppingProfile, amps: dict[int, np.ndarray],
-           k: float, derivative: bool) -> dict[int, np.ndarray]:
-    # bonds reach two cells, so the image lives on the support widened by two
-    lo, hi = min(amps) - 2, max(amps) + 2
-    v = np.zeros((hi - lo + 1, 6), dtype=complex)
-    v[np.fromiter(amps, int) - lo] = list(amps.values())
-    out = (chain_operator(kind, profile, lo, hi, k, derivative) @ v.ravel()).reshape(-1, 6)
-    return {lo + int(i): out[i] for i in np.flatnonzero(out.any(axis=1))}
+def chain_apply(kind: InterfaceKind, profile: HoppingProfile, lo: int, cells: np.ndarray,
+                k: float = 0.0, derivative: bool = False) -> np.ndarray:
+    """Apply the infinite-chain H(k), or dH/dk at k = 0 when ``derivative`` is
+    set, to the amplitudes ``cells[i]`` of cell lo + i (zero elsewhere).
+
+    Bonds reach two cells, so the image is the (len(cells) + 4, 6) array of
+    the cells [lo - 2, lo + len(cells) + 1].
+    """
+    out = np.zeros((len(cells) + 4, 6), dtype=complex)
+    j, j2, dn, vals = _bond_entries(kind, profile, np.arange(lo - 2, lo + len(out) - 2)[:, None],
+                                    k, derivative)
+    # image row i is cell lo - 2 + i; cell lo - 2 + i + dn is source row i + 2 + dn
+    src = np.pad(cells, ((4, 4), (0, 0)))
+    for b in range(len(j)):
+        out[:, j[b]] += vals[:, b] * src[2 + dn[b]:2 + dn[b] + len(out), j2[b]]
+    return out
 
 
-def chain_apply(kind: InterfaceKind, profile: HoppingProfile, k: float,
-                amps: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
-    """Apply the infinite-chain H(k) to a finitely supported amplitude map."""
-    return _apply(kind, profile, amps, k, derivative=False)
-
-
-def chain_apply_first_order(kind: InterfaceKind, profile: HoppingProfile,
-                            amps: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
-    """Apply dH/dk (at k = 0) to a finitely supported amplitude map."""
-    return _apply(kind, profile, amps, 0.0, derivative=True)
+def chain_apply_first_order(kind: InterfaceKind, profile: HoppingProfile, lo: int,
+                            cells: np.ndarray) -> np.ndarray:
+    """:func:`chain_apply` with dH/dk at k = 0."""
+    return chain_apply(kind, profile, lo, cells, derivative=True)

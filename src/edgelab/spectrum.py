@@ -25,14 +25,12 @@ extracted from the zero modes.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import NoMidGapState, NotAZeroMode
-from .hamiltonian import HoppingProfile, chain_operator
+from .hamiltonian import HoppingProfile, chain_apply_first_order, chain_operator
 from .lattice import InterfaceKind
 from .transfer import ZeroMode, build_type1_zero_modes, build_type2_zero_modes
 
@@ -46,7 +44,6 @@ __all__ = [
     "perturbation_m0",
     "perturbation_matrix",
     "write_spectrum_csv",
-    "write_slope_json",
 ]
 
 # Extended chain states carry a few percent of their mass in the margin
@@ -90,16 +87,20 @@ def _chiral_block(kind, profile, k, N):
     at k = 0 and, for type II, at every k in the basis of _R_CELL.  That
     basis change acts within cells, so margin masses and cluster Gram
     matrices are the same in either basis."""
-    sites = np.arange(6 * (2 * N + 1)).reshape(-1, 6)
-    H = chain_operator(kind, profile, -N, N, k)
-    C = H[sites[:, :3].ravel()][:, sites[:, 3:].ravel()]
+    n = 2 * N + 1
+    # block (m, m2) couples sites 1-3 of cell m to sites 4-6 of cell m2
+    blocks = chain_operator(kind, profile, -N, N, k).reshape(n, 6, n, 6)[:, :3, :, 3:]
     if kind is InterfaceKind.TYPE_II:
-        U = sp.kron(sp.diags(np.exp(0.5j * k * np.arange(-N, N + 1))), _R_CELL)
-        C = U.conj().T @ C @ U
-    elif k != 0:
-        return C.toarray()
-    # the discarded imaginary part is rounding, about 1e-14 of max|C|
-    return C.real.toarray()
+        # U = diag(e^{ink/2}) (x) _R_CELL, and C couples cells at most two
+        # apart: U^H C U has block (m, m + d) = e^{ikd/2} R^H C_{m, m+d} R
+        C = np.zeros((n, 3, n, 3), dtype=complex)
+        for d in range(-2, 3):
+            m = np.arange(max(0, -d), min(n, n - d))
+            C[m, :, m + d] = np.exp(0.5j * k * d) * (_R_CELL.conj().T @ blocks[m, :, m + d] @ _R_CELL)
+        # the discarded imaginary part is rounding, about 1e-14 of max|C|
+        return C.reshape(3 * n, 3 * n).real
+    C = blocks.reshape(3 * n, 3 * n)
+    return C.real if k == 0 else C
 
 
 def _solve_one(kind, profile, k, N, margin):
@@ -221,11 +222,13 @@ def perturbation_m0(kind: InterfaceKind, profile: HoppingProfile,
     if modes is None:
         build = build_type1_zero_modes if kind is InterfaceKind.TYPE_I else build_type2_zero_modes
         modes = build(profile)
-    # the window [-L, L] holds both supports, so cutting dH/dk to it drops
-    # no term of either inner product
+    # the window [-L, L] holds both supports, so the image rows of [-L, L]
+    # carry every term of either inner product
     L = max(max(map(abs, mode.support())) for mode in modes)
     V = np.stack([mode.as_vector(L) for mode in modes], axis=1)
-    return V.conj().T @ (chain_operator(kind, profile, -L, L, derivative=True) @ V)
+    W = np.stack([chain_apply_first_order(kind, profile, -L, v.reshape(-1, 6))[2:-2].ravel()
+                  for v in V.T], axis=1)
+    return V.conj().T @ W
 
 
 def _min_abs_kept_at(kind, profile, k, N, margin, threshold) -> float:
@@ -256,7 +259,7 @@ def perturbation_matrix(kind: InterfaceKind, profile: HoppingProfile,
 
 
 # ---------------------------------------------------------------------------
-# output writers
+# output writer
 # ---------------------------------------------------------------------------
 
 def write_spectrum_csv(table: SpectrumTable, path) -> None:
@@ -272,19 +275,3 @@ def write_spectrum_csv(table: SpectrumTable, path) -> None:
                     f"{table.localization[i, j]:.17g}",
                     int(table.kept[i, j]),
                 ])
-
-
-def write_slope_json(report: SlopeReport, path) -> None:
-    """Flat JSON object; the complex m0 entries appear as re/im pairs."""
-    payload = {
-        "m0_00_re": report.m0[0, 0].real, "m0_00_im": report.m0[0, 0].imag,
-        "m0_01_re": report.m0[0, 1].real, "m0_01_im": report.m0[0, 1].imag,
-        "m0_10_re": report.m0[1, 0].real, "m0_10_im": report.m0[1, 0].imag,
-        "m0_11_re": report.m0[1, 1].real, "m0_11_im": report.m0[1, 1].imag,
-        "slope": report.slope,
-        "fd_slope": report.fd_slope,
-        "rel_gap": report.rel_gap,
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")

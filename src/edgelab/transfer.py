@@ -22,7 +22,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import DegenerateGapless, NotAZeroMode
-from .hamiltonian import HoppingProfile, chain_operator, coeffs_type2
+from .hamiltonian import HoppingProfile, chain_apply
 from .lattice import InterfaceKind
 
 __all__ = [
@@ -226,9 +226,7 @@ def _half_support(rate_per_cell: float) -> int:
 
 
 def _residual(kind: InterfaceKind, profile: HoppingProfile, lo: int, cells: np.ndarray) -> float:
-    # bonds reach two cells, so the image lives on the support widened by two
-    wide = np.pad(cells, ((2, 2), (0, 0)))
-    image = chain_operator(kind, profile, lo - 2, lo + len(cells) + 1) @ wide.ravel()
+    image = chain_apply(kind, profile, lo, cells)
     return float(np.linalg.norm(image) / np.linalg.norm(cells))
 
 
@@ -363,16 +361,13 @@ def type2_zero_exists(profile: HoppingProfile) -> bool:
 # The sequences below live on n in [-M, M] and are stored at index n + M.
 
 def _geometric_sublattice_a(profile: HoppingProfile, M: int) -> np.ndarray:
-    # x_{n+1} = (b_n / c_n) x_n solves rows 1..3 with pattern (0,0,0,x,0,-x)
-    x = np.empty(2 * M + 1)
-    x[M] = 1.0
-    for n in range(0, M):
-        r = coeffs_type2(profile, n)
-        x[M + n + 1] = (r.b / r.c) * x[M + n]
-    for n in range(0, -M, -1):
-        r = coeffs_type2(profile, n - 1)
-        x[M + n - 1] = (r.c / r.b) * x[M + n]
-    return x
+    # x_{n+1} = (b_n / c_n) x_n solves rows 1..3 with pattern (0,0,0,x,0,-x):
+    # x_n = (b+ / (b+ + delta+))^n for n >= 0, and x_{-1} = c / b- followed by
+    # powers of (b- + delta-) / b- below, each filled as a running product
+    bp, bm, dp, dm, c = astuple(profile)
+    up = np.cumprod(np.full(M, bp / (bp + dp)))
+    down = np.cumprod(np.r_[c / bm, np.full(M - 1, (bm + dm) / bm)])
+    return np.concatenate([down[::-1], [1.0], up])
 
 
 def _xi_mode(profile: HoppingProfile, qp: QMatrixReport, qm: QMatrixReport,
@@ -381,19 +376,17 @@ def _xi_mode(profile: HoppingProfile, qp: QMatrixReport, qm: QMatrixReport,
     seed on qp's decaying eigenvector (the + side), cross the interface
     through Q_B,0 and Q_B,-1, then solve for the weights on qm's eigenvectors."""
     _, _, qb0, qbm1 = (np.real(m) for m in q_boundary_matrices(profile, 0.0))
-    xi = np.empty((2 * M + 1, 3))
-    xi[M + 1] = qp.v2
-    for n in range(1, M):
-        xi[M + n + 1] = qp.mu2 * xi[M + n]
-    xi[M] = np.linalg.solve(qb0, xi[M + 1])
-    xi[M - 1] = np.linalg.solve(qbm1, xi[M])
-    seed = xi[M - 1]
+    # xi_n = mu2^(n - 1) v2 for n >= 1, filled as a running product
+    upper = np.cumprod(np.vstack([qp.v2, np.full((M - 1, 3), qp.mu2)]), axis=0)
+    xi0 = np.linalg.solve(qb0, upper[0])
+    seed = np.linalg.solve(qbm1, xi0)
     if abs(seed[0] - seed[1]) > 1e-9 * np.max(np.abs(seed)):
         raise NotAZeroMode("minus-side seed lost its reality structure")
     h5, h6 = np.linalg.solve(np.array([[qm.t1, qm.t2], [1.0, 1.0]]),
                              np.array([seed[0], seed[2]]))
-    for n in range(-2, -M - 1, -1):
-        xi[M + n] = h5 * qm.mu1 ** (n + 1) * qm.v1 + h6 * qm.mu2 ** (n + 1) * qm.v2
+    n = np.arange(-M, -1)[:, None]
+    lower = h5 * qm.mu1 ** (n + 1) * qm.v1 + h6 * qm.mu2 ** (n + 1) * qm.v2
+    xi = np.concatenate([lower, [seed, xi0], upper])
     return xi[:, 0] - xi[:, 2], xi[:, 2]
 
 

@@ -1,5 +1,7 @@
 import json
 import shlex
+import subprocess
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -421,6 +423,37 @@ def test_exist_type2_tiny_opposite_detunings(tmp_path, capsys, size):
     assert run(["exist", "--kind", "type2", "--delta-plus", size, "--delta-minus", size,
                 "--out", str(out)]) == 0
     assert json.loads((out / "exist.json").read_text())["exists"] is False
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["spectrum", "--kind", "type2", "--delta-plus", "30", "--delta-minus=-30", "--n-cells", "10"], 2),
+    (["match-c", "--delta-plus", "30", "--delta-minus=-30", "--n-cells", "10"], 2),
+    (["exist", "--kind", "type2", "--delta-plus", "30", "--delta-minus=-1e-3"], 3),
+])
+def test_failed_command_leaves_no_output_directory(tmp_path, capsys, argv, code):
+    out = tmp_path / "o"
+    assert run([*argv, "--out", str(out)]) == code
+    assert not out.exists()
+
+
+def test_commands_without_a_2d_domain_never_load_scipy(tmp_path):
+    # only evolve's domain needs scipy.sparse; a fresh interpreter shows what
+    # importing the CLI and running the other commands pulls in
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = "\n".join([
+        "import sys",
+        f"sys.path.insert(0, {str(src)!r})",
+        "import edgelab.cli as cli",
+        "assert cli.main(['exist', '--kind', 'type2', '--out', 'e']) == 0",
+        "assert cli.main(['bulk', '--out', 'b']) == 0",
+        "assert cli.main(['match-c', '--n-cells', '24', '--out', 'm']) == 0",
+        "assert cli.main(['spectrum', '--n-cells', '24', '--k-points', '3', '--out', 's']) == 0",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+    ])
+    result = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
 
 
 _FUZZ_FLAGS = {

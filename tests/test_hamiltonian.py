@@ -11,12 +11,12 @@ from edgelab.hamiltonian import (
     chain_apply,
     chain_apply_first_order,
     chain_operator,
-    coeffs_type1,
-    coeffs_type2,
     h1_first_order,
     h2_first_order,
 )
 from edgelab.lattice import InterfaceKind
+
+from coefficient_rows import coeffs_type1, coeffs_type2
 
 MIXED = HoppingProfile(60, 60, 30, -30, 50.0)
 SAME = HoppingProfile(60, 60, 30, 30, 50.0)
@@ -173,10 +173,10 @@ def test_inversion_swaps_the_materials(kind):
     N = 9
 
     def image(k):
-        return chain_operator(kind, swapped, -N - 1, N - 1, k).toarray()[::-1, ::-1]
+        return chain_operator(kind, swapped, -N - 1, N - 1, k)[::-1, ::-1]
 
-    assert np.array_equal(chain_operator(kind, profile, -N, N, 0.0).toarray(), image(0.0))
-    assert np.array_equal(chain_operator(kind, profile, -N, N, 0.37).toarray(), np.conj(image(0.37)))
+    assert np.array_equal(chain_operator(kind, profile, -N, N, 0.0), image(0.0))
+    assert np.array_equal(chain_operator(kind, profile, -N, N, 0.37), np.conj(image(0.37)))
 
 
 def test_type1_mirror_swaps_the_materials():
@@ -189,8 +189,8 @@ def test_type1_mirror_swaps_the_materials():
     site = (6 * np.arange(2 * N + 1)[::-1, None] + [2, 1, 0, 5, 4, 3]).ravel()
 
     def pair(k):
-        image = chain_operator(InterfaceKind.TYPE_I, swapped, -N - 1, N - 1, k).toarray()
-        return chain_operator(InterfaceKind.TYPE_I, profile, -N, N, k).toarray(), image[np.ix_(site, site)]
+        image = chain_operator(InterfaceKind.TYPE_I, swapped, -N - 1, N - 1, k)
+        return chain_operator(InterfaceKind.TYPE_I, profile, -N, N, k), image[np.ix_(site, site)]
 
     H, image = pair(0.0)
     assert np.array_equal(H, image)
@@ -235,33 +235,32 @@ def test_h2_first_order_row5_entry():
         assert H1[i5, j2] == 1j * row.d
 
 
-def _dense(amps, N):
-    v = np.zeros(6 * (2 * N + 1), dtype=complex)
-    for n, a in amps.items():
-        v[(n + N) * 6:(n + N) * 6 + 6] = a
-    return v
-
-
 @pytest.mark.parametrize("kind,build,first_order", [
     (InterfaceKind.TYPE_I, bloch_h1, h1_first_order),
     (InterfaceKind.TYPE_II, bloch_h2, h2_first_order),
 ])
 @pytest.mark.parametrize("k", [0.0, 0.7])
 def test_chain_apply_matches_dense_operator(kind, build, first_order, k):
-    # matrix-free products on a gappy support against the dense window
-    # operators; the support and its two-cell bond reach stay inside [-N, N]
-    N = 10
+    # matrix-free products on a gappy support (zero rows at -2, 1, 3, 4)
+    # against the dense window operators; the support and its two-cell bond
+    # reach stay inside [-N, N]
+    N, lo = 10, -3
     rng = np.random.default_rng(23)
-    amps = {n: rng.normal(size=6) + 1j * rng.normal(size=6) for n in (-3, -1, 0, 2, 5)}
-    v = _dense(amps, N)
-    interior = slice(2 * 6, (2 * N - 1) * 6)
+    cells = np.zeros((9, 6), dtype=complex)
+    cells[[n - lo for n in (-3, -1, 0, 2, 5)]] = rng.normal(size=(5, 6)) + 1j * rng.normal(size=(5, 6))
+    v = np.zeros((2 * N + 1, 6), dtype=complex)
+    v[lo + N:lo + N + len(cells)] = cells
+    v = v.ravel()
+    # the image covers cells [lo - 2, lo + len(cells) + 1] = [-5, 7]
+    window = slice((lo - 2 + N) * 6, (lo + len(cells) + 2 + N) * 6)
     scale = 90 * np.abs(v).max()
 
-    image = chain_apply(kind, MIXED, k, amps)
-    assert min(image) >= -5 and max(image) <= 7
+    image = chain_apply(kind, MIXED, lo, cells, k)
+    assert image.shape == (len(cells) + 4, 6)
     expected = build(MIXED, k, N).matrix @ v
-    assert np.abs(_dense(image, N)[interior] - expected[interior]).max() < 1e-13 * scale
+    assert np.abs(image.ravel() - expected[window]).max() < 1e-13 * scale
+    assert not expected[:window.start].any() and not expected[window.stop:].any()
 
-    image1 = chain_apply_first_order(kind, MIXED, amps)
+    image1 = chain_apply_first_order(kind, MIXED, lo, cells)
     expected1 = first_order(MIXED, N) @ v
-    assert np.abs(_dense(image1, N)[interior] - expected1[interior]).max() < 1e-13 * scale
+    assert np.abs(image1.ravel() - expected1[window]).max() < 1e-13 * scale

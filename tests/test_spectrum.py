@@ -1,11 +1,10 @@
 import dataclasses
-import json
 
 import numpy as np
 import pytest
 
 from edgelab.errors import NoMidGapState
-from edgelab.hamiltonian import HoppingProfile, bloch_h1, bloch_h2, coeffs_type1, h1_first_order
+from edgelab.hamiltonian import HoppingProfile, bloch_h1, bloch_h2, h1_first_order
 from edgelab.lattice import InterfaceKind
 from edgelab.spectrum import (
     _chiral_block,
@@ -14,10 +13,11 @@ from edgelab.spectrum import (
     perturbation_m0,
     perturbation_matrix,
     supercell_spectrum,
-    write_slope_json,
     write_spectrum_csv,
 )
 from edgelab.transfer import build_type1_zero_modes, matching_c_star, p_eigen
+
+from coefficient_rows import coeffs_type1
 
 MIXED = HoppingProfile(60, 60, 30, -30, 50.0)
 
@@ -275,13 +275,12 @@ def test_slope_matches_finite_difference(kind, profile):
     assert abs(half.fd_slope - report.slope) <= abs(report.fd_slope - report.slope) + 1e-6 * report.slope
 
 
-def test_threaded_sweep_matches_serial(monkeypatch):
+def test_sweep_rerun_is_bitwise_identical():
     kg = np.linspace(-1.0, 1.0, 5)
-    serial = supercell_spectrum(InterfaceKind.TYPE_II, MIXED, None, kg, N=24)
-    monkeypatch.setenv("EDGELAB_THREADS", "4")
-    threaded = supercell_spectrum(InterfaceKind.TYPE_II, MIXED, None, kg, N=24)
-    assert np.array_equal(serial.eigenvalues, threaded.eigenvalues)
-    assert np.array_equal(serial.localization, threaded.localization)
+    first = supercell_spectrum(InterfaceKind.TYPE_II, MIXED, None, kg, N=24)
+    rerun = supercell_spectrum(InterfaceKind.TYPE_II, MIXED, None, kg, N=24)
+    assert np.array_equal(first.eigenvalues, rerun.eigenvalues)
+    assert np.array_equal(first.localization, rerun.localization)
 
 
 def test_writers_are_deterministic(tmp_path):
@@ -293,8 +292,3 @@ def test_writers_are_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     header = p1.read_text().splitlines()[0]
     assert header == "k,eig_index,energy,localization,kept"
-    report = perturbation_matrix(InterfaceKind.TYPE_II, MIXED, N=40)
-    j1 = tmp_path / "s.json"
-    write_slope_json(report, j1)
-    payload = json.loads(j1.read_text())
-    assert set(payload) >= {"slope", "fd_slope", "rel_gap", "m0_01_im"}

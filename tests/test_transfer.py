@@ -4,9 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgelab.errors import DegenerateGapless, NotAZeroMode
-from edgelab.hamiltonian import HoppingProfile, bloch_h1, bloch_h2, coeffs_type2
+from edgelab.hamiltonian import HoppingProfile, bloch_h1, bloch_h2
 from edgelab.lattice import InterfaceKind
 from edgelab.transfer import (
+    _geometric_sublattice_a,
+    _xi_mode,
     a_matrices,
     boundary_a1,
     boundary_a6,
@@ -22,6 +24,8 @@ from edgelab.transfer import (
     type1_zero_exists,
     type2_zero_exists,
 )
+
+from coefficient_rows import coeffs_type2
 
 params = st.tuples(
     st.floats(min_value=0.5, max_value=100.0),
@@ -400,6 +404,40 @@ def test_type2_plus_side_geometric_decay():
     tm = (60.0 - 30.0) / 60.0
     assert mode_a.amplitudes[-2][3].real / mode_a.amplitudes[0][3].real == pytest.approx(
         50.0 * tm / 60.0, rel=1e-12)
+
+
+def test_type2_fills_match_their_row_recursions():
+    # the array fills against the cell-by-cell recursions they replace:
+    # x_{n+1} = (b_n / c_n) x_n from the coefficient rows, xi_{n+1} = mu2 xi_n
+    # on the + side, the q_eigen powers below the two interface rows
+    profile = HoppingProfile(47, 71, 20, -33, 52)
+    qp, qm = q_eigen(47, 20), q_eigen(71, -33)
+    M = 12
+    x = np.empty(2 * M + 1)
+    x[M] = 1.0
+    for n in range(M):
+        row = coeffs_type2(profile, n)
+        x[M + n + 1] = (row.b / row.c) * x[M + n]
+    for n in range(0, -M, -1):
+        row = coeffs_type2(profile, n - 1)
+        x[M + n - 1] = (row.c / row.b) * x[M + n]
+    assert np.array_equal(_geometric_sublattice_a(profile, M), x)
+
+    _, _, qb0, qbm1 = (np.real(m) for m in q_boundary_matrices(profile, 0.0))
+    xi = np.empty((2 * M + 1, 3))
+    xi[M + 1] = qp.v2
+    for n in range(1, M):
+        xi[M + n + 1] = qp.mu2 * xi[M + n]
+    xi[M] = np.linalg.solve(qb0, xi[M + 1])
+    xi[M - 1] = np.linalg.solve(qbm1, xi[M])
+    h5, h6 = np.linalg.solve([[qm.t1, qm.t2], [1.0, 1.0]], xi[M - 1, [0, 2]])
+    for n in range(-2, -M - 1, -1):
+        xi[M + n] = h5 * qm.mu1 ** (n + 1) * qm.v1 + h6 * qm.mu2 ** (n + 1) * qm.v2
+    got, expected = np.stack(_xi_mode(profile, qp, qm, M)), np.stack([xi[:, 0] - xi[:, 2], xi[:, 2]])
+    # cells n >= -1 repeat the loop's arithmetic; below them numpy's array
+    # power may round differently from the scalar one
+    assert np.array_equal(got[:, M - 1:], expected[:, M - 1:])
+    assert np.abs(got - expected).max() <= 4 * np.finfo(float).eps * np.abs(expected).max()
 
 
 def test_type2_modes_mirrored_pattern():
