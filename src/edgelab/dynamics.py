@@ -5,7 +5,11 @@ material map.  Its Hamiltonian is assembled in one vectorized pass over the
 cell grid from the same frame bond list and bond rule that build the Bloch
 chains (:func:`edgelab.lattice.frame_bonds`,
 :func:`edgelab.hamiltonian.bond_weights`: intracell b, intercell b + delta,
-c across the material boundary), with open outer edges.
+c across the material boundary), with open outer edges.  A cell's distance
+to the nearest interface cell comes from one table of the squared lengths
+|dm v_a + dn v_b|^2 of all frame offsets in the domain: each interface cell
+lowers a running minimum over its window of that table, so memory stays
+linear in the cells and an interface cell reads exactly 0.
 
 Time evolution of i dPhi/dt = H Phi applies exp(-iHt) as a Chebyshev series
 in H/rho with Bessel-function coefficients (Tal-Ezer & Kosloff 1984), one
@@ -13,6 +17,12 @@ series per snapshot interval; its truncation is below double precision, so
 the evolution is unitary to rounding.  Classic RK4 (:func:`evolve`) stays as
 the independent oracle.  Domains are sized so packets never reach the outer
 edge.
+
+Snapshots are written in csv.writer's dialect with ``.17g`` digits.  Each
+distinct coordinate is formatted once for the ``x,y,`` row prefixes, and the
+rows go out in blocks of ``_SNAPSHOT_BLOCK``, one ``%`` format per block;
+abs2 is taken per block too, so the text and values held at once stay
+bounded.
 """
 
 from __future__ import annotations
@@ -56,7 +66,7 @@ __all__ = [
     "record_run",
 ]
 
-_DIST_CHUNK = 256  # cells per block of the interface-distance computation
+_SNAPSHOT_BLOCK = 4096  # snapshot rows formatted and written per write call
 _MAX_SNAPSHOTS = 10_000  # snapshot_{:04d} names sort in time order up to here
 
 # (kind, turn) -> frame vector (a, b) of the outgoing leg a v_a + b v_b of a bend
@@ -167,14 +177,16 @@ def build_domain(spec: DomainSpec) -> Domain:
     # crossing bonds come in mirrored pairs, so this marks both of their ends
     at_interface = (inside & (sigma != s2)).any(axis=1)
 
-    cell_centers = np.column_stack([m, n]) @ np.vstack([va, vb])
-    dist = np.full(len(cell_centers), np.inf)
-    if at_interface.any():
-        ipos = m[at_interface] * va + n[at_interface] * vb
-        # row chunks keep the cells x interface-cells table small
-        for lo in range(0, len(cell_centers), _DIST_CHUNK):
-            diff = cell_centers[lo:lo + _DIST_CHUNK, None, :] - ipos[None, :, :]
-            dist[lo:lo + _DIST_CHUNK] = np.sqrt((diff**2).sum(axis=2)).min(axis=1)
+    # squared length of every frame offset (dm, dn) between two cells; the
+    # window of the interface cell (im, i_n) holds its offsets to all cells
+    dm_off = np.arange(1 - Ma, Ma)[:, None]
+    dn_off = np.arange(1 - Mb, Mb)[None, :]
+    off2 = (dm_off * va[0] + dn_off * vb[0]) ** 2 + (dm_off * va[1] + dn_off * vb[1]) ** 2
+    dist2 = np.full((Ma, Mb), np.inf)
+    for im, i_n in zip(*np.nonzero(at_interface.reshape(Ma, Mb))):
+        window = off2[Ma - 1 - im:2 * Ma - 1 - im, Mb - 1 - i_n:2 * Mb - 1 - i_n]
+        np.minimum(dist2, window, out=dist2)
+    dist = np.sqrt(dist2).reshape(-1)
 
     vertex = None
     legs = None
@@ -323,6 +335,18 @@ def transmission(state: WavepacketState, partition: np.ndarray) -> tuple[float, 
     return float(transmitted), float(reflected), float(residual)
 
 
+def _coordinate_prefixes(positions: np.ndarray) -> list[str]:
+    """The "x,y," prefix of every site's snapshot row, with ``.17g`` digits.
+    Each distinct coordinate is formatted once; distinct means distinct
+    bits, so -0.0 keeps its sign as a per-site format would."""
+    columns = []
+    for col in np.ascontiguousarray(positions.T):
+        bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
+        text = [f"{v:.17g}," for v in bits.view(np.float64).tolist()]
+        columns.append(np.array(text, dtype=object)[inverse])
+    return (columns[0] + columns[1]).tolist()
+
+
 def record_run(domain: Domain, state: WavepacketState, t_final: float,
                out_dir, stride: int = 200, dt: float | None = None,
                config: dict | None = None) -> dict:
@@ -353,7 +377,7 @@ def record_run(domain: Domain, state: WavepacketState, t_final: float,
     out.mkdir(parents=True, exist_ok=True)
     Hc = H.astype(complex)
     partition = make_bend_partition(domain) if domain.spec.bend is not None else None
-    prefixes = [f"{x:.17g},{y:.17g}," for x, y in domain.positions.tolist()]
+    prefixes = _coordinate_prefixes(domain.positions)
 
     series = {"time": [], "norm": [], "energy": [], "interface_mass": []}
     if partition is not None:
@@ -371,10 +395,14 @@ def record_run(domain: Domain, state: WavepacketState, t_final: float,
             series["residual"].append(rest)
         # csv.writer's dialect by hand; Python's abs keeps the digits of the
         # scalar path, which np.abs does not
-        abs2 = [abs(a) ** 2 for a in st.amplitudes.tolist()]
         with open(out / f"snapshot_{snap_idx:04d}.csv", "w", newline="") as fh:
             fh.write("x,y,abs2\r\n")
-            fh.writelines(f"{p}{a:.17g}\r\n" for p, a in zip(prefixes, abs2))
+            for lo in range(0, len(prefixes), _SNAPSHOT_BLOCK):
+                rows = prefixes[lo:lo + _SNAPSHOT_BLOCK]
+                args = [None] * (2 * len(rows))  # each row's "x,y," prefix, then its abs2
+                args[::2] = rows
+                args[1::2] = [abs(a) ** 2 for a in st.amplitudes[lo:lo + len(rows)].tolist()]
+                fh.write("%s%.17g\r\n" * len(rows) % tuple(args))
 
     snap = 0
     sample(state, snap)

@@ -494,3 +494,78 @@ def test_cli_fuzz_exits_with_documented_codes(tmp_path, capsys):
             for path in (tmp_path / str(i)).glob("*.json"):
                 json.loads(path.read_text(), parse_constant=_strict_constant)
         capsys.readouterr()
+
+
+def test_evolve_fuzz_exits_with_documented_codes(tmp_path, capsys, monkeypatch):
+    # small domains and short runs: each case exits 0, 2, 3 or 4 within its
+    # time bound, writes strict JSON, and on success its last snapshot is
+    # the csv.writer rendering of the last propagated state
+    import edgelab.cli as cli
+    import edgelab.dynamics as dynamics
+    from edgelab.hamiltonian import HoppingProfile
+    from edgelab.transfer import matching_c_star
+    from test_dynamics import _csv_writer_snapshot
+
+    captured = {}
+    record_run, propagate = dynamics.record_run, dynamics.propagate
+
+    def recording_run(domain, state, *args, **kwargs):
+        captured["positions"] = domain.positions
+        captured["amplitudes"] = state.amplitudes
+        return record_run(domain, state, *args, **kwargs)
+
+    def recording_propagate(*args):
+        captured["amplitudes"] = propagate(*args)
+        return captured["amplitudes"]
+
+    monkeypatch.setattr(cli, "record_run", recording_run)
+    monkeypatch.setattr(dynamics, "propagate", recording_propagate)
+    rng = np.random.default_rng(2027)
+    codes = []
+    for i in range(30):
+        out = tmp_path / str(i)
+        kind = str(rng.choice(["type1", "type2"]))
+        extent = rng.integers(20, 27, size=2)
+        argv = ["evolve", f"--kind={kind}", f"--extent-m={extent[0]}", f"--extent-n={extent[1]}",
+                f"--center-m={float(rng.uniform(-0.6, 0.6) * extent[0])!r}",
+                f"--width={float(rng.uniform(1.0, 6.0))!r}", f"--direction={rng.choice([-1, 1])}",
+                f"--t-final={float(10 ** rng.uniform(-3.0, -1.7))!r}",
+                f"--stride={rng.integers(20, 401)}", f"--out={out}"]
+        if rng.random() < 0.5:
+            argv += [f"--bend-m={rng.integers(-4, 5)}", f"--turn={rng.choice([-1, 1])}"]
+        if rng.random() < 0.3:
+            argv.append(f"--dt={float(10 ** rng.uniform(-4.5, -2.0))!r}")
+        # mostly a profile with an edge state: opposite detunings for type II,
+        # equal signs at the matching coupling for type I; then perhaps one
+        # flag replaced by an edge value or a random one of either sign
+        sign = float(rng.choice([-1.0, 1.0]))
+        profile = HoppingProfile(*rng.uniform(45.0, 100.0, size=2), sign * rng.uniform(10.0, 40.0),
+                                 (sign if kind == "type1" else -sign) * rng.uniform(10.0, 40.0),
+                                 rng.uniform(20.0, 80.0))
+        if kind == "type1" and rng.random() < 0.8:
+            profile = profile.with_c(matching_c_star(profile))
+        values = {"b-plus": profile.b_plus, "b-minus": profile.b_minus, "c": profile.c,
+                  "delta-plus": profile.delta_plus, "delta-minus": profile.delta_minus}
+        if rng.random() < 0.3:
+            flag = str(rng.choice(list(values)))
+            values[flag] = (rng.choice(_FUZZ_EDGES) if rng.random() < 0.5
+                            else rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-1.0, 3.0))
+        argv += [f"--{flag}={float(value)!r}" for flag, value in values.items()]
+        captured.clear()
+        start = time.perf_counter()
+        try:
+            code = run(argv)
+        except Exception as exc:  # any exception escaping main is the failure
+            pytest.fail(f"{argv} raised {exc!r}")
+        assert time.perf_counter() - start < 30.0, argv
+        assert code in (0, 2, 3, 4), argv
+        codes.append(code)
+        for path in out.glob("*.json"):
+            json.loads(path.read_text(), parse_constant=_strict_constant)
+        if code == 0:
+            assert (out / "manifest.json").exists()
+            last = sorted(out.glob("snapshot_*.csv"))[-1]
+            assert last.read_bytes() == _csv_writer_snapshot(
+                tmp_path / "reference.csv", captured["positions"], captured["amplitudes"]), argv
+        capsys.readouterr()
+    assert codes.count(0) >= 10  # most draws are valid runs

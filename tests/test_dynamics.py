@@ -105,19 +105,65 @@ def _brute_force_interface_dist(dom):
                 and spec.material(m2, n2) != spec.material(int(m), int(n))
                 for m2, n2 in partners))
     centers = dom.positions.reshape(-1, 6, 2).mean(axis=1)
+    if not any(at_interface):
+        return np.full(len(centers), np.inf)
     diff = centers[:, None, :] - centers[np.array(at_interface)][None, :, :]
     return np.sqrt((diff**2).sum(axis=2)).min(axis=1)
+
+
+# (extent, origin, fewest interface cells): centered; off-centre origin;
+# non-square with the interface two rows above the lower edge, which a
+# downward bend leg leaves within a few rows; the interface two rows below
+# the upper edge
+_DIST_GEOMETRIES = [((20, 21), None, 20), ((20, 21), (-7, -13), 20),
+                    ((21, 34), (-4, -2), 5), ((34, 20), (-20, -18), 20)]
 
 
 @pytest.mark.parametrize("kind", [InterfaceKind.TYPE_I, InterfaceKind.TYPE_II])
 @pytest.mark.parametrize("bend", [None, (2, 1), (-3, -1)])
 def test_cell_interface_dist_matches_all_pairs_minimum(kind, bend):
-    # 20 x 21 = 420 cells, so the distance table spans more than one row chunk
-    dom = build_domain(DomainSpec(kind, (20, 21), MIXED, bend=bend))
-    ref = _brute_force_interface_dist(dom)
-    assert dom.cell_interface_dist.shape == ref.shape
-    assert np.abs(dom.cell_interface_dist - ref).max() < 1e-12
-    assert np.sum(ref < 1e-12) > 20  # interface cells sit at distance zero
+    for extent, origin, fewest in _DIST_GEOMETRIES:
+        dom = build_domain(DomainSpec(kind, extent, MIXED, bend=bend, origin=origin))
+        ref = _brute_force_interface_dist(dom)
+        assert dom.cell_interface_dist.shape == ref.shape
+        assert np.abs(dom.cell_interface_dist - ref).max() < 1e-12, (extent, origin)
+        assert np.sum(ref < 1e-12) > fewest  # interface cells sit at distance zero
+    # far below and left of every leg, all cells are of one material
+    dom = build_domain(DomainSpec(kind, (20, 20), MIXED, bend=bend, origin=(-60, -30)))
+    assert np.all(_brute_force_interface_dist(dom) == np.inf)
+    assert np.all(dom.cell_interface_dist == np.inf)
+
+
+@pytest.mark.parametrize("kind", [InterfaceKind.TYPE_I, InterfaceKind.TYPE_II])
+@pytest.mark.parametrize("bend", [None, (0, 1), (0, -1), (-5, -1)])
+def test_interface_cells_read_exactly_zero(kind, bend):
+    # interface cells are the ends of the Hamiltonian's material-crossing bonds
+    dom = build_domain(DomainSpec(kind, (24, 24), MIXED, bend=bend))
+    H = dom.hamiltonian.tocoo()
+    sigma = dom.sigma.reshape(-1)
+    crossing = sigma[H.row // 6] != sigma[H.col // 6]
+    at_interface = np.zeros(len(sigma), dtype=bool)
+    at_interface[H.row[crossing] // 6] = True
+    assert at_interface.sum() > 20
+    assert np.all(dom.cell_interface_dist[at_interface] == 0.0)
+    assert np.all(dom.cell_interface_dist[~at_interface] > 0.5)
+
+
+def test_build_domain_peak_memory_is_linear_in_cells():
+    # a cells x interface-cells table would make the larger domain's traced
+    # peak per cell several times the smaller one's
+    import tracemalloc
+
+    def peak_per_cell(M):
+        tracemalloc.start()
+        try:
+            build_domain(DomainSpec(InterfaceKind.TYPE_II, (M, M), MIXED, bend=(0, 1)))
+            return tracemalloc.get_traced_memory()[1] / M**2
+        finally:
+            tracemalloc.stop()
+
+    peak_per_cell(60)  # import and cache warm-up outside the measurement
+    assert peak_per_cell(180) <= 1.2 * peak_per_cell(60)
 
 
 def test_row_degree_at_most_three():
@@ -398,6 +444,24 @@ def test_record_run_schedule_snapshots_and_rerun(tmp_path):
     record_run(dom, st, t_final=25.5 * dt, out_dir=tmp_path / "b", stride=10)
     for a in sorted((tmp_path / "a").iterdir()):
         assert a.read_bytes() == (tmp_path / "b" / a.name).read_bytes()
+
+
+def test_snapshot_blocks_match_csv_writer(tmp_path):
+    from edgelab.dynamics import _SNAPSHOT_BLOCK, record_run
+
+    dom = build_domain(DomainSpec(InterfaceKind.TYPE_II, (40, 40), MIXED, bend=(0, -1)))
+    n_rows = len(dom.positions)
+    assert n_rows > 2 * _SNAPSHOT_BLOCK and n_rows % _SNAPSHOT_BLOCK
+    rng = np.random.default_rng(12)
+    amps = rng.normal(size=n_rows) + 1j * rng.normal(size=n_rows)
+    amps[::7] = 0.0
+    amps[_SNAPSHOT_BLOCK - 1:_SNAPSHOT_BLOCK + 1] = 0.0  # across a block boundary
+    amps[5] = 1e-160  # abs2 1e-320 is subnormal
+    amps[-1] = -3e-162j
+    st = WavepacketState(domain=dom, amplitudes=amps)
+    record_run(dom, st, t_final=1e-4, out_dir=tmp_path / "o", stride=1000)
+    assert (tmp_path / "o" / "snapshot_0000.csv").read_bytes() == (
+        _csv_writer_snapshot(tmp_path / "ref.csv", dom.positions, amps))
 
 
 @pytest.mark.parametrize("kwargs", [
