@@ -8,13 +8,13 @@ width 2|eps| with a band inversion across the transition.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GapLawViolated, NotConical
 from .lattice import BASIS, V_ALPHA, V_BETA
+from .output import write_csv
 
 __all__ = [
     "BulkParams",
@@ -159,9 +159,8 @@ def band_inversion(b: float, eps: float) -> tuple[np.ndarray, np.ndarray]:
 
 def write_bands_csv(bands: np.ndarray, path) -> None:
     """Columns: path_parameter, band_index, energy."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["path_parameter", "band_index", "energy"])
-        for i in range(bands.shape[0]):
-            for j in range(6):
-                w.writerow([i, j, f"{bands[i, j]:.17g}"])
+    def block(lo, hi):
+        i, j = np.divmod(np.arange(lo, hi), bands.shape[1])
+        return [i.tolist(), j.tolist(), bands.ravel()[lo:hi].tolist()]
+
+    write_csv(path, ["path_parameter", "band_index", "energy"], "%d,%d,%.17g", bands.size, block)

@@ -30,6 +30,7 @@ from .errors import (
 )
 from .hamiltonian import HoppingProfile
 from .lattice import InterfaceKind
+from .output import write_json
 from .spectrum import (
     DEFAULT_K_POINTS,
     DEFAULT_MARGIN,
@@ -37,6 +38,7 @@ from .spectrum import (
     DEFAULT_THRESHOLD,
     edge_curves,
     min_abs_kept,
+    min_abs_kept_at,
     supercell_spectrum,
     write_spectrum_csv,
 )
@@ -138,20 +140,6 @@ def _kind(cfg: dict) -> InterfaceKind:
         raise ConfigError(f"kind must be 'type1' or 'type2', got {cfg['kind']!r}") from exc
 
 
-def _out_dir(cfg: dict) -> Path:
-    """The output directory; each command calls this only once its results
-    are computed, so a command that fails leaves no directory behind."""
-    out = Path(cfg["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _dump_json(path: Path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def cmd_spectrum(cfg: dict) -> int:
     kind, profile = _kind(cfg), _profile(cfg)
     if cfg["k_points"] < 1:
@@ -162,7 +150,7 @@ def cmd_spectrum(cfg: dict) -> int:
     k_grid = (k_grid - k_grid[::-1]) / 2
     table = supercell_spectrum(kind, profile, None, k_grid, N=cfg["n_cells"],
                                margin=cfg["margin"], threshold=cfg["threshold"])
-    out = _out_dir(cfg)
+    out = Path(cfg["out_dir"])
     write_spectrum_csv(table, out / "spectrum.csv")
     # summary.json stays strict JSON: a value that does not exist is null
     smallest = float(min_abs_kept(table).min())
@@ -174,7 +162,7 @@ def cmd_spectrum(cfg: dict) -> int:
     # NaN also when the grid has no k = 0 or keeps nothing there
     min_abs_e0 = e0 if math.isfinite(e0) else None
     crossing = e0 < 1e-6 * profile.b_plus
-    _dump_json(out / "summary.json", {
+    write_json(out / "summary.json", {
         "min_abs_E0": min_abs_e0,
         "gap_width": gap_width,
         "crossing": crossing,
@@ -192,13 +180,10 @@ def cmd_match_c(cfg: dict) -> int:
         raise ConfigError("matching requires nonzero delta on both sides")
     c_star = matching_c_star(profile)
     tuned = profile.with_c(c_star)
-    table = supercell_spectrum(InterfaceKind.TYPE_I, tuned, None, [0.0], N=cfg["n_cells"])
-    resid = float(min_abs_kept(table)[0])
-    if resid == math.inf:
-        raise NoMidGapState("no kept eigenvalue at k = 0")
+    resid = min_abs_kept_at(InterfaceKind.TYPE_I, tuned, 0.0, cfg["n_cells"])
     f1p = p_eigen(profile.b_plus, profile.delta_plus, 0.0).f1
     f1m = p_eigen(profile.b_minus, profile.delta_minus, 0.0).f1
-    _dump_json(_out_dir(cfg) / "match_c.json", {
+    write_json(Path(cfg["out_dir"]) / "match_c.json", {
         "c_star": c_star,
         "f1_plus": f1p,
         "f1_minus": f1m,
@@ -217,7 +202,7 @@ def cmd_exist(cfg: dict) -> int:
     else:
         c_test = profile.c
         exists = type2_zero_exists(profile)
-    _dump_json(_out_dir(cfg) / "exist.json", {
+    write_json(Path(cfg["out_dir"]) / "exist.json", {
         "exists": bool(exists),
         "kind": kind.value,
         "k": cfg["k"],
@@ -252,11 +237,11 @@ def cmd_evolve(cfg: dict) -> int:
 
 def cmd_bulk(cfg: dict) -> int:
     b, eps = cfg["b"], cfg["eps"]
-    if b <= 0 or b + eps <= 0:
-        raise ConfigError("need b > 0 and b + eps > 0")
+    if cfg["path_points"] < 1:
+        raise ConfigError("path_points must be at least 1")
     path = default_k_path(cfg["path_points"])
     bands = bulk_bands(b, eps, path, check_gap=True)
-    out = _out_dir(cfg)
+    out = Path(cfg["out_dir"])
     write_bands_csv(bands, out / "bands.csv")
     payload = {
         "gamma_eigenvalues": [float(x) for x in gamma_eigs(b, eps)],
@@ -266,7 +251,7 @@ def cmd_bulk(cfg: dict) -> int:
     }
     if eps == 0.0:
         payload["slope"] = dirac_slope(b)
-    _dump_json(out / "bulk.json", payload)
+    write_json(out / "bulk.json", payload)
     print(f"bulk: gamma eigenvalues {payload['gamma_eigenvalues']}")
     return 0
 

@@ -17,17 +17,10 @@ series per snapshot interval; its truncation is below double precision, so
 the evolution is unitary to rounding.  Classic RK4 (:func:`evolve`) stays as
 the independent oracle.  Domains are sized so packets never reach the outer
 edge.
-
-Snapshots are written in csv.writer's dialect with ``.17g`` digits.  Each
-distinct coordinate is formatted once for the ``x,y,`` row prefixes, and the
-rows go out in blocks of ``_SNAPSHOT_BLOCK``, one ``%`` format per block;
-abs2 is taken per block too, so the text and values held at once stay
-bounded.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -48,6 +41,7 @@ from .lattice import (
     frame_vectors,
     material_sign,
 )
+from .output import write_csv, write_json
 from .spectrum import perturbation_m0
 from .transfer import build_type1_zero_modes, build_type2_zero_modes
 
@@ -66,7 +60,6 @@ __all__ = [
     "record_run",
 ]
 
-_SNAPSHOT_BLOCK = 4096  # snapshot rows formatted and written per write call
 _MAX_SNAPSHOTS = 10_000  # snapshot_{:04d} names sort in time order up to here
 
 # (kind, turn) -> frame vector (a, b) of the outgoing leg a v_a + b v_b of a bend
@@ -374,7 +367,6 @@ def record_run(domain: Domain, state: WavepacketState, t_final: float,
                          f"{_MAX_SNAPSHOTS} snapshots")
     steps_total = math.ceil(t_final / dt)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     Hc = H.astype(complex)
     partition = make_bend_partition(domain) if domain.spec.bend is not None else None
     prefixes = _coordinate_prefixes(domain.positions)
@@ -393,16 +385,10 @@ def record_run(domain: Domain, state: WavepacketState, t_final: float,
             series["transmitted"].append(t)
             series["reflected"].append(r)
             series["residual"].append(rest)
-        # csv.writer's dialect by hand; Python's abs keeps the digits of the
-        # scalar path, which np.abs does not
-        with open(out / f"snapshot_{snap_idx:04d}.csv", "w", newline="") as fh:
-            fh.write("x,y,abs2\r\n")
-            for lo in range(0, len(prefixes), _SNAPSHOT_BLOCK):
-                rows = prefixes[lo:lo + _SNAPSHOT_BLOCK]
-                args = [None] * (2 * len(rows))  # each row's "x,y," prefix, then its abs2
-                args[::2] = rows
-                args[1::2] = [abs(a) ** 2 for a in st.amplitudes[lo:lo + len(rows)].tolist()]
-                fh.write("%s%.17g\r\n" * len(rows) % tuple(args))
+        # Python's abs keeps the digits of the scalar path, which np.abs does not
+        write_csv(out / f"snapshot_{snap_idx:04d}.csv", ["x", "y", "abs2"], "%s%.17g",
+                  len(prefixes), lambda lo, hi: (
+                      prefixes[lo:hi], [abs(a) ** 2 for a in st.amplitudes[lo:hi].tolist()]))
 
     snap = 0
     sample(state, snap)
@@ -422,7 +408,5 @@ def record_run(domain: Domain, state: WavepacketState, t_final: float,
         "series": series,
         "config": config or {},
     }
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "manifest.json", manifest)
     return manifest

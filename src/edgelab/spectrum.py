@@ -24,7 +24,6 @@ extracted from the zero modes.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +31,7 @@ import numpy as np
 from .errors import NoMidGapState, NotAZeroMode
 from .hamiltonian import HoppingProfile, chain_apply_first_order, chain_operator
 from .lattice import InterfaceKind
+from .output import write_csv
 from .transfer import ZeroMode, build_type1_zero_modes, build_type2_zero_modes
 
 __all__ = [
@@ -41,6 +41,7 @@ __all__ = [
     "supercell_spectrum",
     "edge_curves",
     "min_abs_kept",
+    "min_abs_kept_at",
     "perturbation_m0",
     "perturbation_matrix",
     "write_spectrum_csv",
@@ -66,7 +67,6 @@ class SpectrumTable:
 
     kind: InterfaceKind
     profile: HoppingProfile
-    c_used: float
     k_grid: np.ndarray
     eigenvalues: np.ndarray
     localization: np.ndarray
@@ -158,7 +158,7 @@ def supercell_spectrum(kind: InterfaceKind, profile: HoppingProfile, c: float | 
     evals = np.array([r[0] for r in results])[mirror]
     loc = np.array([r[1] for r in results])[mirror]
     return SpectrumTable(
-        kind=kind, profile=profile, c_used=profile.c, k_grid=k_grid,
+        kind=kind, profile=profile, k_grid=k_grid,
         eigenvalues=evals, localization=loc, kept=loc < threshold,
         half_width=N, margin=margin, threshold=threshold,
     )
@@ -174,10 +174,6 @@ class EdgeCurves:
     min_abs_at_zero: float
 
 
-def _bulk_gap(profile: HoppingProfile) -> float:
-    return min(abs(profile.delta_plus), abs(profile.delta_minus))
-
-
 def min_abs_kept(table: SpectrumTable) -> np.ndarray:
     """Smallest |E| among the kept eigenpairs at each k; inf where nothing
     is kept."""
@@ -187,7 +183,8 @@ def min_abs_kept(table: SpectrumTable) -> np.ndarray:
 def edge_curves(table: SpectrumTable) -> EdgeCurves:
     """Extract the two mid-gap branches from a filtered spectrum table."""
     min_abs = min_abs_kept(table)
-    if not np.any(min_abs < _bulk_gap(table.profile) - 1e-9):
+    bulk_gap = min(abs(table.profile.delta_plus), abs(table.profile.delta_minus))
+    if not np.any(min_abs < bulk_gap - 1e-9):
         raise NoMidGapState("no kept eigenvalue inside the bulk gap at any k")
     E, kept = table.eigenvalues, table.kept
     e_plus = np.where(kept & (E >= 0), E, np.inf).min(axis=1)
@@ -231,7 +228,10 @@ def perturbation_m0(kind: InterfaceKind, profile: HoppingProfile,
     return V.conj().T @ W
 
 
-def _min_abs_kept_at(kind, profile, k, N, margin, threshold) -> float:
+def min_abs_kept_at(kind: InterfaceKind, profile: HoppingProfile, k: float,
+                    N: int = DEFAULT_N, margin: int = DEFAULT_MARGIN,
+                    threshold: float = DEFAULT_THRESHOLD) -> float:
+    """Smallest kept |E| at one k; NoMidGapState when nothing is kept there."""
     table = supercell_spectrum(kind, profile, None, [k], N, margin, threshold)
     e = float(min_abs_kept(table)[0])
     if e == np.inf:
@@ -251,27 +251,19 @@ def perturbation_matrix(kind: InterfaceKind, profile: HoppingProfile,
     """
     m0 = perturbation_m0(kind, profile)
     slope = float(abs(m0[0, 1].imag))
-    e0 = _min_abs_kept_at(kind, profile, 0.0, N, margin, threshold)
-    eh = _min_abs_kept_at(kind, profile, h, N, margin, threshold)
+    e0 = min_abs_kept_at(kind, profile, 0.0, N, margin, threshold)
+    eh = min_abs_kept_at(kind, profile, h, N, margin, threshold)
     fd = (eh - e0) / h
     rel = abs(slope - fd) / slope if slope > 0 else float("inf")
     return SlopeReport(m0=m0, slope=slope, fd_slope=fd, rel_gap=rel)
 
 
-# ---------------------------------------------------------------------------
-# output writer
-# ---------------------------------------------------------------------------
-
 def write_spectrum_csv(table: SpectrumTable, path) -> None:
     """Columns: k, eig_index, energy, localization, kept."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k", "eig_index", "energy", "localization", "kept"])
-        for i, k in enumerate(table.k_grid):
-            for j in range(table.eigenvalues.shape[1]):
-                w.writerow([
-                    f"{k:.17g}", j,
-                    f"{table.eigenvalues[i, j]:.17g}",
-                    f"{table.localization[i, j]:.17g}",
-                    int(table.kept[i, j]),
-                ])
+    def block(lo, hi):
+        i, j = np.divmod(np.arange(lo, hi), table.eigenvalues.shape[1])
+        return [table.k_grid[i].tolist(), j.tolist(), table.eigenvalues.ravel()[lo:hi].tolist(),
+                table.localization.ravel()[lo:hi].tolist(), table.kept.ravel()[lo:hi].tolist()]
+
+    write_csv(path, ["k", "eig_index", "energy", "localization", "kept"],
+              "%.17g,%d,%.17g,%.17g,%d", table.eigenvalues.size, block)

@@ -12,6 +12,7 @@ from edgelab.bulk import (
     dual_basis,
     gamma_eigs,
     gamma_eigs_closed_form,
+    write_bands_csv,
 )
 from edgelab.lattice import V_ALPHA, V_BETA
 
@@ -69,6 +70,29 @@ def test_bands_on_default_path():
     assert np.all(np.diff(bands, axis=1) >= -1e-12)
     # observable gap of width >= 2|eps| around zero
     assert bands[:, 3].min() - bands[:, 2].max() >= 2 * 2.0 - 1e-9
+
+
+def _csv_writer_bands(path, bands):
+    # the band format as csv.writer writes it, element by element
+    import csv
+
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["path_parameter", "band_index", "energy"])
+        for i in range(bands.shape[0]):
+            for j in range(6):
+                w.writerow([i, j, f"{bands[i, j]:.17g}"])
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("eps", [2.0, 0.0, -2.0])
+def test_bands_csv_matches_csv_writer(tmp_path, eps):
+    from edgelab.output import BLOCK_ROWS
+
+    bands = bulk_bands(5.0, eps, default_k_path(900))
+    assert bands.size == 5406 and bands.size > BLOCK_ROWS and bands.size % BLOCK_ROWS
+    write_bands_csv(bands, tmp_path / "bands.csv")
+    assert (tmp_path / "bands.csv").read_bytes() == _csv_writer_bands(tmp_path / "ref.csv", bands)
 
 
 def test_double_dirac_at_eps_zero():

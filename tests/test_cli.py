@@ -226,11 +226,14 @@ def test_non_finite_config_values_exit_2(tmp_path, capsys, command, text):
     ["exist", "--kind", "type2", "--delta-plus", "nan"],
     ["spectrum", "--n-cells", "20"],  # default margin is not below N/4
     ["evolve", "--extent-m", "10"],
+    ["bulk", "--path-points", "0"],
+    ["bulk", "--path-points=-5"],
 ])
 def test_out_of_range_inputs_exit_2(tmp_path, capsys, argv):
     assert run(argv + ["--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_evolve_rejects_zero_stride_before_building(tmp_path, monkeypatch, capsys):

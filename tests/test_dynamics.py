@@ -447,15 +447,16 @@ def test_record_run_schedule_snapshots_and_rerun(tmp_path):
 
 
 def test_snapshot_blocks_match_csv_writer(tmp_path):
-    from edgelab.dynamics import _SNAPSHOT_BLOCK, record_run
+    from edgelab.dynamics import record_run
+    from edgelab.output import BLOCK_ROWS
 
     dom = build_domain(DomainSpec(InterfaceKind.TYPE_II, (40, 40), MIXED, bend=(0, -1)))
     n_rows = len(dom.positions)
-    assert n_rows > 2 * _SNAPSHOT_BLOCK and n_rows % _SNAPSHOT_BLOCK
+    assert n_rows > 2 * BLOCK_ROWS and n_rows % BLOCK_ROWS
     rng = np.random.default_rng(12)
     amps = rng.normal(size=n_rows) + 1j * rng.normal(size=n_rows)
     amps[::7] = 0.0
-    amps[_SNAPSHOT_BLOCK - 1:_SNAPSHOT_BLOCK + 1] = 0.0  # across a block boundary
+    amps[BLOCK_ROWS - 1:BLOCK_ROWS + 1] = 0.0  # across a block boundary
     amps[5] = 1e-160  # abs2 1e-320 is subnormal
     amps[-1] = -3e-162j
     st = WavepacketState(domain=dom, amplitudes=amps)

@@ -292,3 +292,31 @@ def test_writers_are_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     header = p1.read_text().splitlines()[0]
     assert header == "k,eig_index,energy,localization,kept"
+
+
+def _csv_writer_spectrum(path, table):
+    # the spectrum format as csv.writer writes it, element by element
+    import csv
+
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["k", "eig_index", "energy", "localization", "kept"])
+        for i, k in enumerate(table.k_grid):
+            for j in range(table.eigenvalues.shape[1]):
+                w.writerow([f"{k:.17g}", j, f"{table.eigenvalues[i, j]:.17g}",
+                            f"{table.localization[i, j]:.17g}", int(table.kept[i, j])])
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("kind", list(InterfaceKind))
+def test_spectrum_csv_matches_csv_writer(tmp_path, kind):
+    from edgelab.output import BLOCK_ROWS
+
+    k_grid = np.linspace(-np.pi, np.pi, 21)
+    table = supercell_spectrum(kind, MIXED, None, (k_grid - k_grid[::-1]) / 2, N=20, margin=4)
+    n_rows = table.eigenvalues.size
+    assert n_rows == 5166 and n_rows > BLOCK_ROWS and n_rows % BLOCK_ROWS
+    assert table.kept.any() and not table.kept.all()
+    write_spectrum_csv(table, tmp_path / "spectrum.csv")
+    assert (tmp_path / "spectrum.csv").read_bytes() == (
+        _csv_writer_spectrum(tmp_path / "ref.csv", table))
