@@ -3,21 +3,20 @@
 One hexagonal cell, six sites, quasi-momentum in the dual cell Y*.  The
 intracell hopping is b, all intercell hoppings are b + eps; eps = 0 produces
 a fourfold double Dirac point at the zone center and eps != 0 opens a gap of
-width 2|eps| with a band inversion across the transition.
+width 2|eps| with a band inversion across the transition.  The 6x6 matrix is
+assembled from the 18-bond list of :func:`edgelab.lattice.frame_bonds`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import GapLawViolated, NotConical
-from .lattice import BASIS, V_ALPHA, V_BETA
+from .hamiltonian import check_material
+from .lattice import BASIS, InterfaceKind, frame_bonds, frame_vectors
 from .output import write_csv
 
 __all__ = [
-    "BulkParams",
     "dual_basis",
     "bulk_h",
     "gamma_eigs",
@@ -37,37 +36,29 @@ def dual_basis() -> tuple[np.ndarray, np.ndarray]:
     return K[:, 0], K[:, 1]
 
 
-@dataclass(frozen=True)
-class BulkParams:
-    """Homogeneous material parameters plus a 2D quasi-momentum."""
+def bulk_h(b: float, eps: float, k=(0.0, 0.0)) -> np.ndarray:
+    """The Hermitian 6x6 Bloch Hamiltonian at quasi-momentum k, or the
+    (..., 6, 6) stack for k of shape (..., 2).
 
-    b: float
-    eps: float
-    kvec: tuple[float, float] = (0.0, 0.0)
-
-    def __post_init__(self):
-        if self.b <= 0 or self.b + self.eps <= 0:
-            raise ValueError("need b > 0 and b + eps > 0")
-
-
-def bulk_h(params: BulkParams) -> np.ndarray:
-    """The 6x6 Bloch Hamiltonian at params.kvec (Hermitian)."""
-    b, be = params.b, params.b + params.eps
-    k = np.asarray(params.kvec, dtype=float)
-    pa = np.exp(1j * (k @ V_ALPHA))
-    pb = np.exp(1j * (k @ V_BETA))
-    pab = np.exp(1j * (k @ (V_ALPHA - V_BETA)))
-    H = np.zeros((6, 6), dtype=complex)
-    H[0, 3], H[0, 4], H[0, 5] = -b, -b, -be * np.conj(pa)
-    H[1, 3], H[1, 4], H[1, 5] = -b, -be * pab, -b
-    H[2, 3], H[2, 4], H[2, 5] = -be * pb, -b, -b
-    H[3:, :3] = H[:3, 3:].conj().T
+    Bond j -> j2 of the cell's 18 adds -w exp(i k . s) at [j-1, j2-1], with
+    w = b within the cell, b + eps between cells and s the Cartesian shift
+    of the partner cell.
+    """
+    check_material(b, eps)
+    k = np.asarray(k, dtype=float)
+    j, j2, dm, dn, intracell = frame_bonds(InterfaceKind.TYPE_I).T
+    va, vb = frame_vectors(InterfaceKind.TYPE_I)
+    s = dm[:, None] * va + dn[:, None] * vb
+    # elementwise, not k @ s.T: a stack must equal its per-point calls bitwise
+    phase = np.exp(1j * (k[..., 0, None] * s[:, 0] + k[..., 1, None] * s[:, 1]))
+    H = np.zeros(k.shape[:-1] + (6, 6), dtype=complex)
+    H[..., j - 1, j2 - 1] = -np.where(intracell, b, b + eps) * phase
     return H
 
 
 def gamma_eigs(b: float, eps: float) -> np.ndarray:
     """Ascending eigenvalues at the zone center (numeric eigensolve)."""
-    return np.linalg.eigvalsh(bulk_h(BulkParams(b, eps)))
+    return np.linalg.eigvalsh(bulk_h(b, eps))
 
 
 def gamma_eigs_closed_form(b: float, eps: float) -> np.ndarray:
@@ -99,21 +90,17 @@ def default_k_path(n_points: int = 120) -> np.ndarray:
     return np.vstack(segs)
 
 
-def bulk_bands(b: float, eps: float, k_path, check_gap: bool = True) -> np.ndarray:
+def bulk_bands(b: float, eps: float, k_path) -> np.ndarray:
     """Six ascending energies per point of ``k_path``.
 
-    With check_gap=True, verifies |E| >= |eps| for every band at every point,
-    to within eigensolver rounding: max(1e-9, 1e-13 ||H||) with ||H|| = 3b + |eps|.
+    Verifies |E| >= |eps| for every band at every point, to within
+    eigensolver rounding: max(1e-9, 1e-13 ||H||) with ||H|| = 3b + |eps|.
     """
-    k_path = np.atleast_2d(np.asarray(k_path, dtype=float))
-    bands = np.empty((len(k_path), 6))
-    for i, k in enumerate(k_path):
-        bands[i] = np.linalg.eigvalsh(bulk_h(BulkParams(b, eps, (k[0], k[1]))))
-    if check_gap:
-        a = abs(eps)
-        tol = max(1e-9, 1e-13 * (3 * b + a))
-        if bands[:, :3].max() > -a + tol or bands[:, 3:].min() < a - tol:
-            raise GapLawViolated("bulk gap law |E| >= |eps| violated")
+    bands = np.linalg.eigvalsh(bulk_h(b, eps, np.atleast_2d(k_path)))
+    a = abs(eps)
+    tol = max(1e-9, 1e-13 * (3 * b + a))
+    if bands[:, :3].max() > -a + tol or bands[:, 3:].min() < a - tol:
+        raise GapLawViolated("bulk gap law |E| >= |eps| violated")
     return bands
 
 
@@ -125,18 +112,12 @@ def dirac_slope(b: float, spread_tol: float = 0.01) -> float:
     spread by more than ``spread_tol`` of their mean.
     """
     radii = np.array([1e-3, 5e-4, 2.5e-4])
-    angles = [0.0, 0.7, 2.1]
-    slopes = []
-    for th in angles:
-        d = np.array([np.cos(th), np.sin(th)])
-        ratio = np.array([
-            np.linalg.eigvalsh(bulk_h(BulkParams(b, 0.0, tuple(r * d))))[3] / r
-            for r in radii
-        ])
-        # lambda4/|k| = slope + c|k| + ...: linear extrapolation to zero
-        coef = np.polyfit(radii, ratio, 1)
-        slopes.append(coef[1])
-    slopes = np.array(slopes)
+    angles = np.array([0.0, 0.7, 2.1])
+    dirs = np.column_stack([np.cos(angles), np.sin(angles)])
+    k = radii[None, :, None] * dirs[:, None, :]
+    ratio = np.linalg.eigvalsh(bulk_h(b, 0.0, k))[..., 3] / radii
+    # lambda4/|k| = slope + c|k| + ...: linear extrapolation to zero, per direction
+    slopes = np.array([np.polyfit(radii, r, 1)[1] for r in ratio])
     mean = slopes.mean()
     spread = (slopes.max() - slopes.min()) / mean
     if spread >= spread_tol:
@@ -153,7 +134,7 @@ def band_inversion(b: float, eps: float) -> tuple[np.ndarray, np.ndarray]:
     """
     if eps == 0.0:
         raise ValueError("band inversion needs eps != 0")
-    evals, evecs = np.linalg.eigh(bulk_h(BulkParams(b, eps)))
+    evals, evecs = np.linalg.eigh(bulk_h(b, eps))
     return evecs[:, 1:3], evecs[:, 3:5]
 
 

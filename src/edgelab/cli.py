@@ -240,7 +240,7 @@ def cmd_bulk(cfg: dict) -> int:
     if cfg["path_points"] < 1:
         raise ConfigError("path_points must be at least 1")
     path = default_k_path(cfg["path_points"])
-    bands = bulk_bands(b, eps, path, check_gap=True)
+    bands = bulk_bands(b, eps, path)
     out = Path(cfg["out_dir"])
     write_bands_csv(bands, out / "bands.csv")
     payload = {

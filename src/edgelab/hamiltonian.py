@@ -21,6 +21,7 @@ import numpy as np
 from .lattice import InterfaceKind, frame_bonds, material_sign
 
 __all__ = [
+    "check_material",
     "HoppingProfile",
     "BlochOperator",
     "bond_weights",
@@ -36,6 +37,13 @@ __all__ = [
     "chain_apply",
     "chain_apply_first_order",
 ]
+
+
+def check_material(b: float, eps: float) -> None:
+    """Reject a homogeneous material (b, eps) unless b and eps are finite and
+    both hoppings, b within a cell and b + eps between cells, are positive."""
+    if not (math.isfinite(b) and math.isfinite(eps) and b > 0 and b + eps > 0):
+        raise ValueError("need b > 0 and b + eps > 0")
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import DegenerateGapless, NotAZeroMode
-from .hamiltonian import HoppingProfile, chain_apply
+from .hamiltonian import HoppingProfile, chain_apply, check_material
 from .lattice import InterfaceKind
 
 __all__ = [
@@ -56,8 +56,7 @@ _MAX_HALF_SUPPORT = 20_000
 
 def a_matrices(b: float, eps: float, k: float) -> tuple[np.ndarray, ...]:
     """The six 2x2 cell-transfer blocks A_1..A_6 for one material (b, eps)."""
-    if b <= 0 or b + eps <= 0:
-        raise ValueError("need b > 0 and b + eps > 0")
+    check_material(b, eps)
     be = b + eps
     ep, em = np.exp(1j * k), np.exp(-1j * k)
     A1 = np.array([[-b, 0], [-b, -be * em]])
@@ -91,8 +90,7 @@ def propagation_matrix(b: float, eps: float, k: float) -> np.ndarray:
 def p_elements(b: float, eps: float, k: float) -> tuple[complex, complex, complex]:
     """Closed-form entries (alpha, beta, gamma) of P; the remaining entry is
     -exp(ik)*beta."""
-    if b <= 0 or b + eps <= 0:
-        raise ValueError("need b > 0 and b + eps > 0")
+    check_material(b, eps)
     t = (b + eps) / b
     ep, em = np.exp(1j * k), np.exp(-1j * k)
     alpha = -ep * t**2 + 2 * t - em + np.exp(2j * k) - 4 * ep / t + 4 / t**2
@@ -129,11 +127,11 @@ def p_eigen(b: float, eps: float, k: float) -> PMatrixReport:
     the decaying-direction slope f1 with its sign cases."""
     if not math.isfinite(k):
         raise ValueError("quasi-momentum k must be finite")
+    alpha, beta, gamma = p_elements(b, eps, k)
     # b + eps rounds to b for |eps| below about 1e-16 b, and P is then
     # exactly the identity too
     if b + eps == b and k == 0.0:
         raise DegenerateGapless("P is the identity at k = 0 when b + eps == b")
-    alpha, beta, gamma = p_elements(b, eps, k)
     disc = np.sqrt((alpha - gamma) ** 2 - 4 * np.exp(1j * k) * beta**2 + 0j)
     lam_a = (alpha + gamma - disc) / 2
     lam_b = (alpha + gamma + disc) / 2
@@ -295,8 +293,7 @@ def _q_shape(p: float, q: float, k: float) -> np.ndarray:
 
 def q_matrix(b: float, eps: float, k: float) -> np.ndarray:
     """Bulk 3x3 recursion matrix of the type-II zero-mode reduction."""
-    if b <= 0 or b + eps <= 0:
-        raise ValueError("need b > 0 and b + eps > 0")
+    check_material(b, eps)
     t = (b + eps) / b
     return _q_shape(t, 1.0 / t**2, k)
 
@@ -330,8 +327,7 @@ class QMatrixReport:
 def q_eigen(b: float, eps: float) -> QMatrixReport:
     """Eigenvalues mu1 < -2 < mu2, mu3 = (b+eps)/b and eigenvectors
     (t1,t1,1), (t2,t2,1), (i,-i,0) of the k = 0 bulk matrix."""
-    if b <= 0 or b + eps <= 0:
-        raise ValueError("need b > 0 and b + eps > 0")
+    check_material(b, eps)
     t = (b + eps) / b
     root = math.sqrt(t * t + 8.0 / t)
     mu1 = (-t - root) / 2

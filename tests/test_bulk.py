@@ -3,7 +3,6 @@ import pytest
 from scipy.linalg import subspace_angles
 
 from edgelab.bulk import (
-    BulkParams,
     band_inversion,
     bulk_bands,
     bulk_h,
@@ -25,16 +24,50 @@ def test_dual_basis_biorthogonality():
     assert abs(kb @ V_ALPHA) < 1e-12
 
 
+def _bulk_h_written_out(b, eps, k):
+    # the Bloch matrix with its nine coupling entries written out by hand
+    be = b + eps
+    pa = np.exp(1j * (k @ V_ALPHA))
+    pb = np.exp(1j * (k @ V_BETA))
+    pab = np.exp(1j * (k @ (V_ALPHA - V_BETA)))
+    H = np.zeros((6, 6), dtype=complex)
+    H[:3, 3:] = [
+        [-b, -b, -be * np.conj(pa)],
+        [-b, -be * pab, -b],
+        [-be * pb, -b, -b],
+    ]
+    H[3:, :3] = H[:3, 3:].conj().T
+    return H
+
+
 def test_bulk_h_entries_and_hermiticity():
-    b, eps = 5.0, 2.0
-    k = np.array([0.31, -0.77])
-    H = bulk_h(BulkParams(b, eps, tuple(k)))
-    assert H[0, 5] == pytest.approx(-(b + eps) * np.exp(-1j * (k @ V_ALPHA)))
-    assert H[1, 4] == pytest.approx(-(b + eps) * np.exp(1j * (k @ (V_ALPHA - V_BETA))))
-    assert H[2, 3] == pytest.approx(-(b + eps) * np.exp(1j * (k @ V_BETA)))
-    assert np.abs(H - H.conj().T).max() < 1e-14 * np.abs(H).max()
-    H0 = bulk_h(BulkParams(b, eps))
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        b = rng.uniform(0.5, 50.0)
+        eps = b * rng.uniform(-0.9, 2.0)
+        k = rng.uniform(-8.0, 8.0, size=2)
+        H = bulk_h(b, eps, k)
+        ref = _bulk_h_written_out(b, eps, k)
+        # all 18 bond entries, and zeros within each sublattice triple
+        assert np.abs(H - ref).max() <= 1e-14 * (b + abs(eps))
+        assert np.count_nonzero(H) == 18
+        assert np.array_equal(H, H.conj().T)
+    H0 = bulk_h(5.0, 2.0)
+    assert H0.shape == (6, 6)
     assert np.abs(H0.imag).max() == 0.0
+
+
+def test_bulk_h_stack_equals_per_point_calls():
+    rng = np.random.default_rng(6)
+    k = rng.uniform(-5.0, 5.0, size=(4, 7, 2))
+    H = bulk_h(3.3, -1.1, k)
+    assert H.shape == (4, 7, 6, 6)
+    for idx in np.ndindex(4, 7):
+        assert np.array_equal(H[idx], bulk_h(3.3, -1.1, k[idx]))
+    # a stacked eigensolve is the per-point one, bit for bit
+    bands = bulk_bands(3.3, -1.1, k.reshape(-1, 2))
+    per_point = [np.linalg.eigvalsh(bulk_h(3.3, -1.1, kk)) for kk in k.reshape(-1, 2)]
+    assert np.array_equal(bands, np.array(per_point))
 
 
 def test_gamma_point_spectrum():
@@ -58,7 +91,7 @@ def test_gap_law_and_chiral_pairing_on_grid():
     ss = np.linspace(0.0, 1.0, 50, endpoint=False)
     pts = np.array([s * ka + t * kb for s in ss for t in ss])
     for eps in (2.0, -2.0):
-        bands = bulk_bands(5.0, eps, pts, check_gap=False)
+        bands = bulk_bands(5.0, eps, pts)
         assert bands[:, :3].max() <= -abs(eps) + 1e-9
         assert bands[:, 3:].min() >= abs(eps) - 1e-9
         assert np.abs(bands + bands[:, ::-1]).max() < 1e-10 * np.abs(bands).max()
@@ -109,7 +142,7 @@ def test_dirac_slope_isotropic_linear_and_homogeneous():
     assert s10 == pytest.approx(2.0 * s5, rel=1e-6)
     # frozen fit value for b = 5 (independent check: 6x6 eigensolve at tiny k)
     k = 1e-6
-    lam4 = np.linalg.eigvalsh(bulk_h(BulkParams(5.0, 0.0, (k, 0.0))))[3]
+    lam4 = np.linalg.eigvalsh(bulk_h(5.0, 0.0, (k, 0.0)))[3]
     assert s5 == pytest.approx(lam4 / k, rel=1e-4)
 
 
@@ -134,8 +167,31 @@ def test_band_inversion_algebraic_spans():
 
 def test_bulk_params_validation():
     with pytest.raises(ValueError):
-        BulkParams(0.0, 1.0)
+        bulk_h(0.0, 1.0)
     with pytest.raises(ValueError):
-        BulkParams(5.0, -5.0)
+        bulk_h(5.0, -5.0)
     with pytest.raises(ValueError):
         band_inversion(5.0, 0.0)
+
+
+_NON_FINITE = [(np.nan, 1.0), (5.0, np.nan), (np.inf, 1.0), (5.0, np.inf), (5.0, -np.inf)]
+_MATERIAL_MESSAGE = r"need b > 0 and b \+ eps > 0"
+
+
+@pytest.mark.parametrize("b, eps", _NON_FINITE)
+@pytest.mark.parametrize("call", [
+    bulk_h,
+    gamma_eigs,
+    band_inversion,
+    lambda b, eps: bulk_bands(b, eps, default_k_path(12)),
+], ids=["bulk_h", "gamma_eigs", "band_inversion", "bulk_bands"])
+def test_non_finite_material_is_rejected(call, b, eps):
+    # NaN fails every comparison, so a sign check alone lets it through
+    with pytest.raises(ValueError, match=_MATERIAL_MESSAGE):
+        call(b, eps)
+
+
+@pytest.mark.parametrize("b", [np.nan, np.inf])
+def test_dirac_slope_rejects_non_finite_b(b):
+    with pytest.raises(ValueError, match=_MATERIAL_MESSAGE):
+        dirac_slope(b)

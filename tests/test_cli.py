@@ -319,7 +319,7 @@ def test_bulk_gap_law_violation_is_a_domain_failure(tmp_path, monkeypatch, capsy
     import edgelab.bulk as bulk
 
     bulk_h = bulk.bulk_h
-    monkeypatch.setattr(bulk, "bulk_h", lambda params: bulk_h(params) + abs(params.eps) / 2 * np.eye(6))
+    monkeypatch.setattr(bulk, "bulk_h", lambda b, eps, k=(0.0, 0.0): bulk_h(b, eps, k) + abs(eps) / 2 * np.eye(6))
     out = tmp_path / "o"
     assert run(["bulk", "--b", "1e8", "--eps", "1e-3", "--out", str(out)]) == 3
     err = capsys.readouterr().err

@@ -502,6 +502,24 @@ def test_non_finite_k_is_rejected(k):
         type1_zero_exists(HoppingProfile(60, 60, 30, -30, 50), 50.0, k)
 
 
+@pytest.mark.parametrize("b, eps", [
+    (np.nan, 30.0), (60.0, np.nan), (np.inf, 30.0), (60.0, np.inf), (60.0, -np.inf),
+])
+@pytest.mark.parametrize("call", [
+    lambda b, eps: a_matrices(b, eps, 0.3),
+    lambda b, eps: propagation_matrix(b, eps, 0.3),
+    lambda b, eps: p_elements(b, eps, 0.3),
+    lambda b, eps: p_eigen(b, eps, 0.0),
+    lambda b, eps: q_matrix(b, eps, 0.3),
+    q_eigen,
+], ids=["a_matrices", "propagation_matrix", "p_elements", "p_eigen", "q_matrix", "q_eigen"])
+def test_non_finite_material_is_rejected(call, b, eps):
+    # NaN fails every comparison, so a sign check alone lets it through; an
+    # infinite b must not reach p_eigen's gapless test b + eps == b
+    with pytest.raises(ValueError, match=r"need b > 0 and b \+ eps > 0"):
+        call(b, eps)
+
+
 @pytest.mark.parametrize("kind, dp, dm", [
     (InterfaceKind.TYPE_I, 30.0, -30.0),
     (InterfaceKind.TYPE_II, 30.0, -30.0),
