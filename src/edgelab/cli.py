@@ -11,6 +11,7 @@ ordering, fixed sign conventions, no timestamps.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -43,8 +44,7 @@ from .spectrum import (
     write_spectrum_csv,
 )
 from .transfer import (
-    matching_c_star,
-    p_eigen,
+    matching_coupling,
     type1_zero_exists,
     type2_zero_exists,
 )
@@ -178,11 +178,9 @@ def cmd_match_c(cfg: dict) -> int:
     profile = _profile(cfg)
     if profile.delta_plus == 0.0 or profile.delta_minus == 0.0:
         raise ConfigError("matching requires nonzero delta on both sides")
-    c_star = matching_c_star(profile)
+    c_star, f1p, f1m = matching_coupling(profile)
     tuned = profile.with_c(c_star)
     resid = min_abs_kept_at(InterfaceKind.TYPE_I, tuned, 0.0, cfg["n_cells"])
-    f1p = p_eigen(profile.b_plus, profile.delta_plus, 0.0).f1
-    f1m = p_eigen(profile.b_minus, profile.delta_minus, 0.0).f1
     write_json(Path(cfg["out_dir"]) / "match_c.json", {
         "c_star": c_star,
         "f1_plus": f1p,
@@ -266,6 +264,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache  # built on first use, then shared by every main call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="edgelab",
                                      description="edge-state analysis of generalized honeycomb interfaces")
@@ -299,6 +298,9 @@ def main(argv=None) -> int:
         return 2
     except ArithmeticError as exc:
         print(f"config error: floating-point overflow: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"config error: not enough memory: {exc}", file=sys.stderr)
         return 2
     except (NoMidGapState, NotAZeroMode, DegenerateGapless, GapLawViolated) as exc:
         print(f"domain failure: {exc}", file=sys.stderr)

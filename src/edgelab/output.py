@@ -34,6 +34,6 @@ def write_csv(path, header, fmt: str, n_rows: int, block) -> None:
 
 
 def write_json(path, payload: dict) -> None:
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     with _open(path) as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)

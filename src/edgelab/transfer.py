@@ -35,6 +35,7 @@ __all__ = [
     "propagation_matrix",
     "p_elements",
     "p_eigen",
+    "matching_coupling",
     "matching_c_star",
     "type1_zero_exists",
     "build_type1_zero_modes",
@@ -149,15 +150,21 @@ def p_eigen(b: float, eps: float, k: float) -> PMatrixReport:
     )
 
 
-def matching_c_star(profile: HoppingProfile) -> float:
-    """The unique interface coupling for which the two decaying directions
-    align at k = 0 and a type-I zero mode exists."""
+def matching_coupling(profile: HoppingProfile) -> tuple[float, float, float]:
+    """(c*, f1_plus, f1_minus): the decaying-direction slopes of both
+    materials at k = 0 and the coupling they determine."""
     if profile.delta_plus == 0.0 or profile.delta_minus == 0.0:
         raise DegenerateGapless("matching requires nonzero detuning on both sides")
     f1p = p_eigen(profile.b_plus, profile.delta_plus, 0.0).f1
     f1m = p_eigen(profile.b_minus, profile.delta_minus, 0.0).f1
     prod = (profile.b_plus + profile.delta_plus) * (profile.b_minus + profile.delta_minus) * f1p * f1m
-    return math.sqrt(prod)
+    return math.sqrt(prod), f1p, f1m
+
+
+def matching_c_star(profile: HoppingProfile) -> float:
+    """The unique interface coupling for which the two decaying directions
+    align at k = 0 and a type-I zero mode exists."""
+    return matching_coupling(profile)[0]
 
 
 def type1_zero_exists(profile: HoppingProfile, c_test: float, k: float) -> bool:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import subspace_angles
@@ -14,6 +16,7 @@ from edgelab.bulk import (
     write_bands_csv,
 )
 from edgelab.lattice import V_ALPHA, V_BETA
+from edgelab.output import BLOCK_ROWS
 
 
 def test_dual_basis_biorthogonality():
@@ -68,6 +71,27 @@ def test_bulk_h_stack_equals_per_point_calls():
     bands = bulk_bands(3.3, -1.1, k.reshape(-1, 2))
     per_point = [np.linalg.eigvalsh(bulk_h(3.3, -1.1, kk)) for kk in k.reshape(-1, 2)]
     assert np.array_equal(bands, np.array(per_point))
+
+
+def test_blocked_bands_equal_one_batched_solve():
+    # several full blocks and a partial one, against a single eigvalsh call
+    rng = np.random.default_rng(15)
+    k = rng.uniform(-6.0, 6.0, size=(3 * BLOCK_ROWS + 517, 2))
+    bands = bulk_bands(4.1, 1.7, k)
+    assert bands.tobytes() == np.linalg.eigvalsh(bulk_h(4.1, 1.7, k)).tobytes()
+
+
+def test_bands_transient_memory_is_bounded_by_the_block():
+    path = default_k_path(200_000)
+    tracemalloc.start()
+    try:
+        bands = bulk_bands(5.0, 2.0, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert bands.shape == (len(path), 6)
+    # one block of 4,096 points holds about 4.5 MB; the whole stack would be 220 MB
+    assert peak - bands.nbytes < 8 * 2**20
 
 
 def test_gamma_point_spectrum():

@@ -236,6 +236,21 @@ def test_out_of_range_inputs_exit_2(tmp_path, capsys, argv):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--kind", "type2", "--n-cells", "300000", "--k-points", "3"],  # 189 TiB
+    ["match-c", "--n-cells", "300000"],  # 189 TiB
+    ["evolve", "--kind", "type2", "--extent-m", "10000000", "--extent-n", "10000000",
+     "--t-final", "0.001"],  # 728 TiB
+])
+def test_inputs_too_large_for_memory_exit_2(tmp_path, capsys, argv):
+    # each asks for more than the 128 TiB user address space, so the
+    # allocation fails at once whatever the overcommit policy
+    assert run(argv + ["--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: not enough memory:") and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_evolve_rejects_zero_stride_before_building(tmp_path, monkeypatch, capsys):
     import edgelab.cli as cli
 
@@ -572,3 +587,48 @@ def test_evolve_fuzz_exits_with_documented_codes(tmp_path, capsys, monkeypatch):
                 tmp_path / "reference.csv", captured["positions"], captured["amplitudes"]), argv
         capsys.readouterr()
     assert codes.count(0) >= 10  # most draws are valid runs
+
+
+# every command; flags that one call sets and the next leaves unset; a
+# config-file run; an argparse error in the middle
+_REUSE_SEQUENCE = [
+    ["exist", "--kind", "type1", "--c-test", "44", "--out", "e1"],
+    ["exist", "--kind", "type1", "--out", "e2"],
+    ["exist", "--config", "cfg.json"],
+    ["exist", "--out", "e3"],
+    ["spectrum", "--kind", "type2", "--n-cells", "24", "--k-points", "3", "--require-crossing",
+     "--out", "s1"],
+    ["exist", "--kind", "type3", "--out", "bad"],
+    ["spectrum", "--kind", "type2", "--n-cells", "24", "--k-points", "3", "--out", "s2"],
+    ["match-c", "--n-cells", "24", "--out", "m"],
+    ["evolve", "--kind", "type2", "--extent-m", "26", "--extent-n", "22", "--center-m", "0",
+     "--width", "4", "--t-final", "0.02", "--stride", "50", "--out", "v"],
+    ["bulk", "--b", "3", "--eps", "0", "--out", "b1"],
+    ["bulk", "--eps", "-2", "--out", "b2"],
+]
+
+
+def _run_sequence(root: Path, monkeypatch) -> tuple[list, dict]:
+    root.mkdir()
+    (root / "cfg.json").write_text(json.dumps({"kind": "type2", "delta_minus": 30, "out_dir": "c"}))
+    monkeypatch.chdir(root)
+    codes = []
+    for argv in _REUSE_SEQUENCE:
+        try:
+            codes.append(main(argv))
+        except SystemExit as exc:
+            codes.append(f"SystemExit({exc.code})")
+    return codes, {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_reused_parser_carries_nothing_between_calls(tmp_path, monkeypatch, capsys):
+    import edgelab.cli as cli
+
+    assert build_parser() is build_parser()
+    reused = _run_sequence(tmp_path / "reused", monkeypatch)
+    # the reference: a newly built parser for every call
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = _run_sequence(tmp_path / "fresh", monkeypatch)
+    assert reused[0] == fresh[0] == [0, 0, 0, 0, 3, "SystemExit(2)", 0, 0, 0, 0, 0]
+    assert len(reused[1]) == 17 and reused[1] == fresh[1]
+    assert json.loads(reused[1]["e2/exist.json"])["c_test"] == 50.0

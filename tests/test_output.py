@@ -44,8 +44,8 @@ def test_only_the_output_module_writes_files():
     modules = sorted(SRC.glob("*.py"))
     assert len(modules) >= 10 and SRC / "output.py" in modules
     output = (SRC / "output.py").read_text()
-    assert "json.dump(" in output and ".mkdir(" in output and "open(" in output
+    assert "json.dumps(" in output and ".mkdir(" in output and "open(" in output
     found = [(path.name, needle) for path in modules if path.name != "output.py"
-             for needle in ("import csv", "json.dump(", ".mkdir(", "open(")
+             for needle in ("import csv", "json.dump", ".mkdir(", "open(")
              if needle in path.read_text()]
     assert found == []

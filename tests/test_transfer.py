@@ -15,6 +15,7 @@ from edgelab.transfer import (
     build_type1_zero_modes,
     build_type2_zero_modes,
     matching_c_star,
+    matching_coupling,
     p_eigen,
     p_elements,
     propagation_matrix,
@@ -186,6 +187,18 @@ def test_symmetric_case_collapses():
     profile = HoppingProfile(60, 60, 30, 30, 50.0)
     f1 = p_eigen(60.0, 30.0, 0.0).f1
     assert matching_c_star(profile) == pytest.approx(90.0 * abs(f1), rel=1e-13)
+
+
+@pytest.mark.parametrize("profile", [
+    HoppingProfile(60, 60, 30, -30, 50.0),
+    HoppingProfile(47.5, 71.25, -18.0, 33.5, 50.0),
+    HoppingProfile(1e-3, 2e3, 5e-4, -7e2, 50.0),
+])
+def test_matching_coupling_returns_the_slopes_behind_c_star(profile):
+    c_star, f1p, f1m = matching_coupling(profile)
+    assert c_star == matching_c_star(profile)
+    assert f1p == p_eigen(profile.b_plus, profile.delta_plus, 0.0).f1
+    assert f1m == p_eigen(profile.b_minus, profile.delta_minus, 0.0).f1
 
 
 def test_matching_requires_detuning():
