@@ -250,14 +250,15 @@ def evolve(state: WavepacketState, H, dt: float, steps: int) -> WavepacketState:
     """Classic RK4 for dPhi/dt = -i H Phi; requires |dt| * rho(H) <= 0.5."""
     if abs(dt) * rho_bound(H) > 0.5:
         raise StepTooLarge("dt * rho(H) exceeds 0.5")
-    H = H.astype(complex, copy=False)  # once, not on every product with the complex y
+    A = (-1j * dt) * H  # once; on this linear equation RK4 is a polynomial in A
     y = state.amplitudes.astype(complex, copy=True)
     for _ in range(steps):
-        k1 = -1j * (H @ y)
-        k2 = -1j * (H @ (y + 0.5 * dt * k1))
-        k3 = -1j * (H @ (y + 0.5 * dt * k2))
-        k4 = -1j * (H @ (y + dt * k3))
-        y += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        z = A @ y  # y + A(y + A/2(y + A/3(y + A/4 y))), from the inside out
+        for m in (4.0, 3.0, 2.0):
+            z *= 1.0 / m
+            z += y
+            z = A @ z
+        y += z
     return WavepacketState(domain=state.domain, amplitudes=y, time=state.time + dt * steps)
 
 

@@ -6,9 +6,9 @@ cell.  The chain is truncated to n in [-N, N] with open ends; couplings that
 would leave the window are dropped.
 
 Every operator comes from one place: the frame bond list of
-:func:`edgelab.lattice.frame_bonds`, weighted by :func:`bond_weights`.  It is
-assembled densely by :func:`chain_operator` into H(k) or dH/dk, and applied
-matrix-free to (cells, 6) amplitude arrays by :func:`chain_apply`.
+:func:`edgelab.lattice.frame_bonds`, weighted by :func:`bond_weights` into six
+material rows.  It is assembled densely by :func:`chain_operator` into H(k) or
+dH/dk, and applied matrix-free to (cells, 6) amplitude arrays by :func:`chain_apply`.
 """
 
 from __future__ import annotations
@@ -109,12 +109,12 @@ def bond_weights(profile: HoppingProfile, intracell, s1, s2) -> np.ndarray:
     return np.where(np.not_equal(s1, s2), profile.c, np.where(intracell, b, b + delta))
 
 
-def _bond_entries(kind: InterfaceKind, profile: HoppingProfile, n: np.ndarray,
-                  k: float, derivative: bool):
-    """Sites j -> j2 (0-based), cell offsets dn and entries of the 18 bonds of
-    each cell in the column ``n``: -w exp(i k dm) for H(k), or i dm (-w) for
-    dH/dk at k = 0 when ``derivative`` is set."""
+def _bond_table(kind: InterfaceKind, profile: HoppingProfile, k: float, derivative: bool):
+    """Sites j -> j2 (0-based), cell offsets dn and the entries -w exp(i k dm) of H(k), or
+    i dm (-w) of dH/dk at k = 0, of the 18 frame bonds in the cells n = -3..2; bonds reach
+    two cells, so any cell n has the entries of row clip(n, -3, 2) + 3."""
     j, j2, dm, dn, intracell = frame_bonds(kind).T
+    n = np.arange(-3, 3)[:, None]
     w = bond_weights(profile, intracell, material_sign(kind, 0, n), material_sign(kind, 0, n + dn))
     vals = 1j * dm * -w if derivative else -w * np.exp(1j * k * dm)
     return j - 1, j2 - 1, dn, vals
@@ -126,10 +126,11 @@ def chain_operator(kind: InterfaceKind, profile: HoppingProfile, lo: int, hi: in
     has flat index 6 (n - lo) + j - 1.  No two bonds of the frame share a
     (j, j2, dn), so every entry is one bond's."""
     n = np.arange(lo, hi + 1)[:, None]
-    j, j2, dn, vals = _bond_entries(kind, profile, n, k, derivative)
+    H = np.zeros((6 * len(n), 6 * len(n)), dtype=complex)  # first: an impossible size fails at once
+    j, j2, dn, vals = _bond_table(kind, profile, k, derivative)
+    vals = vals[np.clip(n[:, 0], -3, 2) + 3]
     n2 = n + dn
     keep = (n2 >= lo) & (n2 <= hi)
-    H = np.zeros((6 * len(n), 6 * len(n)), dtype=complex)
     # added onto zeros, so a -0.0 real part of i dm (-w) is stored as +0.0
     H[(6 * (n - lo) + j)[keep], (6 * (n2 - lo) + j2)[keep]] += vals[keep]
     return H
@@ -210,25 +211,29 @@ def apply_R(k: float, state: np.ndarray) -> np.ndarray:
 # Matrix-free application of H(k) and dH/dk on the infinite chain.
 # ---------------------------------------------------------------------------
 
+def _chain_apply(kind, profile, lo, cells, k, derivative):
+    # source sublattice rows on the cells [lo - 4, lo + len(cells) + 3]; image
+    # column i is cell lo - 2 + i, and its bond to cell + dn reads window 2 + dn
+    src = np.zeros((6, len(cells) + 8), dtype=complex)
+    src[:, 4:-4] = np.transpose(cells)
+    reach = np.lib.stride_tricks.sliding_window_view(src, len(cells) + 4, axis=1)
+    _, j2, dn, vals = _bond_table(kind, profile, k, derivative)
+    rows = np.clip(np.arange(lo - 2, lo + len(cells) + 2), -3, 2) + 3
+    t = (vals.T[:, rows] * reach[j2, dn + 2]).reshape(6, 3, -1)
+    # the three bonds of each site in frame order, summed from zero as slice-adds would
+    return (0.0 + t[:, 0] + t[:, 1] + t[:, 2]).T.copy()
+
+
 def chain_apply(kind: InterfaceKind, profile: HoppingProfile, lo: int, cells: np.ndarray,
                 k: float = 0.0, derivative: bool = False) -> np.ndarray:
     """Apply the infinite-chain H(k), or dH/dk at k = 0 when ``derivative`` is
-    set, to the amplitudes ``cells[i]`` of cell lo + i (zero elsewhere).
-
-    Bonds reach two cells, so the image is the (len(cells) + 4, 6) array of
-    the cells [lo - 2, lo + len(cells) + 1].
-    """
-    out = np.zeros((len(cells) + 4, 6), dtype=complex)
-    j, j2, dn, vals = _bond_entries(kind, profile, np.arange(lo - 2, lo + len(out) - 2)[:, None],
-                                    k, derivative)
-    # image row i is cell lo - 2 + i; cell lo - 2 + i + dn is source row i + 2 + dn
-    src = np.pad(cells, ((4, 4), (0, 0)))
-    for b in range(len(j)):
-        out[:, j[b]] += vals[:, b] * src[2 + dn[b]:2 + dn[b] + len(out), j2[b]]
-    return out
+    set, to the amplitudes ``cells[i]`` of cell lo + i (zero elsewhere).  Bonds
+    reach two cells, so the image is the (len(cells) + 4, 6) array of the cells
+    [lo - 2, lo + len(cells) + 1]."""
+    return _chain_apply(kind, profile, lo, cells, k, derivative)
 
 
 def chain_apply_first_order(kind: InterfaceKind, profile: HoppingProfile, lo: int,
                             cells: np.ndarray) -> np.ndarray:
     """:func:`chain_apply` with dH/dk at k = 0."""
-    return chain_apply(kind, profile, lo, cells, derivative=True)
+    return _chain_apply(kind, profile, lo, cells, 0.0, True)

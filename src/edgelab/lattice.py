@@ -7,6 +7,7 @@ exact integer arithmetic, floating positions appear only as output data.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -122,17 +123,20 @@ def material_sign(kind: InterfaceKind, m, n):
     return np.where(np.asarray(n) >= 0, 1, -1)
 
 
+@functools.cache
 def frame_bonds(kind: InterfaceKind) -> np.ndarray:
-    """The 18 directed bonds of a cell in interface-frame coordinates.
+    """The 18 directed bonds of a cell in interface-frame coordinates, read-only.
 
     Row (j, j2, dm, dn, intracell) couples site j of cell (m, n) to site j2
     of cell (m + dm, n + dn); rows follow the order of :func:`neighbors`.
     """
-    return np.array([
+    bonds = np.array([
         (j, j2, *cell_to_frame(kind, dp, dq), slot != _INTERCELL_SLOT[j])
         for j, row in _NEIGHBOR_TABLE.items()
         for slot, (j2, (dp, dq)) in enumerate(row)
     ])
+    bonds.flags.writeable = False
+    return bonds
 
 
 def frame_vectors(kind: InterfaceKind) -> tuple[np.ndarray, np.ndarray]:

@@ -14,8 +14,10 @@ from edgelab.hamiltonian import (
     h1_first_order,
     h2_first_order,
 )
+from edgelab import hamiltonian
 from edgelab.lattice import InterfaceKind
 
+import chain_oracle
 from coefficient_rows import coeffs_type1, coeffs_type2
 
 MIXED = HoppingProfile(60, 60, 30, -30, 50.0)
@@ -264,3 +266,70 @@ def test_chain_apply_matches_dense_operator(kind, build, first_order, k):
     image1 = chain_apply_first_order(kind, MIXED, lo, cells)
     expected1 = first_order(MIXED, N) @ v
     assert np.abs(image1.ravel() - expected1[window]).max() < 1e-13 * scale
+
+
+def _random_profile(rng):
+    b_plus, b_minus = rng.uniform(1.0, 100.0, size=2)
+    return HoppingProfile(b_plus, b_minus, rng.uniform(-0.9, 2.0) * b_plus,
+                          rng.uniform(-0.9, 2.0) * b_minus, rng.uniform(0.1, 100.0))
+
+
+def _random_window(rng, case):
+    """lo and length of a window: wholly in the n < 0 bulk (image included),
+    wholly in the n >= 0 bulk, straddling the interface, or one cell."""
+    length = 1 if case % 4 == 3 else int(rng.integers(1, 351))
+    lo = [-length - int(rng.integers(5, 40)), int(rng.integers(5, 40)),
+          int(rng.integers(-length - 2, 3)), int(rng.integers(-6, 7))][case % 4]
+    return lo, length
+
+
+def _random_cells(rng, case, length):
+    cells = rng.normal(size=(length, 6))
+    if case % 3:
+        cells = cells + 1j * rng.normal(size=(length, 6))  # else real-valued
+    if case % 5 < 2:
+        cells[:, rng.random(6) < 0.5] = 0.0  # zero sublattice columns
+    return cells
+
+
+_KS = (0.0, 0.3, -2.1, np.pi)
+
+
+@pytest.mark.parametrize("kind", list(InterfaceKind))
+def test_chain_apply_is_bitwise_the_slice_add_oracle(kind):
+    rng = np.random.default_rng(16 if kind is InterfaceKind.TYPE_I else 61)
+    for case in range(120):
+        profile = _random_profile(rng)
+        lo, length = _random_window(rng, case)
+        cells = _random_cells(rng, case, length)
+        k = _KS[case % 4] if case % 7 else float(rng.uniform(-np.pi, np.pi))
+        derivative = case % 6 == 5
+        expected = chain_oracle.chain_apply(kind, profile, lo, cells, 0.0 if derivative else k,
+                                            derivative)
+        image = (chain_apply_first_order(kind, profile, lo, cells) if derivative
+                 else chain_apply(kind, profile, lo, cells, k))
+        assert image.shape == expected.shape and image.dtype == complex
+        assert image.tobytes() == expected.tobytes(), (case, profile, lo, length, k, derivative)
+
+
+@pytest.mark.parametrize("kind", list(InterfaceKind))
+def test_chain_operator_is_bitwise_the_per_cell_oracle(kind):
+    rng = np.random.default_rng(17 if kind is InterfaceKind.TYPE_I else 71)
+    for case in range(100):
+        profile = _random_profile(rng)
+        lo, length = _random_window(rng, case)
+        length = min(length, 40)
+        k = _KS[case % 4] if case % 7 else float(rng.uniform(-np.pi, np.pi))
+        derivative = case % 6 == 5
+        H = chain_operator(kind, profile, lo, lo + length - 1, k, derivative)
+        expected = chain_oracle.chain_operator(kind, profile, lo, lo + length - 1, k, derivative)
+        assert H.tobytes() == expected.tobytes(), (case, profile, lo, length, k, derivative)
+
+
+def test_chain_operator_allocates_before_building_entries(monkeypatch):
+    # 3.6e6 sites: the dense matrix cannot exist, and no bond value is built
+    calls = []
+    monkeypatch.setattr(hamiltonian, "_bond_table", lambda *args: calls.append(args))
+    with pytest.raises(MemoryError):
+        chain_operator(InterfaceKind.TYPE_II, MIXED, -300000, 300000)
+    assert calls == []

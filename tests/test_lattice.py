@@ -77,6 +77,14 @@ def test_frame_bonds_join_the_two_sublattice_blocks(kind):
         assert {j, j2} & {1, 2, 3} and {j, j2} & {4, 5, 6}
 
 
+@pytest.mark.parametrize("kind", list(InterfaceKind))
+def test_frame_bonds_are_one_read_only_table_site_by_site(kind):
+    # the grouped chain product takes the bonds of site j from rows 3j-3..3j-1
+    bonds = frame_bonds(kind)
+    assert bonds is frame_bonds(kind) and not bonds.flags.writeable
+    assert bonds[:, 0].tolist() == [j for j in range(1, 7) for _ in range(3)]
+
+
 def test_equal_bond_length():
     lengths = []
     for j, p, q in itertools.product(range(1, 7), range(-2, 3), range(-2, 3)):
