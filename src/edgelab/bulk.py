@@ -104,6 +104,8 @@ def bulk_bands(b: float, eps: float, k_path) -> np.ndarray:
     for lo in range(0, len(k_path), BLOCK_ROWS):
         block = k_path[lo:lo + BLOCK_ROWS]
         bands[lo:lo + len(block)] = np.linalg.eigvalsh(bulk_h(b, eps, block))
+    if not np.isfinite(bands).all():
+        raise FloatingPointError("bulk energies overflow")
     a = abs(eps)
     tol = max(1e-9, 1e-13 * (3 * b + a))
     if bands[:, :3].max() > -a + tol or bands[:, 3:].min() < a - tol:

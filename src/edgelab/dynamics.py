@@ -43,7 +43,7 @@ from .lattice import (
 )
 from .output import write_csv, write_json
 from .spectrum import perturbation_m0
-from .transfer import build_type1_zero_modes, build_type2_zero_modes
+from .transfer import zero_modes
 
 __all__ = [
     "DomainSpec",
@@ -98,7 +98,7 @@ class DomainSpec:
         boundary is the rotation image of the straight one, so both legs are
         interfaces of the same kind."""
         if self.bend is None:
-            return material_sign(self.kind, m, n)
+            return material_sign(n)
         m, n = np.asarray(m), np.asarray(n)
         mb, turn = self.bend
         a, b = _LEGS[self.kind, turn]
@@ -119,8 +119,6 @@ class Domain:
     hamiltonian: sp.csr_matrix
     sigma: np.ndarray
     cell_interface_dist: np.ndarray
-    vertex_position: np.ndarray | None
-    leg_directions: tuple[np.ndarray, np.ndarray] | None
 
     @property
     def n_cells(self) -> tuple[int, int]:
@@ -181,19 +179,8 @@ def build_domain(spec: DomainSpec) -> Domain:
         np.minimum(dist2, window, out=dist2)
     dist = np.sqrt(dist2).reshape(-1)
 
-    vertex = None
-    legs = None
-    if spec.bend is not None:
-        mb, turn = spec.bend
-        vertex = mb * va
-        d1 = va / np.linalg.norm(va)  # packets arrive traveling toward +m
-        a, b = _LEGS[spec.kind, turn]
-        leg2 = a * va + b * vb
-        legs = (d1, leg2 / np.linalg.norm(leg2))
-
     return Domain(spec=spec, m_range=m_range, n_range=n_range, positions=positions,
-                  hamiltonian=H, sigma=sigma.reshape(Ma, Mb), cell_interface_dist=dist,
-                  vertex_position=vertex, leg_directions=legs)
+                  hamiltonian=H, sigma=sigma.reshape(Ma, Mb), cell_interface_dist=dist)
 
 
 @dataclass
@@ -217,8 +204,7 @@ def initial_wavepacket(domain: Domain, profile: HoppingProfile, center_m: float,
     interface; ``direction`` selects the sign of the group velocity through
     the corresponding eigenvector of the crossing matrix."""
     kind = domain.spec.kind
-    build = build_type1_zero_modes if kind is InterfaceKind.TYPE_I else build_type2_zero_modes
-    modes = build(profile)
+    modes = zero_modes(kind, profile)
     m0 = perturbation_m0(kind, profile, modes)
     evals, evecs = np.linalg.eigh(m0)
     coeff = evecs[:, 1] if direction > 0 else evecs[:, 0]
@@ -306,13 +292,16 @@ def interface_mass(state: WavepacketState, tube_radius: float) -> float:
 
 def make_bend_partition(domain: Domain) -> np.ndarray:
     """Label every site 0 (incoming leg), 1 (outgoing leg) or 2 (residual)
-    by projecting onto the two interface rays from the bend vertex."""
-    if domain.vertex_position is None:
+    by projecting onto the two interface rays from the bend vertex mb v_a."""
+    if domain.spec.bend is None:
         raise ValueError("partition requires a bent domain")
-    d1, d2 = domain.leg_directions
-    u = domain.positions - domain.vertex_position[None, :]
-    s_in = u @ (-d1)
-    s_out = u @ d2
+    mb, turn = domain.spec.bend
+    va, vb = frame_vectors(domain.spec.kind)
+    a, b = _LEGS[domain.spec.kind, turn]
+    leg2 = a * va + b * vb
+    u = domain.positions - (mb * va)[None, :]
+    s_in = u @ -(va / np.linalg.norm(va))  # packets arrive traveling toward +m
+    s_out = u @ (leg2 / np.linalg.norm(leg2))
     labels = np.full(len(u), 2, dtype=np.int8)
     labels[(s_in > 0) & (s_in >= s_out)] = 0
     labels[(s_out > 0) & (s_out > s_in)] = 1

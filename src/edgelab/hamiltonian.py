@@ -28,22 +28,20 @@ __all__ = [
     "chain_operator",
     "bloch_h1",
     "bloch_h2",
-    "h1_first_order",
-    "h2_first_order",
     "apply_T",
     "apply_V",
     "apply_R",
-    "chain_index",
     "chain_apply",
     "chain_apply_first_order",
 ]
 
 
 def check_material(b: float, eps: float) -> None:
-    """Reject a homogeneous material (b, eps) unless b and eps are finite and
-    both hoppings, b within a cell and b + eps between cells, are positive."""
-    if not (math.isfinite(b) and math.isfinite(eps) and b > 0 and b + eps > 0):
-        raise ValueError("need b > 0 and b + eps > 0")
+    """Reject a homogeneous material (b, eps) unless both hoppings, b within a
+    cell and b + eps between cells, are positive and finite.  The sum is
+    finite only if b and eps are too."""
+    if not (math.isfinite(b + eps) and b > 0 and b + eps > 0):
+        raise ValueError("need b > 0 and b + eps > 0, both finite")
 
 
 @dataclass(frozen=True)
@@ -52,8 +50,8 @@ class HoppingProfile:
 
     b_plus/b_minus are the intracell hoppings of the two half-lattices,
     delta_plus/delta_minus detune their intercell hoppings to b + delta, and
-    c couples bonds that cross the interface.  All bond weights must stay
-    strictly positive.
+    c couples bonds that cross the interface.  All bond weights must be
+    positive and finite.
     """
 
     b_plus: float
@@ -63,15 +61,10 @@ class HoppingProfile:
     c: float
 
     def __post_init__(self):
-        if not all(math.isfinite(x) for x in
-                   (self.b_plus, self.b_minus, self.delta_plus, self.delta_minus, self.c)):
-            raise ValueError("hopping parameters must be finite")
-        if not (self.b_plus > 0 and self.b_minus > 0):
-            raise ValueError("intracell hoppings must be positive")
-        if self.c <= 0:
-            raise ValueError("interface hopping c must be positive")
-        if self.b_plus + self.delta_plus <= 0 or self.b_minus + self.delta_minus <= 0:
-            raise ValueError("intercell hoppings b + delta must be positive")
+        check_material(self.b_plus, self.delta_plus)
+        check_material(self.b_minus, self.delta_minus)
+        if not 0 < self.c < math.inf:
+            raise ValueError("interface hopping c must be positive and finite")
 
     def with_c(self, c: float) -> "HoppingProfile":
         return replace(self, c=c)
@@ -81,8 +74,8 @@ class HoppingProfile:
 class BlochOperator:
     """A truncated interface Hamiltonian at fixed quasi-momentum.
 
-    ``matrix`` is dense Hermitian of dimension 6*(2*half_width + 1); cell n,
-    sublattice j map to flat index ``chain_index(n, j, half_width)``.
+    ``matrix`` is ``chain_operator(kind, profile, -half_width, half_width, k)``:
+    dense Hermitian, site (n, j) at flat index 6 (n + half_width) + j - 1.
     """
 
     kind: InterfaceKind
@@ -90,14 +83,6 @@ class BlochOperator:
     k: float
     half_width: int
     matrix: np.ndarray
-
-    def index(self, n: int, j: int) -> int:
-        return chain_index(n, j, self.half_width)
-
-
-def chain_index(n: int, j: int, half_width: int) -> int:
-    """Flat index of site (j, n) on the chain n in [-N, N], j in 1..6."""
-    return (n + half_width) * 6 + (j - 1)
 
 
 def bond_weights(profile: HoppingProfile, intracell, s1, s2) -> np.ndarray:
@@ -115,7 +100,7 @@ def _bond_table(kind: InterfaceKind, profile: HoppingProfile, k: float, derivati
     two cells, so any cell n has the entries of row clip(n, -3, 2) + 3."""
     j, j2, dm, dn, intracell = frame_bonds(kind).T
     n = np.arange(-3, 3)[:, None]
-    w = bond_weights(profile, intracell, material_sign(kind, 0, n), material_sign(kind, 0, n + dn))
+    w = bond_weights(profile, intracell, material_sign(n), material_sign(n + dn))
     vals = 1j * dm * -w if derivative else -w * np.exp(1j * k * dm)
     return j - 1, j2 - 1, dn, vals
 
@@ -153,20 +138,6 @@ def bloch_h2(profile: HoppingProfile, k: float, N: int) -> BlochOperator:
     if N < 4:
         raise ValueError("type-II supercell needs N >= 4 for the n+-2 couplings")
     return _bloch(InterfaceKind.TYPE_II, profile, k, N)
-
-
-def h1_first_order(profile: HoppingProfile, N: int) -> np.ndarray:
-    """dH_I/dk at k = 0 (Hermitian; rows 3 and 4 vanish identically)."""
-    if N < 2:
-        raise ValueError("need N >= 2")
-    return chain_operator(InterfaceKind.TYPE_I, profile, -N, N, derivative=True)
-
-
-def h2_first_order(profile: HoppingProfile, N: int) -> np.ndarray:
-    """dH_II/dk at k = 0 (Hermitian; rows 3 and 4 vanish identically)."""
-    if N < 4:
-        raise ValueError("need N >= 4")
-    return chain_operator(InterfaceKind.TYPE_II, profile, -N, N, derivative=True)
 
 
 # ---------------------------------------------------------------------------

@@ -96,29 +96,33 @@ def classify_neighbors(site: SiteIndex) -> tuple[list[SiteIndex], list[SiteIndex
     return intra, [nbrs[k]]
 
 
+# kind -> integer basis (v_a, v_b) of the interface frame in (v_alpha, v_beta)
+# coordinates: v_a is the periodic direction, v_b the extension direction.
+# Every frame has determinant 1, so both changes of coordinates are integer.
+_FRAMES = {
+    InterfaceKind.TYPE_I: ((1, -1), (0, 1)),
+    InterfaceKind.TYPE_II: ((1, 1), (0, 1)),
+}
+
+
 def interface_frame(kind: InterfaceKind) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Integer basis (v_a, v_b) of the interface frame in (v_alpha, v_beta)
-    coordinates; v_a is the periodic direction, v_b the extension direction."""
-    if kind is InterfaceKind.TYPE_I:
-        return (1, -1), (0, 1)
-    return (1, 1), (0, 1)
+    """The integer basis (v_a, v_b) of the interface frame of ``kind``."""
+    return _FRAMES[kind]
 
 
-def frame_to_cell(kind: InterfaceKind, m: int, n: int) -> tuple[int, int]:
-    """Map interface-frame coordinates (m, n) to lattice coordinates (p, q)."""
-    if kind is InterfaceKind.TYPE_I:
-        return m, n - m
-    return m, n + m
+def frame_to_cell(kind: InterfaceKind, m, n):
+    """Lattice coordinates (p, q) of the frame cell m v_a + n v_b (elementwise)."""
+    (a1, a2), (b1, b2) = _FRAMES[kind]
+    return a1 * m + b1 * n, a2 * m + b2 * n
 
 
-def cell_to_frame(kind: InterfaceKind, p: int, q: int) -> tuple[int, int]:
-    """Inverse of :func:`frame_to_cell` (the frame change is unimodular)."""
-    if kind is InterfaceKind.TYPE_I:
-        return p, q + p
-    return p, q - p
+def cell_to_frame(kind: InterfaceKind, p, q):
+    """Inverse of :func:`frame_to_cell`, by the adjugate of the unit-determinant frame."""
+    (a1, a2), (b1, b2) = _FRAMES[kind]
+    return b2 * p - b1 * q, a1 * q - a2 * p
 
 
-def material_sign(kind: InterfaceKind, m, n):
+def material_sign(n):
     """+1 on the upper half-space n >= 0, -1 on the complement (elementwise)."""
     return np.where(np.asarray(n) >= 0, 1, -1)
 
@@ -141,5 +145,5 @@ def frame_bonds(kind: InterfaceKind) -> np.ndarray:
 
 def frame_vectors(kind: InterfaceKind) -> tuple[np.ndarray, np.ndarray]:
     """Cartesian versions of the interface-frame basis."""
-    (a1, a2), (b1, b2) = interface_frame(kind)
-    return BASIS @ np.array([a1, a2]), BASIS @ np.array([b1, b2])
+    v_a, v_b = _FRAMES[kind]
+    return BASIS @ np.array(v_a), BASIS @ np.array(v_b)

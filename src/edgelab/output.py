@@ -2,9 +2,10 @@
 
 CSV is csv.writer's dialect (commas, CRLF, no field needs quoting), written
 ``BLOCK_ROWS`` rows at a time, one ``%`` format per block, from columns the
-caller builds per block, so the memory held stays bounded.  JSON is indented
-by 2, with sorted keys and a final newline.  Writing a file makes its
-directory, so a command that fails before it has results leaves none.
+caller builds per block, so the memory held stays bounded.  JSON is strict
+(no NaN or infinity), indented by 2, with sorted keys and a final newline.
+Writing a file makes its directory, so a command that fails before it has
+results leaves none.
 """
 
 from __future__ import annotations
@@ -34,6 +35,6 @@ def write_csv(path, header, fmt: str, n_rows: int, block) -> None:
 
 
 def write_json(path, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     with _open(path) as fh:
         fh.write(text)

@@ -32,7 +32,7 @@ from .errors import NoMidGapState, NotAZeroMode
 from .hamiltonian import HoppingProfile, chain_apply_first_order, chain_operator
 from .lattice import InterfaceKind
 from .output import write_csv
-from .transfer import ZeroMode, build_type1_zero_modes, build_type2_zero_modes
+from .transfer import ZeroMode, zero_modes
 
 __all__ = [
     "SpectrumTable",
@@ -106,6 +106,8 @@ def _chiral_block(kind, profile, k, N):
 def _solve_one(kind, profile, k, N, margin):
     # (u_r, -+v_r)/sqrt2 is the eigenvector of -+s_r; see the module docstring
     u, s, vh = np.linalg.svd(_chiral_block(kind, profile, k, N))
+    if not np.isfinite(s).all():
+        raise FloatingPointError("supercell energies overflow")
     n = len(s)
     evals = np.concatenate([-s, s[::-1]])
     # only the rows of the outer margin cells enter the boundary mass
@@ -217,8 +219,7 @@ def perturbation_m0(kind: InterfaceKind, profile: HoppingProfile,
     """The 2x2 matrix of dH/dk in the zero-mode pair; Hermitian, zero
     diagonal, purely imaginary off-diagonal."""
     if modes is None:
-        build = build_type1_zero_modes if kind is InterfaceKind.TYPE_I else build_type2_zero_modes
-        modes = build(profile)
+        modes = zero_modes(kind, profile)
     # the window [-L, L] holds both supports, so the image rows of [-L, L]
     # carry every term of either inner product
     L = max(max(map(abs, mode.support())) for mode in modes)
@@ -229,10 +230,9 @@ def perturbation_m0(kind: InterfaceKind, profile: HoppingProfile,
 
 
 def min_abs_kept_at(kind: InterfaceKind, profile: HoppingProfile, k: float,
-                    N: int = DEFAULT_N, margin: int = DEFAULT_MARGIN,
-                    threshold: float = DEFAULT_THRESHOLD) -> float:
+                    N: int = DEFAULT_N) -> float:
     """Smallest kept |E| at one k; NoMidGapState when nothing is kept there."""
-    table = supercell_spectrum(kind, profile, None, [k], N, margin, threshold)
+    table = supercell_spectrum(kind, profile, None, [k], N)
     e = float(min_abs_kept(table)[0])
     if e == np.inf:
         raise NoMidGapState(f"no kept eigenvalue at k={k}")
@@ -240,9 +240,7 @@ def min_abs_kept_at(kind: InterfaceKind, profile: HoppingProfile, k: float,
 
 
 def perturbation_matrix(kind: InterfaceKind, profile: HoppingProfile,
-                        N: int = DEFAULT_N, h: float = 1e-3,
-                        margin: int = DEFAULT_MARGIN,
-                        threshold: float = DEFAULT_THRESHOLD) -> SlopeReport:
+                        N: int = DEFAULT_N, h: float = 1e-3) -> SlopeReport:
     """Crossing slope |Im m0_12| plus the one-sided finite difference of the
     supercell edge branch at step h.
 
@@ -251,8 +249,8 @@ def perturbation_matrix(kind: InterfaceKind, profile: HoppingProfile,
     """
     m0 = perturbation_m0(kind, profile)
     slope = float(abs(m0[0, 1].imag))
-    e0 = min_abs_kept_at(kind, profile, 0.0, N, margin, threshold)
-    eh = min_abs_kept_at(kind, profile, h, N, margin, threshold)
+    e0 = min_abs_kept_at(kind, profile, 0.0, N)
+    eh = min_abs_kept_at(kind, profile, h, N)
     fd = (eh - e0) / h
     rel = abs(slope - fd) / slope if slope > 0 else float("inf")
     return SlopeReport(m0=m0, slope=slope, fd_slope=fd, rel_gap=rel)

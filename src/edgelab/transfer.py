@@ -44,6 +44,7 @@ __all__ = [
     "q_eigen",
     "type2_zero_exists",
     "build_type2_zero_modes",
+    "zero_modes",
 ]
 
 _PARALLEL_TOL = 1e-10
@@ -431,3 +432,10 @@ def build_type2_zero_modes(profile: HoppingProfile) -> tuple[ZeroMode, ZeroMode]
     if mode_b.cells[Mb, 0].real > 0:
         mode_b = replace(mode_b, cells=-mode_b.cells)
     return mode_a, mode_b
+
+
+def zero_modes(kind: InterfaceKind, profile: HoppingProfile) -> tuple[ZeroMode, ZeroMode]:
+    """The pair of zero modes at k = 0 of the interface of ``kind``.  The
+    builders are looked up when called, so a replaced module attribute is used."""
+    build = build_type1_zero_modes if kind is InterfaceKind.TYPE_I else build_type2_zero_modes
+    return build(profile)

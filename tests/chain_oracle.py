@@ -21,7 +21,7 @@ def bond_entries(kind: InterfaceKind, profile: HoppingProfile, n: np.ndarray,
     each cell in the column ``n``: -w exp(i k dm) for H(k), or i dm (-w) for
     dH/dk at k = 0 when ``derivative`` is set."""
     j, j2, dm, dn, intracell = frame_bonds(kind).T
-    w = bond_weights(profile, intracell, material_sign(kind, 0, n), material_sign(kind, 0, n + dn))
+    w = bond_weights(profile, intracell, material_sign(n), material_sign(n + dn))
     vals = 1j * dm * -w if derivative else -w * np.exp(1j * k * dm)
     return j - 1, j2 - 1, dn, vals
 

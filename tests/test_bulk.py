@@ -215,6 +215,12 @@ def test_non_finite_material_is_rejected(call, b, eps):
         call(b, eps)
 
 
+def test_overflowing_bands_raise():
+    # valid hoppings, but the eigensolver's energies overflow to +-inf
+    with pytest.raises(FloatingPointError):
+        bulk_bands(1e308, 1.0, default_k_path(12))
+
+
 @pytest.mark.parametrize("b", [np.nan, np.inf])
 def test_dirac_slope_rejects_non_finite_b(b):
     with pytest.raises(ValueError, match=_MATERIAL_MESSAGE):

@@ -358,6 +358,36 @@ def test_overflow_exits_2(tmp_path, capsys, argv):
     assert not list(tmp_path.rglob("*.json"))
 
 
+@pytest.mark.parametrize("argv", [
+    ["exist", "--kind", "type1"],
+    ["exist", "--kind", "type2"],
+    ["match-c"],
+    ["spectrum", "--kind", "type2", "--n-cells", "24", "--k-points", "3"],
+    ["evolve", "--kind", "type2", "--extent-m", "24", "--extent-n", "22", "--t-final", "0.01"],
+])
+def test_overflowing_intercell_hopping_exits_2(tmp_path, capsys, argv):
+    # b and delta are finite, but the intercell hopping b + delta overflows;
+    # type I used to print a verdict computed from NaN and exit 0
+    out = tmp_path / "o"
+    assert run([*argv, "--b-plus", "1e308", "--delta-plus", "1e308", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: need b > 0 and b + eps > 0")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--kind", "type1", "--n-cells", "32", "--k-points", "3", "--b-plus", "1e308",
+     "--c", "0.0231"],
+    ["bulk", "--b", "1e308", "--eps", "1"],
+])
+def test_overflowing_energies_exit_2(tmp_path, capsys, argv):
+    # valid hoppings whose energies overflow in the eigensolver: the files
+    # used to carry +-inf energies (and -Infinity in bulk.json) with exit 0
+    out = tmp_path / "o"
+    assert run([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: floating-point overflow:")
+    assert not out.exists()
+
+
 def test_exist_near_zero_detuning_is_degenerate(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -480,7 +510,7 @@ _FUZZ_FLAGS = {
     "bulk": ("b", "eps"),
 }
 _FUZZ_FIXED = {"exist": (), "match-c": ("--n-cells=24",), "bulk": ("--path-points=12",)}
-_FUZZ_EDGES = (0.0, 1e-15, -1e-15, 1e-300, -1e-300, 1e300, -1e300)
+_FUZZ_EDGES = (0.0, 1e-15, -1e-15, 1e-300, -1e-300, 1e300, -1e300, 1e308)
 
 
 def _strict_constant(name):
@@ -512,6 +542,47 @@ def test_cli_fuzz_exits_with_documented_codes(tmp_path, capsys):
             for path in (tmp_path / str(i)).glob("*.json"):
                 json.loads(path.read_text(), parse_constant=_strict_constant)
         capsys.readouterr()
+
+
+def test_spectrum_fuzz_exits_with_documented_codes(tmp_path, capsys):
+    # small supercells and few k-points: each case exits 0, 2 or 3 within its
+    # time bound, and every file it leaves is strict JSON or an all-finite CSV
+    rng = np.random.default_rng(2028)
+    codes = []
+    for i in range(150):
+        out = tmp_path / str(i)
+        argv = ["spectrum", f"--kind={rng.choice(['type1', 'type2'])}",
+                f"--n-cells={rng.integers(16, 33)}", f"--k-points={rng.integers(0, 6)}",
+                f"--margin={rng.integers(0, 6)}", f"--out={out}"]
+        if rng.random() < 0.2:
+            argv.append("--require-crossing")
+        # mostly valid values; then perhaps an edge value or one of either sign
+        b = 10 ** rng.uniform(0.0, 2.5, size=2)
+        values = {"b-plus": b[0], "b-minus": b[1],
+                  "delta-plus": rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 0.9) * b[0],
+                  "delta-minus": rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 0.9) * b[1],
+                  "c": 10 ** rng.uniform(-2.0, 2.5), "threshold": rng.uniform(0.0, 1.0)}
+        for flag in values:
+            if rng.random() < 0.12:
+                values[flag] = rng.choice(_FUZZ_EDGES)
+            elif rng.random() < 0.05:
+                values[flag] = rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-4.0, 4.0)
+        argv += [f"--{flag}={float(value)!r}" for flag, value in values.items()]
+        start = time.perf_counter()
+        try:
+            code = run(argv)
+        except Exception as exc:  # any exception escaping main is the failure
+            pytest.fail(f"{argv} raised {exc!r}")
+        assert time.perf_counter() - start < 10.0, argv
+        assert code in (0, 2, 3), argv
+        codes.append(code)
+        for path in out.glob("*.json"):
+            json.loads(path.read_text(), parse_constant=_strict_constant)
+        if code != 2:
+            rows = np.loadtxt(out / "spectrum.csv", delimiter=",", skiprows=1, ndmin=2)
+            assert np.isfinite(rows).all(), argv
+        capsys.readouterr()
+    assert codes.count(0) >= 20  # a fair share of the draws are valid runs
 
 
 def test_evolve_fuzz_exits_with_documented_codes(tmp_path, capsys, monkeypatch):

@@ -305,7 +305,7 @@ def test_record_run_rejects_zero_stride(tmp_path):
 def test_bloch_reduction_consistency(kind, k):
     # a k-quasiperiodic state on the 2D domain must reproduce the reduced
     # chain operator on interior cells: H_full (e^{ikm} phi_n) = e^{ikm} (H(k) phi)_n
-    from edgelab.hamiltonian import bloch_h1, bloch_h2, chain_index
+    from edgelab.hamiltonian import bloch_h1, bloch_h2
 
     dom = build_domain(DomainSpec(kind, (26, 26), MIXED))
     N = 12

@@ -11,8 +11,6 @@ from edgelab.hamiltonian import (
     chain_apply,
     chain_apply_first_order,
     chain_operator,
-    h1_first_order,
-    h2_first_order,
 )
 from edgelab import hamiltonian
 from edgelab.lattice import InterfaceKind
@@ -25,6 +23,16 @@ SAME = HoppingProfile(60, 60, 30, 30, 50.0)
 HOMOG = HoppingProfile(60, 60, 30, 30, 90.0)  # c = b + delta: no interface at all
 
 
+def _site(n, j, N):
+    """Flat index of site (n, j) in chain_operator's layout 6 (n - lo) + j - 1, lo = -N."""
+    return 6 * (n + N) + j - 1
+
+
+def _derivative(kind, N):
+    """dH/dk at k = 0 on the cells [-N, N]."""
+    return chain_operator(kind, MIXED, -N, N, derivative=True)
+
+
 def test_profile_invariants():
     with pytest.raises(ValueError):
         HoppingProfile(0, 60, 30, 30, 50)
@@ -32,6 +40,10 @@ def test_profile_invariants():
         HoppingProfile(60, 60, -60, 30, 50)
     with pytest.raises(ValueError):
         HoppingProfile(60, 60, 30, 30, 0)
+    for bad in ((1e308, 60, 1e308, 30, 50),  # b + delta overflows to infinity
+                (60, 1e308, 30, 1e308, 50), (60, 60, 30, 30, np.inf), (60, 60, 30, 30, np.nan)):
+        with pytest.raises(ValueError):
+            HoppingProfile(*bad)
 
 
 def test_coeffs_type1_interface_row():
@@ -94,25 +106,23 @@ def test_real_symmetric_at_k0_homogeneous():
 
 def test_bloch_h1_entries():
     k, N = 0.37, 6
-    op = bloch_h1(MIXED, k, N)
-    H = op.matrix
+    H = bloch_h1(MIXED, k, N).matrix
     for n in (-3, 0, 2):
         row = coeffs_type1(MIXED, n)
         prev = coeffs_type1(MIXED, n - 1)
-        assert H[op.index(n, 1), op.index(n - 1, 6)] == -prev.c * np.exp(-1j * k)
-        assert H[op.index(n, 2), op.index(n, 5)] == -row.d * np.exp(1j * k)
-        assert H[op.index(n, 5), op.index(n, 2)] == -row.d * np.exp(-1j * k)
+        assert H[_site(n, 1, N), _site(n - 1, 6, N)] == -prev.c * np.exp(-1j * k)
+        assert H[_site(n, 2, N), _site(n, 5, N)] == -row.d * np.exp(1j * k)
+        assert H[_site(n, 5, N), _site(n, 2, N)] == -row.d * np.exp(-1j * k)
 
 
 def test_bloch_h2_entries():
     k, N = -0.9, 6
-    op = bloch_h2(MIXED, k, N)
-    H = op.matrix
+    H = bloch_h2(MIXED, k, N).matrix
     for n in (-2, 0, 3):
         row = coeffs_type2(MIXED, n)
         two_below = coeffs_type2(MIXED, n - 2)
-        assert H[op.index(n, 2), op.index(n - 2, 5)] == -two_below.d * np.exp(1j * k)
-        assert H[op.index(n, 1), op.index(n + 1, 6)] == -row.c * np.exp(-1j * k)
+        assert H[_site(n, 2, N), _site(n - 2, 5, N)] == -two_below.d * np.exp(1j * k)
+        assert H[_site(n, 1, N), _site(n + 1, 6, N)] == -row.c * np.exp(-1j * k)
 
 
 def test_deep_bulk_rows_match_homogeneous_material():
@@ -123,12 +133,11 @@ def test_deep_bulk_rows_match_homogeneous_material():
         H = build(MIXED, 0.4, N).matrix
         Hp = build(plus, 0.4, N).matrix
         Hm = build(minus, 0.4, N).matrix
-        op = build(MIXED, 0.4, N)
         for n in range(3, N - 2):
-            i = op.index(n, 1)
+            i = _site(n, 1, N)
             assert np.abs(H[i:i + 6] - Hp[i:i + 6]).max() == 0.0
         for n in range(-N + 3, -2):
-            i = op.index(n, 1)
+            i = _site(n, 1, N)
             assert np.abs(H[i:i + 6] - Hm[i:i + 6]).max() == 0.0
 
 
@@ -203,11 +212,18 @@ def test_type1_mirror_swaps_the_materials():
     assert np.abs(H - image).max() > 1.0  # the phase is needed
 
 
-@pytest.mark.parametrize("build,first_order", [(bloch_h1, h1_first_order),
-                                               (bloch_h2, h2_first_order)])
-def test_first_order_is_k_derivative(build, first_order):
+def _first_order_id(value):
+    """Name a Bloch operator in a test id together with its first-order
+    term H^(1) = dH/dk at k = 0, e.g. bloch_h1-h1_first_order."""
+    if value in (bloch_h1, bloch_h2):
+        return f"{value.__name__}-h{value.__name__[-1]}_first_order"
+    return None
+
+
+@pytest.mark.parametrize("build", [bloch_h1, bloch_h2], ids=_first_order_id)
+def test_first_order_is_k_derivative(build):
     N = 6
-    H1 = first_order(MIXED, N)
+    H1 = _derivative(build(MIXED, 0.0, N).kind, N)
     assert np.abs(H1 - H1.conj().T).max() == 0.0
     k = 1e-4
     fd = (build(MIXED, k, N).matrix - build(MIXED, 0.0, N).matrix) / k
@@ -217,32 +233,25 @@ def test_first_order_is_k_derivative(build, first_order):
 
 def test_first_order_zero_rows():
     N = 5
-    for first_order, kind in ((h1_first_order, InterfaceKind.TYPE_I),
-                              (h2_first_order, InterfaceKind.TYPE_II)):
-        H1 = first_order(MIXED, N)
+    for kind in InterfaceKind:
+        H1 = _derivative(kind, N)
         for n in range(-N, N + 1):
-            i3 = (n + N) * 6 + 2
-            i4 = (n + N) * 6 + 3
-            assert np.abs(H1[i3]).max() == 0.0
-            assert np.abs(H1[i4]).max() == 0.0
+            assert np.abs(H1[_site(n, 3, N)]).max() == 0.0
+            assert np.abs(H1[_site(n, 4, N)]).max() == 0.0
 
 
 def test_h2_first_order_row5_entry():
     N = 6
-    H1 = h2_first_order(MIXED, N)
+    H1 = _derivative(InterfaceKind.TYPE_II, N)
     for n in (-2, 0, 1):
         row = coeffs_type2(MIXED, n)
-        i5 = (n + N) * 6 + 4
-        j2 = (n + 2 + N) * 6 + 1
-        assert H1[i5, j2] == 1j * row.d
+        assert H1[_site(n, 5, N), _site(n + 2, 2, N)] == 1j * row.d
 
 
-@pytest.mark.parametrize("kind,build,first_order", [
-    (InterfaceKind.TYPE_I, bloch_h1, h1_first_order),
-    (InterfaceKind.TYPE_II, bloch_h2, h2_first_order),
-])
+@pytest.mark.parametrize("kind,build", [(InterfaceKind.TYPE_I, bloch_h1),
+                                        (InterfaceKind.TYPE_II, bloch_h2)], ids=_first_order_id)
 @pytest.mark.parametrize("k", [0.0, 0.7])
-def test_chain_apply_matches_dense_operator(kind, build, first_order, k):
+def test_chain_apply_matches_dense_operator(kind, build, k):
     # matrix-free products on a gappy support (zero rows at -2, 1, 3, 4)
     # against the dense window operators; the support and its two-cell bond
     # reach stay inside [-N, N]
@@ -264,7 +273,7 @@ def test_chain_apply_matches_dense_operator(kind, build, first_order, k):
     assert not expected[:window.start].any() and not expected[window.stop:].any()
 
     image1 = chain_apply_first_order(kind, MIXED, lo, cells)
-    expected1 = first_order(MIXED, N) @ v
+    expected1 = _derivative(kind, N) @ v
     assert np.abs(image1.ravel() - expected1[window]).max() < 1e-13 * scale
 
 

@@ -111,7 +111,22 @@ def test_frame_relabeling_is_bijective():
         assert len(seen) == 100
 
 
+@pytest.mark.parametrize("kind", list(InterfaceKind))
+def test_frame_changes_work_elementwise_on_arrays(kind):
+    # build_domain passes whole columns of cells; each frame is unimodular,
+    # so both directions stay exact integer arithmetic
+    (a1, a2), (b1, b2) = interface_frame(kind)
+    assert a1 * b2 - a2 * b1 == 1
+    m, n = np.meshgrid(np.arange(-7, 8), np.arange(-6, 9), indexing="ij")
+    p, q = frame_to_cell(kind, m, n)
+    assert p.dtype.kind == q.dtype.kind == "i"
+    assert [(int(x), int(y)) for x, y in zip(p.flat, q.flat)] == [
+        frame_to_cell(kind, int(x), int(y)) for x, y in zip(m.flat, n.flat)]
+    back = cell_to_frame(kind, p, q)
+    assert np.array_equal(back[0], m) and np.array_equal(back[1], n)
+
+
 def test_material_sign():
-    assert material_sign(InterfaceKind.TYPE_I, 5, 0) == 1
-    assert material_sign(InterfaceKind.TYPE_II, 0, -1) == -1
-    assert material_sign(InterfaceKind.TYPE_I, -3, 7) == 1
+    assert material_sign(0) == 1
+    assert material_sign(-1) == -1
+    assert material_sign(7) == 1

@@ -38,6 +38,15 @@ def test_write_json_is_indented_sorted_and_newline_terminated(tmp_path):
     assert path.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_write_json_refuses_non_finite_numbers(tmp_path, value):
+    # NaN and Infinity are not JSON; refused before the directory is made
+    path = tmp_path / "new" / "p.json"
+    with pytest.raises(ValueError):
+        write_json(path, {"x": [1.0, value]})
+    assert not path.parent.exists()
+
+
 def test_only_the_output_module_writes_files():
     # the format of every file, and where its directory comes from, is
     # decided in edgelab.output alone

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from edgelab.errors import NoMidGapState
-from edgelab.hamiltonian import HoppingProfile, bloch_h1, bloch_h2, h1_first_order
+from edgelab.hamiltonian import HoppingProfile, bloch_h1, bloch_h2, chain_operator
 from edgelab.lattice import InterfaceKind
 from edgelab.spectrum import (
     _chiral_block,
@@ -256,7 +256,7 @@ def test_m0_matrix_route_matches_dense_operator():
     mode_a, mode_b = build_type1_zero_modes(tuned)
     m0 = perturbation_m0(InterfaceKind.TYPE_I, tuned, (mode_a, mode_b))
     L = max(abs(n) for n in mode_a.amplitudes)
-    H1 = h1_first_order(tuned, L)
+    H1 = chain_operator(InterfaceKind.TYPE_I, tuned, -L, L, derivative=True)
     va = mode_a.as_vector(L)
     vb = mode_b.as_vector(L)
     assert m0[0, 1] == pytest.approx(np.vdot(va, H1 @ vb), rel=1e-10)
@@ -273,6 +273,13 @@ def test_slope_matches_finite_difference(kind, profile):
     # Richardson step: halving h must stay consistent
     half = perturbation_matrix(kind, profile, N=60, h=5e-4)
     assert abs(half.fd_slope - report.slope) <= abs(report.fd_slope - report.slope) + 1e-6 * report.slope
+
+
+def test_overflowing_energies_raise():
+    # valid hoppings, but the SVD's singular values overflow to inf
+    profile = HoppingProfile(1e308, 60, 30, -30, 0.0231)
+    with pytest.raises(FloatingPointError):
+        supercell_spectrum(InterfaceKind.TYPE_I, profile, None, [0.0, 1.0], N=32)
 
 
 def test_sweep_rerun_is_bitwise_identical():

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from edgelab.errors import DegenerateGapless, NotAZeroMode
 from edgelab.hamiltonian import HoppingProfile, bloch_h1, bloch_h2
+from edgelab import transfer
 from edgelab.lattice import InterfaceKind
 from edgelab.transfer import (
     _geometric_sublattice_a,
@@ -517,6 +518,7 @@ def test_non_finite_k_is_rejected(k):
 
 @pytest.mark.parametrize("b, eps", [
     (np.nan, 30.0), (60.0, np.nan), (np.inf, 30.0), (60.0, np.inf), (60.0, -np.inf),
+    (1e308, 1e308),  # finite terms whose sum b + eps overflows
 ])
 @pytest.mark.parametrize("call", [
     lambda b, eps: a_matrices(b, eps, 0.3),
@@ -557,6 +559,24 @@ def test_zero_mode_amplitude_view(kind, dp, dm):
                 if -L <= n <= L:
                     ref[6 * (n + L):6 * (n + L) + 6] = row
             assert np.array_equal(mode.as_vector(L), ref)
+
+
+@pytest.mark.parametrize("kind", list(InterfaceKind))
+def test_zero_modes_calls_the_kinds_builder_through_the_module(kind, monkeypatch):
+    # the benchmark's tracer counts zero-mode constructions by replacing the
+    # two builders in edgelab.transfer, so the dispatch must look them up there
+    profile = HoppingProfile(60, 60, 30, -30, 50.0)
+    if kind is InterfaceKind.TYPE_I:
+        profile = profile.with_c(matching_c_star(profile))
+    name = "build_type1_zero_modes" if kind is InterfaceKind.TYPE_I else "build_type2_zero_modes"
+    build = getattr(transfer, name)
+    calls = []
+    monkeypatch.setattr(transfer, name, lambda p: calls.append(p) or build(p))
+    modes = transfer.zero_modes(kind, profile)
+    assert calls == [profile]
+    for got, want in zip(modes, build(profile), strict=True):
+        assert (got.kind, got.label, got.lo) == (kind, want.label, want.lo)
+        assert got.cells.tobytes() == want.cells.tobytes()
 
 
 def test_boundary_a_matrices():
