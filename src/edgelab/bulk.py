@@ -151,6 +151,7 @@ def write_bands_csv(bands: np.ndarray, path) -> None:
     """Columns: path_parameter, band_index, energy."""
     def block(lo, hi):
         i, j = np.divmod(np.arange(lo, hi), bands.shape[1])
-        return [i.tolist(), j.tolist(), bands.ravel()[lo:hi].tolist()]
+        return "%d,%d,%.17g\r\n" * (hi - lo), [i.tolist(), j.tolist(),
+                                                bands.ravel()[lo:hi].tolist()]
 
-    write_csv(path, ["path_parameter", "band_index", "energy"], "%d,%d,%.17g", bands.size, block)
+    write_csv(path, ["path_parameter", "band_index", "energy"], bands.size, block)

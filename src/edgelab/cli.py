@@ -302,6 +302,9 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"config error: not enough memory: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # the config file is read, and its errors mapped, above
+        print(f"config error: cannot write output: {exc}", file=sys.stderr)
+        return 2
     except (NoMidGapState, NotAZeroMode, DegenerateGapless, GapLawViolated) as exc:
         print(f"domain failure: {exc}", file=sys.stderr)
         return 3

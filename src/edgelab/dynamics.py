@@ -1,9 +1,10 @@
 """Wavepacket dynamics on finite 2D domains.
 
 A domain is a rectangle of cells in the interface frame with a two-valued
-material map.  Its Hamiltonian is assembled in one vectorized pass over the
-cell grid from the same frame bond list and bond rule that build the Bloch
-chains (:func:`edgelab.lattice.frame_bonds`,
+material map.  Its Hamiltonian is written straight into CSR arrays, one of
+the 18 frame bonds at a time over all cells, from the same frame bond list
+and bond rule that build the Bloch chains
+(:func:`edgelab.lattice.frame_bonds`,
 :func:`edgelab.hamiltonian.bond_weights`: intracell b, intercell b + delta,
 c across the material boundary), with open outer edges.  A cell's distance
 to the nearest interface cell comes from one table of the squared lengths
@@ -41,7 +42,7 @@ from .lattice import (
     frame_vectors,
     material_sign,
 )
-from .output import write_csv, write_json
+from .output import BLOCK_ROWS, write_csv, write_json
 from .spectrum import perturbation_m0
 from .transfer import zero_modes
 
@@ -149,24 +150,38 @@ def build_domain(spec: DomainSpec) -> Domain:
     n_range = np.arange(n_lo, n_lo + Mb)
     va, vb = frame_vectors(spec.kind)
 
-    # cells in flat-index order down the rows, the 18 bonds across the columns
-    m, n = (g.reshape(-1, 1) for g in np.meshgrid(m_range, n_range, indexing="ij"))
+    # cells in flat-index order; site j of a cell is row 6 cell + j - 1, and its
+    # bond to site j2 of cell + dm Mb + dn is column 6 cell + shift, the same shift
+    # in every cell, so bonds sorted by (j, shift) fill each row in column order
+    cells, n_sites = Ma * Mb, 6 * Ma * Mb
+    m, n = (g.reshape(-1) for g in np.meshgrid(m_range, n_range, indexing="ij"))
     sigma = spec.material(m, n)
-    j, j2, dm, dn, intracell = frame_bonds(spec.kind).T
-    m2, n2 = m + dm, n + dn
-    inside = (m2 >= m_lo) & (m2 < m_lo + Ma) & (n2 >= n_lo) & (n2 < n_lo + Mb)
-    cell2 = np.where(inside, (m2 - m_lo) * Mb + (n2 - n_lo), 0)
-    s2 = sigma[cell2, 0]
-    w = bond_weights(spec.profile, intracell, sigma, s2)
-    rows = (6 * np.arange(Ma * Mb)[:, None] + j - 1)[inside]
-    cols = (6 * cell2 + j2 - 1)[inside]
-    n_sites = Ma * Mb * 6
-    H = sp.csr_matrix((-w[inside], (rows, cols)), shape=(n_sites, n_sites))
+    bonds = frame_bonds(spec.kind)
+    shift = 6 * (bonds[:, 2] * Mb + bonds[:, 3]) + bonds[:, 1] - 1
+    order = np.lexsort((shift, bonds[:, 0]))
+    vals = np.empty((cells, 18))
+    keep = np.empty((cells, 18), dtype=bool)
+    at_interface = np.zeros(cells, dtype=bool)
+    cell, im, i_n = np.arange(cells), np.arange(Ma), np.arange(Mb)
+    for c, (_, _, dm, dn, intracell) in enumerate(bonds[order]):
+        keep[:, c] = (((im + dm >= 0) & (im + dm < Ma))[:, None]
+                      & ((i_n + dn >= 0) & (i_n + dn < Mb))[None, :]).reshape(-1)
+        # a neighbor outside the domain reads a clipped cell; keep drops its bond
+        s2 = sigma.take(cell + dm * Mb + dn, mode="clip")
+        vals[:, c] = -bond_weights(spec.profile, intracell, sigma, s2)
+        # crossing bonds come in mirrored pairs, so this marks both of their ends
+        at_interface |= keep[:, c] & (sigma != s2)
+    data = vals[keep]
+    del vals  # each (cells, 18) table goes once its kept entries are out
+    idx = np.int32 if 3 * n_sites < 2**31 else np.int64
+    indices = (6 * cell.astype(idx)[:, None] + shift[order].astype(idx))[keep]
+    indptr = np.zeros(n_sites + 1, dtype=idx)
+    np.cumsum(np.count_nonzero(keep.reshape(n_sites, 3), axis=1), out=indptr[1:])
+    del keep
+    H = sp.csr_matrix((data, indices, indptr), shape=(n_sites, n_sites))
 
-    p, q = frame_to_cell(spec.kind, m[:, 0], n[:, 0])
+    p, q = frame_to_cell(spec.kind, m, n)
     positions = cell_site_positions(p, q).reshape(-1, 2)
-    # crossing bonds come in mirrored pairs, so this marks both of their ends
-    at_interface = (inside & (sigma != s2)).any(axis=1)
 
     # squared length of every frame offset (dm, dn) between two cells; the
     # window of the interface cell (im, i_n) holds its offsets to all cells
@@ -228,8 +243,15 @@ def initial_wavepacket(domain: Domain, profile: HoppingProfile, center_m: float,
 
 
 def rho_bound(H) -> float:
-    """Cheap spectral-radius bound: maximum absolute row sum."""
-    return float(np.max(np.abs(H).sum(axis=1)))
+    """Cheap spectral-radius bound: maximum absolute row sum.  A CSR matrix
+    reduces each row's stored entries without a copy of the matrix, as
+    scipy's row sum does, so the bound keeps its bits."""
+    if getattr(H, "format", None) != "csr":
+        return float(np.max(np.abs(H).sum(axis=1)))
+    sums = np.zeros(H.shape[0])
+    filled = H.indptr[1:] > H.indptr[:-1]  # reduceat gives an empty row the next entry
+    sums[filled] = np.add.reduceat(np.abs(H.data), H.indptr[:-1][filled])
+    return float(sums.max())
 
 
 def evolve(state: WavepacketState, H, dt: float, steps: int) -> WavepacketState:
@@ -318,16 +340,19 @@ def transmission(state: WavepacketState, partition: np.ndarray) -> tuple[float, 
     return float(transmitted), float(reflected), float(residual)
 
 
-def _coordinate_prefixes(positions: np.ndarray) -> list[str]:
-    """The "x,y," prefix of every site's snapshot row, with ``.17g`` digits.
+def _snapshot_templates(positions: np.ndarray) -> list[str]:
+    """The ``%`` format of every ``BLOCK_ROWS`` block of snapshot rows: one
+    "x,y,%.17g" row per site, its coordinates' ``.17g`` digits baked in.
     Each distinct coordinate is formatted once; distinct means distinct
     bits, so -0.0 keeps its sign as a per-site format would."""
     columns = []
     for col in np.ascontiguousarray(positions.T):
         bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
         text = [f"{v:.17g}," for v in bits.view(np.float64).tolist()]
-        columns.append(np.array(text, dtype=object)[inverse])
-    return (columns[0] + columns[1]).tolist()
+        columns.append((np.array(text, dtype=object), inverse))
+    (x, ix), (y, iy) = columns
+    return ["".join(x[ix[lo:lo + BLOCK_ROWS]] + y[iy[lo:lo + BLOCK_ROWS]] + "%.17g\r\n")
+            for lo in range(0, len(positions), BLOCK_ROWS)]
 
 
 def record_run(domain: Domain, state: WavepacketState, t_final: float,
@@ -357,9 +382,11 @@ def record_run(domain: Domain, state: WavepacketState, t_final: float,
                          f"{_MAX_SNAPSHOTS} snapshots")
     steps_total = math.ceil(t_final / dt)
     out = Path(out_dir)
-    Hc = H.astype(complex)
+    # one complex copy of the entries on H's own index arrays; products of the
+    # real H with a complex vector upcast its entries to these same values
+    Hc = type(H)((H.data.astype(complex), H.indices, H.indptr), shape=H.shape)
     partition = make_bend_partition(domain) if domain.spec.bend is not None else None
-    prefixes = _coordinate_prefixes(domain.positions)
+    templates = _snapshot_templates(domain.positions)
 
     series = {"time": [], "norm": [], "energy": [], "interface_mass": []}
     if partition is not None:
@@ -368,7 +395,7 @@ def record_run(domain: Domain, state: WavepacketState, t_final: float,
     def sample(st: WavepacketState, snap_idx: int):
         series["time"].append(st.time)
         series["norm"].append(st.norm())
-        series["energy"].append(st.energy())
+        series["energy"].append(float(np.vdot(st.amplitudes, Hc @ st.amplitudes).real))
         series["interface_mass"].append(interface_mass(st, 5.0))
         if partition is not None:
             t, r, rest = transmission(st, partition)
@@ -376,9 +403,9 @@ def record_run(domain: Domain, state: WavepacketState, t_final: float,
             series["reflected"].append(r)
             series["residual"].append(rest)
         # Python's abs keeps the digits of the scalar path, which np.abs does not
-        write_csv(out / f"snapshot_{snap_idx:04d}.csv", ["x", "y", "abs2"], "%s%.17g",
-                  len(prefixes), lambda lo, hi: (
-                      prefixes[lo:hi], [abs(a) ** 2 for a in st.amplitudes[lo:hi].tolist()]))
+        write_csv(out / f"snapshot_{snap_idx:04d}.csv", ["x", "y", "abs2"], len(st.amplitudes),
+                  lambda lo, hi: (templates[lo // BLOCK_ROWS], [
+                      [abs(a) ** 2 for a in st.amplitudes[lo:hi].tolist()]]))
 
     snap = 0
     sample(state, snap)

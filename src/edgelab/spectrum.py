@@ -260,8 +260,9 @@ def write_spectrum_csv(table: SpectrumTable, path) -> None:
     """Columns: k, eig_index, energy, localization, kept."""
     def block(lo, hi):
         i, j = np.divmod(np.arange(lo, hi), table.eigenvalues.shape[1])
-        return [table.k_grid[i].tolist(), j.tolist(), table.eigenvalues.ravel()[lo:hi].tolist(),
-                table.localization.ravel()[lo:hi].tolist(), table.kept.ravel()[lo:hi].tolist()]
+        return "%.17g,%d,%.17g,%.17g,%d\r\n" * (hi - lo), [
+            table.k_grid[i].tolist(), j.tolist(), table.eigenvalues.ravel()[lo:hi].tolist(),
+            table.localization.ravel()[lo:hi].tolist(), table.kept.ravel()[lo:hi].tolist()]
 
     write_csv(path, ["k", "eig_index", "energy", "localization", "kept"],
-              "%.17g,%d,%.17g,%.17g,%d", table.eigenvalues.size, block)
+              table.eigenvalues.size, block)

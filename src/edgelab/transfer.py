@@ -127,8 +127,10 @@ def _p_vector(lam: complex, alpha: complex, beta: complex, gamma: complex) -> np
 def p_eigen(b: float, eps: float, k: float) -> PMatrixReport:
     """Eigenvalues ordered |lambda1| < |lambda2|, eigenvectors, and (at k = 0)
     the decaying-direction slope f1 with its sign cases."""
-    if not math.isfinite(k):
-        raise ValueError("quasi-momentum k must be finite")
+    # one Brillouin zone, [-pi, pi]; near |k| = 1e308 exp(2ik) is NaN, and a
+    # verdict would be computed from it
+    if not abs(k) <= math.pi:
+        raise ValueError(f"quasi-momentum k must be finite with |k| <= pi, got {k}")
     alpha, beta, gamma = p_elements(b, eps, k)
     # b + eps rounds to b for |eps| below about 1e-16 b, and P is then
     # exactly the identity too

@@ -63,6 +63,33 @@ def test_exist_rejects_non_finite_inputs(tmp_path, capsys, flags):
     assert not (out / "exist.json").exists()
 
 
+@pytest.mark.parametrize("k, code", [("1e308", 2), ("4.0", 2), ("-4.0", 2),
+                                     ("3.141592653589793", 0), ("-3.141592653589793", 0)])
+def test_exist_type1_takes_k_in_one_zone(tmp_path, capsys, k, code):
+    # exp(2ik) is NaN at k = 1e308, and the verdict used to be computed from it
+    out = tmp_path / "o"
+    assert run(["exist", "--kind", "type1", f"--k={k}", "--out", str(out)]) == code
+    assert (out / "exist.json").exists() == (code == 0)
+    if code == 2:
+        assert capsys.readouterr().err.startswith("config error: quasi-momentum k must be")
+
+
+@pytest.mark.parametrize("argv", [
+    ["exist", "--kind", "type2", "--delta-plus", "30", "--delta-minus", "-30"],
+    ["bulk", "--path-points", "4"],
+    ["evolve", "--kind", "type2", "--extent-m", "24", "--extent-n", "22", "--t-final", "0.01"],
+])
+@pytest.mark.parametrize("below", [False, True])
+def test_unwritable_out_exits_2(tmp_path, capsys, argv, below):
+    # --out names a regular file, or a directory inside one
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    out = taken / "o" if below else taken
+    assert run([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: cannot write output:")
+    assert taken.read_text() == "kept\n"
+
+
 def _strict_json(text):
     def refuse(name):
         raise ValueError(f"non-finite JSON constant {name}")

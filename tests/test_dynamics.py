@@ -86,6 +86,23 @@ def test_domain_matches_site_loop_reference(kind, bend):
         _loop_domain_hamiltonian(dom))
 
 
+@pytest.mark.parametrize("kind", [InterfaceKind.TYPE_I, InterfaceKind.TYPE_II])
+@pytest.mark.parametrize("extent", [(20, 20), (30, 40), (57, 33), (80, 80)])
+def test_domain_csr_matches_coo_assembly(kind, extent):
+    from domain_oracle import coo_hamiltonian
+
+    profile = HoppingProfile(57.3, 64.1, 28.9, -31.7, 47.2)
+    for bend in (None, (2, 1), (-3, -1)):
+        for origin in (None, (-7, -13)):
+            spec = DomainSpec(kind, extent, profile, bend=bend, origin=origin)
+            H, ref = build_domain(spec).hamiltonian, coo_hamiltonian(spec)
+            assert H.shape == ref.shape and H.has_sorted_indices
+            for name in ("data", "indices", "indptr"):
+                got, want = getattr(H, name), getattr(ref, name)
+                assert got.dtype == want.dtype, (bend, origin, name)
+                assert got.tobytes() == want.tobytes(), (bend, origin, name)
+
+
 def _brute_force_interface_dist(dom):
     # interface cells from the neighbor table and the material map, cell
     # centers as the mean of their six site positions, then the minimum over
@@ -166,6 +183,39 @@ def test_build_domain_peak_memory_is_linear_in_cells():
     assert peak_per_cell(180) <= 1.2 * peak_per_cell(60)
 
 
+def _traced_peak(call):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_build_domain_peak_memory_per_cell_is_bounded():
+    # the bonds go into CSR one column at a time: 489 B/cell, against 1,575
+    # when all 18 bonds of every cell went through COO at once
+    _traced_peak(small_domain)  # import and cache warm-up
+    spec = DomainSpec(InterfaceKind.TYPE_II, (180, 180), MIXED, bend=(0, 1))
+    assert _traced_peak(lambda: build_domain(spec)) <= 800 * 180**2
+
+
+def test_record_run_peak_memory_per_site_is_bounded(tmp_path):
+    # one complex copy of the entries, row sums without a matrix copy, and
+    # one row template per block: 175 B/site, against 241 with a copy of H
+    # per product and a str per site
+    from edgelab.dynamics import record_run
+
+    dom = build_domain(DomainSpec(InterfaceKind.TYPE_II, (120, 120), MIXED, bend=(0, 1)))
+    st = initial_wavepacket(dom, MIXED, center_m=-10.0, width=5.0, direction=+1)
+    dt = 0.1 / rho_bound(dom.hamiltonian)
+    peak = _traced_peak(lambda: record_run(dom, st, 2.5 * dt, tmp_path, stride=1))
+    assert len(list(tmp_path.glob("snapshot_*.csv"))) == 4
+    assert peak <= 200 * len(dom.positions)
+
+
 def test_row_degree_at_most_three():
     dom = small_domain()
     degree = np.diff(dom.hamiltonian.indptr)
@@ -185,6 +235,28 @@ def test_evolve_trivial_cases():
     one = WavepacketState(domain=dom, amplitudes=np.array([1.0 + 0j]))
     out = evolve(one, np.array([[E]]), 1e-3, 1000)
     assert abs(out.amplitudes[0] - np.exp(-1j * E * 1.0)) < 1e-10
+
+
+def test_rho_bound_reduces_each_rows_stored_entries():
+    import scipy.sparse as sp
+
+    rng = np.random.default_rng(31)
+    for n_rows, n_cols, empty in ((10, 7, [0, 3, 8]), (10, 7, [9]), (200, 200, [5, 120, 199])):
+        # up to three entries per row, of either sign, some rows empty
+        dense = np.zeros((n_rows, n_cols))
+        for row in set(range(n_rows)) - set(empty):
+            cols = rng.choice(n_cols, size=rng.integers(1, 4), replace=False)
+            dense[row, cols] = rng.normal(size=len(cols)) * 10 ** rng.uniform(-3, 3)
+        H = sp.csr_matrix(dense)
+        assert np.diff(H.indptr)[empty].max() == 0
+        got = rho_bound(H)
+        # the bound before, from scipy's row sums of a copy: the same bits
+        assert got == float(np.max(np.abs(H).sum(axis=1)))
+        # numpy may associate a dense row's three terms the other way
+        assert rho_bound(dense) == pytest.approx(got, rel=1e-15)
+    assert rho_bound(sp.csr_matrix((3, 3))) == 0.0
+    H = small_domain().hamiltonian
+    assert rho_bound(H) == float(np.max(np.abs(H).sum(axis=1)))
 
 
 def test_step_rule_enforced():
@@ -444,6 +516,20 @@ def test_record_run_schedule_snapshots_and_rerun(tmp_path):
     record_run(dom, st, t_final=25.5 * dt, out_dir=tmp_path / "b", stride=10)
     for a in sorted((tmp_path / "a").iterdir()):
         assert a.read_bytes() == (tmp_path / "b" / a.name).read_bytes()
+
+
+def test_manifest_energy_is_the_state_energy(tmp_path):
+    from edgelab.dynamics import propagate, record_run
+
+    dom, st = _packet_domain()
+    H = dom.hamiltonian
+    dt = 0.1 / rho_bound(H)
+    manifest = record_run(dom, st, t_final=25.5 * dt, out_dir=tmp_path, stride=10)
+    amps, energies = st.amplitudes, [st.energy()]
+    for chunk in (10, 10, 6):
+        amps = propagate(amps, H.astype(complex), dt * chunk, rho_bound(H))
+        energies.append(WavepacketState(domain=dom, amplitudes=amps).energy())
+    assert manifest["series"]["energy"] == energies  # bit for bit
 
 
 def test_snapshot_blocks_match_csv_writer(tmp_path):

@@ -17,11 +17,12 @@ def test_write_csv_matches_csv_writer_across_blocks(tmp_path, n_rows):
     def block(lo, hi):
         assert 0 <= lo < hi <= n_rows and hi - lo <= BLOCK_ROWS
         rows = range(lo, hi)
-        return ([f"p{i}," for i in rows], [float(i) for i in rows], list(rows),
-                [_VALUES[i % len(_VALUES)] for i in rows])
+        return "%s%.17g,%d,%.17g\r\n" * (hi - lo), (
+            [f"p{i}," for i in rows], [float(i) for i in rows], list(rows),
+            [_VALUES[i % len(_VALUES)] for i in rows])
 
     path = tmp_path / "new" / "dir" / "t.csv"  # the writer makes the directory
-    write_csv(path, ["name", "x", "i", "v"], "%s%.17g,%d,%.17g", n_rows, block)
+    write_csv(path, ["name", "x", "i", "v"], n_rows, block)
     ref = tmp_path / "ref.csv"
     with open(ref, "w", newline="") as fh:
         w = csv.writer(fh)

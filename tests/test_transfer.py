@@ -506,12 +506,12 @@ def test_zero_mode_envelope_bound():
             assert np.linalg.norm(v) <= bound + 1e-300
 
 
-@pytest.mark.parametrize("k", [np.nan, np.inf, -np.inf])
-def test_non_finite_k_is_rejected(k):
+@pytest.mark.parametrize("k", [np.nan, np.inf, -np.inf, 1e308, 4.0, -4.0])
+def test_k_outside_the_zone_is_rejected(k):
     with pytest.raises(ValueError):
         p_eigen(60.0, 30.0, k)
     # unchecked, a NaN k reaches the beta = 0 branch of _p_vector and the
-    # verdict comes out True
+    # verdict comes out True; at k = 1e308 exp(2ik) is NaN
     with pytest.raises(ValueError):
         type1_zero_exists(HoppingProfile(60, 60, 30, -30, 50), 50.0, k)
 
