@@ -20,11 +20,10 @@ from .errors import (
     NotConical,
     StepTooLarge,
 )
-from .hamiltonian import BlochOperator, HoppingProfile
-from .lattice import InterfaceKind, SiteIndex
+from .hamiltonian import HoppingProfile
+from .lattice import InterfaceKind
 
 __all__ = [
-    "BlochOperator",
     "ConfigError",
     "DegenerateGapless",
     "EdgelabError",
@@ -33,7 +32,6 @@ __all__ = [
     "NoMidGapState",
     "NotAZeroMode",
     "NotConical",
-    "SiteIndex",
     "StepTooLarge",
 ]
 

@@ -117,8 +117,8 @@ def dirac_slope(b: float, spread_tol: float = 0.01) -> float:
     """Linear slope of the double Dirac cone at eps = 0.
 
     Fits band 4 over |k| in {1e-3, 5e-4, 2.5e-4} along three directions and
-    extrapolates |k| -> 0; raises NotConical when the per-direction slopes
-    spread by more than ``spread_tol`` of their mean.
+    extrapolates |k| -> 0; raises NotConical unless the per-direction slopes
+    spread by less than ``spread_tol`` of their mean (a NaN spread fails).
     """
     radii = np.array([1e-3, 5e-4, 2.5e-4])
     angles = np.array([0.0, 0.7, 2.1])
@@ -129,7 +129,7 @@ def dirac_slope(b: float, spread_tol: float = 0.01) -> float:
     slopes = np.array([np.polyfit(radii, r, 1)[1] for r in ratio])
     mean = slopes.mean()
     spread = (slopes.max() - slopes.min()) / mean
-    if spread >= spread_tol:
+    if not spread < spread_tol:
         raise NotConical(f"direction spread {spread:.3e} exceeds {spread_tol}")
     return float(mean)
 

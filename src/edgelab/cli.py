@@ -21,14 +21,7 @@ import numpy as np
 
 from .bulk import bulk_bands, default_k_path, dirac_slope, gamma_eigs, write_bands_csv
 from .dynamics import DomainSpec, build_domain, initial_wavepacket, record_run
-from .errors import (
-    ConfigError,
-    DegenerateGapless,
-    GapLawViolated,
-    NoMidGapState,
-    NotAZeroMode,
-    StepTooLarge,
-)
+from .errors import ConfigError, EdgelabError, NoMidGapState
 from .hamiltonian import HoppingProfile
 from .lattice import InterfaceKind
 from .output import write_json
@@ -69,7 +62,6 @@ _SETTINGS = {
     "threshold": (float, DEFAULT_THRESHOLD, ("spectrum",)),
     "require_crossing": (bool, False, ("spectrum",)),
     "k": (float, 0.0, ("exist",)),
-    "c_test": (float, None, ("exist",)),
     "extent_m": (int, 60, ("evolve",)),
     "extent_n": (int, 40, ("evolve",)),
     "origin_m": (int, None, ("evolve",)),
@@ -194,17 +186,18 @@ def cmd_match_c(cfg: dict) -> int:
 
 def cmd_exist(cfg: dict) -> int:
     kind, profile = _kind(cfg), _profile(cfg)
+    # one Brillouin zone for either kind, although type II decides at k = 0
+    if not abs(cfg["k"]) <= math.pi:
+        raise ConfigError(f"quasi-momentum k must be finite with |k| <= pi, got {cfg['k']}")
     if kind is InterfaceKind.TYPE_I:
-        c_test = cfg["c_test"] if cfg["c_test"] is not None else profile.c
-        exists = type1_zero_exists(profile, c_test, cfg["k"])
+        exists = type1_zero_exists(profile, profile.c, cfg["k"])
     else:
-        c_test = profile.c
         exists = type2_zero_exists(profile)
     write_json(Path(cfg["out_dir"]) / "exist.json", {
         "exists": bool(exists),
         "kind": kind.value,
         "k": cfg["k"],
-        "c_test": c_test,
+        "c_test": profile.c,
         "config": cfg,
     })
     print(f"zero modes exist: {exists}")
@@ -237,18 +230,17 @@ def cmd_bulk(cfg: dict) -> int:
     b, eps = cfg["b"], cfg["eps"]
     if cfg["path_points"] < 1:
         raise ConfigError("path_points must be at least 1")
-    path = default_k_path(cfg["path_points"])
-    bands = bulk_bands(b, eps, path)
-    out = Path(cfg["out_dir"])
-    write_bands_csv(bands, out / "bands.csv")
+    bands = bulk_bands(b, eps, default_k_path(cfg["path_points"]))
     payload = {
         "gamma_eigenvalues": [float(x) for x in gamma_eigs(b, eps)],
         "gap_law_checked": True,
         "dirac": eps == 0.0,
         "config": cfg,
     }
-    if eps == 0.0:
+    if eps == 0.0:  # before any file, so a cone that fails the fit leaves none
         payload["slope"] = dirac_slope(b)
+    out = Path(cfg["out_dir"])
+    write_bands_csv(bands, out / "bands.csv")
     write_json(out / "bulk.json", payload)
     print(f"bulk: gamma eigenvalues {payload['gamma_eigenvalues']}")
     return 0
@@ -291,7 +283,10 @@ def main(argv=None) -> int:
         # an overflow raises here rather than carry inf into a verdict
         with np.errstate(over="raise"):
             return _COMMANDS[args.command][1](cfg)
-    except (ConfigError, ValueError) as exc:
+    except EdgelabError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except ValueError as exc:
         # library preconditions (supercell size, domain extent, ...) are
         # configuration errors at this level
         print(f"config error: {exc}", file=sys.stderr)
@@ -305,12 +300,6 @@ def main(argv=None) -> int:
     except OSError as exc:  # the config file is read, and its errors mapped, above
         print(f"config error: cannot write output: {exc}", file=sys.stderr)
         return 2
-    except (NoMidGapState, NotAZeroMode, DegenerateGapless, GapLawViolated) as exc:
-        print(f"domain failure: {exc}", file=sys.stderr)
-        return 3
-    except StepTooLarge as exc:
-        print(f"numerical precondition violated: {exc}", file=sys.stderr)
-        return 4
 
 
 if __name__ == "__main__":

@@ -125,11 +125,6 @@ class Domain:
     def n_cells(self) -> tuple[int, int]:
         return len(self.m_range), len(self.n_range)
 
-    def index(self, m: int, n: int, j: int) -> int:
-        im = m - self.m_range[0]
-        i_n = n - self.n_range[0]
-        return (im * len(self.n_range) + i_n) * 6 + (j - 1)
-
     def cell_mass(self, amplitudes: np.ndarray) -> np.ndarray:
         return np.abs(amplitudes.reshape(-1, 6)) ** 2 @ np.ones(6)
 

@@ -2,7 +2,11 @@
 
 
 class EdgelabError(Exception):
-    """Base class for domain errors raised by edgelab."""
+    """Base class for domain errors raised by edgelab.  The command line
+    exits with ``exit_code`` and prefixes the message with ``label``."""
+
+    exit_code = 3
+    label = "domain failure"
 
 
 class DegenerateGapless(EdgelabError):
@@ -26,6 +30,9 @@ class GapLawViolated(EdgelabError):
 class StepTooLarge(EdgelabError):
     """RK4 step violates dt * rho(H) <= 0.5."""
 
+    exit_code = 4
+    label = "numerical precondition violated"
+
 
 class NotConical(EdgelabError):
     """Degenerate-point fit is not linear/isotropic to the requested accuracy."""
@@ -33,3 +40,6 @@ class NotConical(EdgelabError):
 
 class ConfigError(EdgelabError):
     """Invalid or unknown run-configuration values."""
+
+    exit_code = 2
+    label = "config error"

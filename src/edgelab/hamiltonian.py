@@ -14,6 +14,7 @@ dH/dk, and applied matrix-free to (cells, 6) amplitude arrays by :func:`chain_ap
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,9 +29,6 @@ __all__ = [
     "chain_operator",
     "bloch_h1",
     "bloch_h2",
-    "apply_T",
-    "apply_V",
-    "apply_R",
     "chain_apply",
     "chain_apply_first_order",
 ]
@@ -38,10 +36,11 @@ __all__ = [
 
 def check_material(b: float, eps: float) -> None:
     """Reject a homogeneous material (b, eps) unless both hoppings, b within a
-    cell and b + eps between cells, are positive and finite.  The sum is
-    finite only if b and eps are too."""
-    if not (math.isfinite(b + eps) and b > 0 and b + eps > 0):
-        raise ValueError("need b > 0 and b + eps > 0, both finite")
+    cell and b + eps between cells, are finite normal floats: at least
+    ``sys.float_info.min``, below which they lose digits.  The sum is finite
+    only if b and eps are too."""
+    if not (math.isfinite(b + eps) and b >= sys.float_info.min and b + eps >= sys.float_info.min):
+        raise ValueError("need b > 0 and b + eps > 0, both finite and normal")
 
 
 @dataclass(frozen=True)
@@ -51,7 +50,7 @@ class HoppingProfile:
     b_plus/b_minus are the intracell hoppings of the two half-lattices,
     delta_plus/delta_minus detune their intercell hoppings to b + delta, and
     c couples bonds that cross the interface.  All bond weights must be
-    positive and finite.
+    finite normal floats.
     """
 
     b_plus: float
@@ -63,8 +62,8 @@ class HoppingProfile:
     def __post_init__(self):
         check_material(self.b_plus, self.delta_plus)
         check_material(self.b_minus, self.delta_minus)
-        if not 0 < self.c < math.inf:
-            raise ValueError("interface hopping c must be positive and finite")
+        if not sys.float_info.min <= self.c < math.inf:
+            raise ValueError("interface hopping c must be positive, finite and normal")
 
     def with_c(self, c: float) -> "HoppingProfile":
         return replace(self, c=c)
@@ -138,44 +137,6 @@ def bloch_h2(profile: HoppingProfile, k: float, N: int) -> BlochOperator:
     if N < 4:
         raise ValueError("type-II supercell needs N >= 4 for the n+-2 couplings")
     return _bloch(InterfaceKind.TYPE_II, profile, k, N)
-
-
-# ---------------------------------------------------------------------------
-# Symmetry operators.  T and R are antilinear (conjugation enters), so they
-# are exposed as explicit actions rather than plain matrices.
-# ---------------------------------------------------------------------------
-
-def _as_cells(state: np.ndarray) -> np.ndarray:
-    state = np.asarray(state)
-    if state.size % 6:
-        raise ValueError("state length must be a multiple of 6")
-    return state.reshape(-1, 6)
-
-
-def apply_T(k: float, state: np.ndarray) -> np.ndarray:
-    """Antiunitary sublattice swap: (Tu)(n) = exp(-i n k) * swap * conj(u(n))."""
-    cells = _as_cells(state)
-    N = (cells.shape[0] - 1) // 2
-    n = np.arange(-N, N + 1)
-    out = np.conj(cells)[:, [3, 4, 5, 0, 1, 2]]
-    return (np.exp(-1j * n * k)[:, None] * out).reshape(-1)
-
-
-def apply_V(state: np.ndarray) -> np.ndarray:
-    """Chiral sign flip on the (4,5,6) sublattice block."""
-    cells = _as_cells(state).copy()
-    cells[:, 3:] *= -1.0
-    return cells.reshape(-1)
-
-
-def apply_R(k: float, state: np.ndarray) -> np.ndarray:
-    """Antiunitary in-block reversal: (Rw)(n) = exp(+i n k) * rev * conj(w(n))
-    with rev swapping 1<->3 and 4<->6."""
-    cells = _as_cells(state)
-    N = (cells.shape[0] - 1) // 2
-    n = np.arange(-N, N + 1)
-    out = np.conj(cells)[:, [2, 1, 0, 5, 4, 3]]
-    return (np.exp(1j * n * k)[:, None] * out).reshape(-1)
 
 
 # ---------------------------------------------------------------------------

@@ -65,12 +65,6 @@ class SiteIndex:
             raise ValueError(f"sublattice index must be in 1..6, got {self.j}")
 
 
-def site_position(site: SiteIndex) -> np.ndarray:
-    """Cartesian position of a site in dimensionless lattice units."""
-    p, q = site.cell
-    return cell_site_positions(np.array([p]), np.array([q]))[0, site.j - 1]
-
-
 def cell_site_positions(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Positions of the six sites of each cell (p[i], q[i]), shape (cells, 6, 2)."""
     offsets = np.array([_SITE_OFFSETS[j] for j in range(1, 7)]) / 3.0
@@ -88,14 +82,6 @@ def neighbors(site: SiteIndex) -> list[SiteIndex]:
     ]
 
 
-def classify_neighbors(site: SiteIndex) -> tuple[list[SiteIndex], list[SiteIndex]]:
-    """Split ``neighbors(site)`` into (intracell, intercell) sublists."""
-    nbrs = neighbors(site)
-    k = _INTERCELL_SLOT[site.j]
-    intra = [s for i, s in enumerate(nbrs) if i != k]
-    return intra, [nbrs[k]]
-
-
 # kind -> integer basis (v_a, v_b) of the interface frame in (v_alpha, v_beta)
 # coordinates: v_a is the periodic direction, v_b the extension direction.
 # Every frame has determinant 1, so both changes of coordinates are integer.
@@ -103,11 +89,6 @@ _FRAMES = {
     InterfaceKind.TYPE_I: ((1, -1), (0, 1)),
     InterfaceKind.TYPE_II: ((1, 1), (0, 1)),
 }
-
-
-def interface_frame(kind: InterfaceKind) -> tuple[tuple[int, int], tuple[int, int]]:
-    """The integer basis (v_a, v_b) of the interface frame of ``kind``."""
-    return _FRAMES[kind]
 
 
 def frame_to_cell(kind: InterfaceKind, m, n):

@@ -7,13 +7,14 @@ block C (half the dimension of H) gives the whole spectrum as the pairs
 H(k), so k and -k share every result and each distinct |k| is solved once;
 ``edgelab spectrum`` makes its grid bitwise antisymmetric for that reason.
 C is real at k = 0, and for type II at every k once written in a cell-local
-basis invariant under the type-II antiunitary R, so the SVD is a real one
-there; type I away from k = 0 keeps the complex SVD.  Against one complex
-SVD per k point, energies and localizations move in their last bits (the
-grid points by at most 4.4e-16); the keep/discard verdicts of the README and
-acceptance configurations do not change.  The README ``edgelab spectrum``
-(type II, N = 80, 201 k points) takes 10-12 s on two cores, against 32-35 s
-with one complex SVD per k point.
+basis invariant under the type-II antiunitary R, (Rw)(n) = e^{ink} rev
+conj(w(n)) with rev swapping sublattices 1 <-> 3 and 4 <-> 6, so the SVD is
+a real one there; type I away from k = 0 keeps the complex SVD.  Against
+one complex SVD per k point, energies and localizations move in their last
+bits (the grid points by at most 4.4e-16); the keep/discard verdicts of the
+README and acceptance configurations do not change.  The README
+``edgelab spectrum`` (type II, N = 80, 201 k points) takes 10-12 s on two
+cores, against 32-35 s with one complex SVD per k point.
 
 The truncated chain introduces artificial boundary states; following the
 supercell workflow, every eigenpair is scored by the fraction of its mass in
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoMidGapState, NotAZeroMode
+from .errors import NoMidGapState
 from .hamiltonian import HoppingProfile, chain_apply_first_order, chain_operator
 from .lattice import InterfaceKind
 from .output import write_csv
@@ -78,7 +79,7 @@ class SpectrumTable:
 
 # Per cell, the columns (e1 + e3)/sqrt2, e2 and i (e1 - e3)/sqrt2 on sublattices
 # 1-3 (and the same on 4-6); with the phase e^{ink/2} of cell n they are the
-# vectors that apply_R leaves invariant.
+# vectors that R leaves invariant.
 _R_CELL = np.array([[1, 0, 1j], [0, np.sqrt(2), 0], [1, 0, -1j]]) / np.sqrt(2)
 
 

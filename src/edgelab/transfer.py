@@ -31,7 +31,6 @@ __all__ = [
     "ZeroMode",
     "a_matrices",
     "boundary_a1",
-    "boundary_a6",
     "propagation_matrix",
     "p_elements",
     "p_eigen",
@@ -73,11 +72,6 @@ def a_matrices(b: float, eps: float, k: float) -> tuple[np.ndarray, ...]:
 def boundary_a1(b_plus: float, c: float, k: float) -> np.ndarray:
     """Interface variant of A_1: the bond into cell 0 carries c."""
     return np.array([[-b_plus, 0], [-b_plus, -c * np.exp(-1j * k)]])
-
-
-def boundary_a6(b_minus: float, c: float) -> np.ndarray:
-    """Interface variant of A_6: the bond out of cell 0 carries c."""
-    return np.array([[-c, -b_minus], [0, -b_minus]], dtype=complex)
 
 
 def propagation_matrix(b: float, eps: float, k: float) -> np.ndarray:

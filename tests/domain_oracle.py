@@ -1,4 +1,5 @@
-"""COO assembly of a domain Hamiltonian, the oracle of ``build_domain``.
+"""COO assembly of a domain Hamiltonian, the oracle of ``build_domain``,
+and the flat index of a domain site.
 
 All 18 bonds of every cell are laid out as ``(cells, 18)`` tables, the
 bonds leaving the domain are dropped, and scipy sorts the (row, col, -w)
@@ -31,3 +32,11 @@ def coo_hamiltonian(spec):
     cols = (6 * cell2 + j2 - 1)[inside]
     n_sites = Ma * Mb * 6
     return sp.csr_matrix((-w[inside], (rows, cols)), shape=(n_sites, n_sites))
+
+
+def site_index(dom, m, n, j):
+    """Row of site j of the frame cell (m, n) in ``dom.hamiltonian``: cells in
+    row-major (m, n) order over the domain, six sites each."""
+    im = m - dom.m_range[0]
+    i_n = n - dom.n_range[0]
+    return (im * len(dom.n_range) + i_n) * 6 + (j - 1)

@@ -225,3 +225,31 @@ def test_overflowing_bands_raise():
 def test_dirac_slope_rejects_non_finite_b(b):
     with pytest.raises(ValueError, match=_MATERIAL_MESSAGE):
         dirac_slope(b)
+
+
+@pytest.mark.parametrize("b, eps", [(1e-320, 0.0), (5e-324, 0.0), (3e-308, -2.5e-308),
+                                    (-1e-320, 1.0), (1e-320, 1.0)])
+def test_subnormal_hoppings_are_rejected(b, eps):
+    # below sys.float_info.min a hopping loses digits: the slope at b = 1e-320
+    # came out as half its true value
+    with pytest.raises(ValueError, match=_MATERIAL_MESSAGE):
+        bulk_h(b, eps)
+
+
+def test_smallest_normal_hoppings_keep_the_slope():
+    import sys
+
+    b = sys.float_info.min
+    bulk_h(b, 0.0)
+    bulk_h(2 * b, -b)  # b + eps is exactly the smallest normal float
+    assert abs(dirac_slope(b) / b - dirac_slope(1.0)) < 1e-9
+
+
+def test_dirac_slope_refuses_a_nan_spread(monkeypatch):
+    # a flat band gives slopes 0, whose spread is 0/0 = NaN: it fails the fit
+    import edgelab.bulk as bulk
+    from edgelab.errors import NotConical
+
+    monkeypatch.setattr(bulk, "bulk_h", lambda b, eps, k: np.zeros(np.shape(k)[:-1] + (6, 6)))
+    with np.errstate(invalid="ignore"), pytest.raises(NotConical):
+        dirac_slope(5.0)

@@ -34,7 +34,7 @@ def test_exist_type2_dichotomy(tmp_path):
 def test_exist_type1_tuned(tmp_path):
     out = tmp_path / "o"
     code = run(["exist", "--kind", "type1", "--delta-plus", "30", "--delta-minus", "-30",
-                "--c-test", "63.544340067076796", "--out", str(out)])
+                "--c", "63.544340067076796", "--out", str(out)])
     assert code == 0
     assert json.loads((out / "exist.json").read_text())["exists"] is True
 
@@ -54,7 +54,7 @@ def test_config_error_exit_codes(tmp_path):
     ["--kind", "type2", "--k", "nan"],
     ["--kind", "type1", "--k", "inf"],
     ["--kind", "type2", "--k", "inf"],
-    ["--kind", "type1", "--c-test", "inf"],
+    ["--kind", "type1", "--c", "inf"],
 ])
 def test_exist_rejects_non_finite_inputs(tmp_path, capsys, flags):
     out = tmp_path / "o"
@@ -72,6 +72,18 @@ def test_exist_type1_takes_k_in_one_zone(tmp_path, capsys, k, code):
     assert (out / "exist.json").exists() == (code == 0)
     if code == 2:
         assert capsys.readouterr().err.startswith("config error: quasi-momentum k must be")
+
+
+@pytest.mark.parametrize("k", ["1e308", "4.0", "-4.0"])
+def test_exist_type2_takes_k_in_one_zone(tmp_path, capsys, k):
+    # type II decides at k = 0 alone, but a k it never checked was recorded
+    out = tmp_path / "o"
+    argv = ["exist", "--kind", "type2", "--delta-plus", "30", "--delta-minus=-30"]
+    assert run([*argv, f"--k={k}", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: quasi-momentum k must be")
+    assert not out.exists()
+    assert run([*argv, "--k=-3.141592653589793", "--out", str(out)]) == 0
+    assert json.loads((out / "exist.json").read_text())["exists"] is True
 
 
 @pytest.mark.parametrize("argv", [
@@ -248,8 +260,8 @@ def test_non_finite_config_values_exit_2(tmp_path, capsys, command, text):
 
 
 @pytest.mark.parametrize("argv", [
-    ["exist", "--kind", "type1", "--c-test", "0"],
-    ["exist", "--kind", "type1", "--c-test", "-1"],
+    ["exist", "--kind", "type1", "--c", "0"],
+    ["exist", "--kind", "type1", "--c", "-1"],
     ["exist", "--kind", "type2", "--delta-plus", "nan"],
     ["spectrum", "--n-cells", "20"],  # default margin is not below N/4
     ["evolve", "--extent-m", "10"],
@@ -367,6 +379,51 @@ def test_bulk_gap_law_violation_is_a_domain_failure(tmp_path, monkeypatch, capsy
     err = capsys.readouterr().err
     assert err.startswith("domain failure:") and "gap law" in err
     assert not (out / "bulk.json").exists()
+
+
+def _error_classes():
+    import edgelab.errors as errors
+
+    return [cls for cls in vars(errors).values()
+            if isinstance(cls, type) and issubclass(cls, errors.EdgelabError)]
+
+
+@pytest.mark.parametrize("cls", _error_classes(), ids=lambda cls: cls.__name__)
+def test_every_library_error_exits_with_its_code(tmp_path, monkeypatch, capsys, cls):
+    # a NotConical from bulk's slope fit used to end in a traceback; the
+    # slope is now taken before bands.csv, so a failed fit leaves no files
+    import edgelab.cli as cli
+
+    expected = {"ConfigError": (2, "config error"),
+                "StepTooLarge": (4, "numerical precondition violated")}
+    code, label = expected.get(cls.__name__, (3, "domain failure"))
+
+    def fail(b):
+        raise cls("reason")
+
+    monkeypatch.setattr(cli, "dirac_slope", fail)
+    out = tmp_path / "o"
+    assert run(["bulk", "--eps", "0", "--out", str(out)]) == code
+    assert capsys.readouterr().err == f"{label}: reason\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["bulk", "--b", "1e-320", "--eps", "0"],  # wrote "slope": 2.47e-321, half the true one
+    ["bulk", "--b", "5e-324", "--eps", "0"],  # wrote "slope": 0.0 from a NaN spread
+    ["bulk", "--b", "3e-308", "--eps=-2.5e-308", "--path-points", "4"],  # b + eps = 5e-309
+    ["exist", "--kind", "type2", "--b-plus", "1e-320"],
+    ["exist", "--kind", "type1", "--b-minus", "3e-308", "--delta-minus=-2.5e-308"],
+    ["match-c", "--b-plus", "1e-320", "--n-cells", "24"],
+    ["match-c", "--c", "1e-320", "--n-cells", "24"],
+])
+def test_subnormal_hoppings_exit_2(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    assert run([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(("config error: need b > 0 and b + eps > 0",
+                           "config error: interface hopping c must be")), err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -532,7 +589,7 @@ def test_commands_without_a_2d_domain_never_load_scipy(tmp_path):
 
 
 _FUZZ_FLAGS = {
-    "exist": ("b-plus", "b-minus", "delta-plus", "delta-minus", "c", "c-test", "k"),
+    "exist": ("b-plus", "b-minus", "delta-plus", "delta-minus", "c", "k"),
     "match-c": ("b-plus", "b-minus", "delta-plus", "delta-minus", "c"),
     "bulk": ("b", "eps"),
 }
@@ -690,7 +747,7 @@ def test_evolve_fuzz_exits_with_documented_codes(tmp_path, capsys, monkeypatch):
 # every command; flags that one call sets and the next leaves unset; a
 # config-file run; an argparse error in the middle
 _REUSE_SEQUENCE = [
-    ["exist", "--kind", "type1", "--c-test", "44", "--out", "e1"],
+    ["exist", "--kind", "type1", "--c", "44", "--out", "e1"],
     ["exist", "--kind", "type1", "--out", "e2"],
     ["exist", "--config", "cfg.json"],
     ["exist", "--out", "e3"],
@@ -729,4 +786,6 @@ def test_reused_parser_carries_nothing_between_calls(tmp_path, monkeypatch, caps
     fresh = _run_sequence(tmp_path / "fresh", monkeypatch)
     assert reused[0] == fresh[0] == [0, 0, 0, 0, 3, "SystemExit(2)", 0, 0, 0, 0, 0]
     assert len(reused[1]) == 17 and reused[1] == fresh[1]
+    assert json.loads(reused[1]["e1/exist.json"])["c_test"] == 44.0
     assert json.loads(reused[1]["e2/exist.json"])["c_test"] == 50.0
+    assert json.loads(reused[1]["e2/exist.json"])["config"]["c"] == 50.0

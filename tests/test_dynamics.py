@@ -18,6 +18,8 @@ from edgelab.lattice import InterfaceKind
 from edgelab.spectrum import perturbation_m0
 from edgelab.transfer import matching_c_star
 
+from domain_oracle import coo_hamiltonian, site_index
+
 MIXED = HoppingProfile(60, 60, 30, -30, 50.0)
 
 
@@ -37,13 +39,13 @@ def test_domain_matrix_real_symmetric_and_bond_weights():
     assert np.abs(H.data.imag).max() == 0.0 if np.iscomplexobj(H.data) else True
     # intracell bond (1, cell)-(5, cell) deep in the + material
     m, n = 3, 5
-    assert H[dom.index(m, n, 1), dom.index(m, n, 5)] == -60.0
+    assert H[site_index(dom, m, n, 1), site_index(dom, m, n, 5)] == -60.0
     # intercell d-bond within + material: (2, cell) couples across v_a
-    assert H[dom.index(m, n, 2), dom.index(m + 1, n, 5)] == -(60.0 + 30.0)
+    assert H[site_index(dom, m, n, 2), site_index(dom, m + 1, n, 5)] == -(60.0 + 30.0)
     # crossing c-bond between rows n = -1 and n = 0: weight -c
-    assert H[dom.index(m, 0, 4), dom.index(m, -1, 3)] == -50.0
+    assert H[site_index(dom, m, 0, 4), site_index(dom, m, -1, 3)] == -50.0
     # minus-side intercell bond
-    assert H[dom.index(m, -4, 2), dom.index(m + 1, -4, 5)] == -(60.0 - 30.0)
+    assert H[site_index(dom, m, -4, 2), site_index(dom, m + 1, -4, 5)] == -(60.0 - 30.0)
 
 
 def _loop_domain_hamiltonian(dom):
@@ -72,7 +74,7 @@ def _loop_domain_hamiltonian(dom):
                         w = prof.b_plus + prof.delta_plus
                     else:
                         w = prof.b_minus + prof.delta_minus
-                    entries[dom.index(int(m), int(n), j), dom.index(m2, n2, nb.j)] = -w
+                    entries[site_index(dom, int(m), int(n), j), site_index(dom, m2, n2, nb.j)] = -w
     return entries
 
 
@@ -89,8 +91,6 @@ def test_domain_matches_site_loop_reference(kind, bend):
 @pytest.mark.parametrize("kind", [InterfaceKind.TYPE_I, InterfaceKind.TYPE_II])
 @pytest.mark.parametrize("extent", [(20, 20), (30, 40), (57, 33), (80, 80)])
 def test_domain_csr_matches_coo_assembly(kind, extent):
-    from domain_oracle import coo_hamiltonian
-
     profile = HoppingProfile(57.3, 64.1, 28.9, -31.7, 47.2)
     for bend in (None, (2, 1), (-3, -1)):
         for origin in (None, (-7, -13)):
@@ -391,12 +391,12 @@ def test_bloch_reduction_consistency(kind, k):
     amps = np.zeros(dom.positions.shape[0], dtype=complex)
     for m in dom.m_range:
         for n in dom.n_range:
-            amps[dom.index(int(m), int(n), 1):dom.index(int(m), int(n), 1) + 6] = (
+            amps[site_index(dom, int(m), int(n), 1):site_index(dom, int(m), int(n), 1) + 6] = (
                 np.exp(1j * k * m) * phi[n + N])
     out = dom.hamiltonian @ amps
     for m in dom.m_range[3:-3]:
         for n in dom.n_range[3:-3]:
-            i = dom.index(int(m), int(n), 1)
+            i = site_index(dom, int(m), int(n), 1)
             expected = np.exp(1j * k * m) * chain_out[int(n) + N]
             assert np.abs(out[i:i + 6] - expected).max() < 1e-10 * np.abs(Hk).max()
 

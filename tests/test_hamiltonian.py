@@ -3,9 +3,6 @@ import pytest
 
 from edgelab.hamiltonian import (
     HoppingProfile,
-    apply_R,
-    apply_T,
-    apply_V,
     bloch_h1,
     bloch_h2,
     chain_apply,
@@ -17,6 +14,7 @@ from edgelab.lattice import InterfaceKind
 
 import chain_oracle
 from coefficient_rows import coeffs_type1, coeffs_type2
+from symmetry_actions import apply_R, apply_T, apply_V
 
 MIXED = HoppingProfile(60, 60, 30, -30, 50.0)
 SAME = HoppingProfile(60, 60, 30, 30, 50.0)
@@ -41,7 +39,8 @@ def test_profile_invariants():
     with pytest.raises(ValueError):
         HoppingProfile(60, 60, 30, 30, 0)
     for bad in ((1e308, 60, 1e308, 30, 50),  # b + delta overflows to infinity
-                (60, 1e308, 30, 1e308, 50), (60, 60, 30, 30, np.inf), (60, 60, 30, 30, np.nan)):
+                (60, 1e308, 30, 1e308, 50), (60, 60, 30, 30, np.inf), (60, 60, 30, 30, np.nan),
+                (60, 60, 30, 30, 1e-320), (1e-320, 60, 30, 30, 50)):  # subnormal hoppings
         with pytest.raises(ValueError):
             HoppingProfile(*bad)
 

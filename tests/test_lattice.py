@@ -6,23 +6,28 @@ import pytest
 from edgelab.lattice import (
     InterfaceKind,
     SiteIndex,
+    cell_site_positions,
     cell_to_frame,
-    classify_neighbors,
     frame_bonds,
     frame_to_cell,
-    interface_frame,
     material_sign,
     neighbors,
-    site_position,
 )
 
 SQ3 = np.sqrt(3.0)
 
 
+def _positions(sites):
+    """Cartesian positions of ``sites``, from the cells' six-site positions."""
+    p, q = np.array([s.cell for s in sites]).T
+    return cell_site_positions(p, q)[np.arange(len(sites)), [s.j - 1 for s in sites]]
+
+
 def test_site_position_examples():
-    assert np.allclose(site_position(SiteIndex(1)), [-SQ3 / 6, 1 / 6])
-    assert np.allclose(site_position(SiteIndex(6)), [SQ3 / 6, -1 / 6])
-    assert np.allclose(site_position(SiteIndex(3, (1, 0))), [SQ3 / 6 + SQ3 / 2, 1 / 6 - 1 / 2])
+    x1, x6, x3 = _positions([SiteIndex(1), SiteIndex(6), SiteIndex(3, (1, 0))])
+    assert np.allclose(x1, [-SQ3 / 6, 1 / 6])
+    assert np.allclose(x6, [SQ3 / 6, -1 / 6])
+    assert np.allclose(x3, [SQ3 / 6 + SQ3 / 2, 1 / 6 - 1 / 2])
 
 
 def test_site_index_validation():
@@ -42,14 +47,17 @@ def test_neighbor_rows_match_defining_display():
 
 
 def test_classify_neighbors():
-    intra, inter = classify_neighbors(SiteIndex(2, (0, 0)))
-    assert intra == [SiteIndex(4, (0, 0)), SiteIndex(6, (0, 0))]
-    assert inter == [SiteIndex(5, (1, -1))]
-    intra, inter = classify_neighbors(SiteIndex(5, (0, 0)))
-    assert inter == [SiteIndex(2, (-1, 1))]
-    for j in range(1, 7):
-        intra, inter = classify_neighbors(SiteIndex(j, (3, -2)))
-        assert len(intra) == 2 and len(inter) == 1
+    # the intracell column of frame_bonds, which the bond rule reads: two
+    # bonds of each site stay in its cell, one leaves it
+    for kind in InterfaceKind:
+        bonds = frame_bonds(kind)
+        for j, j2, dm, dn, intracell in bonds.tolist():
+            assert intracell == ((dm, dn) == (0, 0))
+        assert bonds[:, 4].reshape(6, 3).sum(axis=1).tolist() == [2] * 6
+        inter = {j: (j2, frame_to_cell(kind, dm, dn))
+                 for j, j2, dm, dn, intracell in bonds.tolist() if not intracell}
+        assert inter[2] == (5, (1, -1)) and inter[5] == (2, (-1, 1))
+        assert bonds[3:6][bonds[3:6, 4] == 1, 1].tolist() == [4, 6]  # site 2's partners in its cell
 
 
 def test_neighbor_mutuality_on_patch():
@@ -86,19 +94,20 @@ def test_frame_bonds_are_one_read_only_table_site_by_site(kind):
 
 
 def test_equal_bond_length():
-    lengths = []
-    for j, p, q in itertools.product(range(1, 7), range(-2, 3), range(-2, 3)):
-        s = SiteIndex(j, (p, q))
-        for t in neighbors(s):
-            lengths.append(np.linalg.norm(site_position(s) - site_position(t)))
-    lengths = np.array(lengths)
+    pairs = [(s, t) for j, p, q in itertools.product(range(1, 7), range(-2, 3), range(-2, 3))
+             for s in [SiteIndex(j, (p, q))] for t in neighbors(s)]
+    ends, partners = zip(*pairs)
+    lengths = np.linalg.norm(_positions(ends) - _positions(partners), axis=1)
     assert np.ptp(lengths) < 1e-14
     assert abs(lengths[0] - 1 / 3) < 1e-14  # nearest-neighbor distance in these units
 
 
 def test_interface_frames():
-    assert interface_frame(InterfaceKind.TYPE_I) == ((1, -1), (0, 1))
-    assert interface_frame(InterfaceKind.TYPE_II) == ((1, 1), (0, 1))
+    # v_a and v_b in lattice coordinates, read from the one frame table
+    assert frame_to_cell(InterfaceKind.TYPE_I, 1, 0) == (1, -1)
+    assert frame_to_cell(InterfaceKind.TYPE_I, 0, 1) == (0, 1)
+    assert frame_to_cell(InterfaceKind.TYPE_II, 1, 0) == (1, 1)
+    assert frame_to_cell(InterfaceKind.TYPE_II, 0, 1) == (0, 1)
 
 
 def test_frame_relabeling_is_bijective():
@@ -115,7 +124,7 @@ def test_frame_relabeling_is_bijective():
 def test_frame_changes_work_elementwise_on_arrays(kind):
     # build_domain passes whole columns of cells; each frame is unimodular,
     # so both directions stay exact integer arithmetic
-    (a1, a2), (b1, b2) = interface_frame(kind)
+    (a1, a2), (b1, b2) = frame_to_cell(kind, 1, 0), frame_to_cell(kind, 0, 1)
     assert a1 * b2 - a2 * b1 == 1
     m, n = np.meshgrid(np.arange(-7, 8), np.arange(-6, 9), indexing="ij")
     p, q = frame_to_cell(kind, m, n)

@@ -12,7 +12,6 @@ from edgelab.transfer import (
     _xi_mode,
     a_matrices,
     boundary_a1,
-    boundary_a6,
     build_type1_zero_modes,
     build_type2_zero_modes,
     matching_c_star,
@@ -267,6 +266,12 @@ def test_type1_even_pair_decay_matches_lambda1():
 def test_build_type1_rejects_untuned_coupling():
     with pytest.raises(NotAZeroMode):
         build_type1_zero_modes(HoppingProfile(60, 60, 30, -30, 50.0))
+
+
+def boundary_a6(b_minus, c):
+    """Interface variant of A_6: the bond out of cell 0 carries c.  The type-I
+    builder never forms it, since its n <= -1 half is a mirror image."""
+    return np.array([[-c, -b_minus], [0, -b_minus]], dtype=complex)
 
 
 def test_type1_modes_of_random_profiles():
