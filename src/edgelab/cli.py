@@ -11,9 +11,11 @@ ordering, fixed sign conventions, no timestamps.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -276,10 +278,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(out_dir: str) -> None:
+    """Refuse an ``--out`` that cannot be written before any work, and make
+    nothing: its nearest existing ancestor, itself included, must be a
+    writable directory."""
+    path = os.path.abspath(out_dir)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
+    if not os.access(path, os.W_OK | os.X_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _load_config(args.command, args)
+        _check_out(cfg["out_dir"])
         # an overflow raises here rather than carry inf into a verdict
         with np.errstate(over="raise"):
             return _COMMANDS[args.command][1](cfg)

@@ -346,8 +346,13 @@ def _snapshot_templates(positions: np.ndarray) -> list[str]:
         text = [f"{v:.17g}," for v in bits.view(np.float64).tolist()]
         columns.append((np.array(text, dtype=object), inverse))
     (x, ix), (y, iy) = columns
-    return ["".join(x[ix[lo:lo + BLOCK_ROWS]] + y[iy[lo:lo + BLOCK_ROWS]] + "%.17g\r\n")
-            for lo in range(0, len(positions), BLOCK_ROWS)]
+    templates = []
+    for lo in range(0, len(positions), BLOCK_ROWS):
+        xs, ys = x[ix[lo:lo + BLOCK_ROWS]].tolist(), y[iy[lo:lo + BLOCK_ROWS]].tolist()
+        parts = [None] * (3 * len(xs))  # x, y, abs2 format of each row in turn
+        parts[0::3], parts[1::3], parts[2::3] = xs, ys, ["%.17g\r\n"] * len(xs)
+        templates.append("".join(parts))
+    return templates
 
 
 def record_run(domain: Domain, state: WavepacketState, t_final: float,
@@ -397,10 +402,12 @@ def record_run(domain: Domain, state: WavepacketState, t_final: float,
             series["transmitted"].append(t)
             series["reflected"].append(r)
             series["residual"].append(rest)
-        # Python's abs keeps the digits of the scalar path, which np.abs does not
-        write_csv(out / f"snapshot_{snap_idx:04d}.csv", ["x", "y", "abs2"], len(st.amplitudes),
-                  lambda lo, hi: (templates[lo // BLOCK_ROWS], [
-                      [abs(a) ** 2 for a in st.amplitudes[lo:hi].tolist()]]))
+        # libm hypot then pow, as Python's abs(a) ** 2 per element, bit for bit;
+        # np.abs and squaring by a product both differ in the last bit
+        abs2 = np.hypot(st.amplitudes.real, st.amplitudes.imag)
+        np.float_power(abs2, 2.0, out=abs2)
+        write_csv(out / f"snapshot_{snap_idx:04d}.csv", ["x", "y", "abs2"], len(abs2),
+                  lambda lo, hi: (templates[lo // BLOCK_ROWS], [abs2[lo:hi].tolist()]))
 
     snap = 0
     sample(state, snap)

@@ -170,11 +170,16 @@ def type1_zero_exists(profile: HoppingProfile, c_test: float, k: float) -> bool:
         raise ValueError("test coupling c_test must be positive and finite")
     rp = p_eigen(profile.b_plus, profile.delta_plus, k)
     rm = p_eigen(profile.b_minus, profile.delta_minus, k)
-    scale = (profile.b_plus + profile.delta_plus) * (profile.b_minus + profile.delta_minus) / c_test**2
-    w = rp.v1 * np.array([1.0, scale])
+    # v1 scaled by (1, t^2), t^2 = (b+ + delta+)(b- + delta-) / c_test^2.  t is
+    # a ratio of square roots, so only t^2 can overflow (a coupling far below
+    # the hoppings); the direction is then (1 / t^2, 1), never inf * 0
+    t = math.sqrt(profile.b_plus + profile.delta_plus) * math.sqrt(
+        profile.b_minus + profile.delta_minus) / c_test
+    w = rp.v1 * (np.array([1.0, t * t]) if t * t < math.inf else np.array([1 / t / t, 1.0]))
     v = rm.v2
     cross = abs(w[0] * v[1] - w[1] * v[0])
-    return cross / (np.linalg.norm(w) * np.linalg.norm(v)) < _PARALLEL_TOL
+    with np.errstate(over="raise"):  # an infinite norm would read as parallel
+        return cross / (np.linalg.norm(w) * np.linalg.norm(v)) < _PARALLEL_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -303,15 +308,16 @@ def q_matrix(b: float, eps: float, k: float) -> np.ndarray:
 
 
 def q_boundary_matrices(profile: HoppingProfile, k: float):
-    """The four interface-row matrices (Q_A,-1, Q_A,-2, Q_B,0, Q_B,-1)."""
+    """The four interface-row matrices (Q_A,-1, Q_A,-2, Q_B,0, Q_B,-1);
+    an entry that overflows raises FloatingPointError."""
     bp, dp = profile.b_plus, profile.delta_plus
     bm, dm = profile.b_minus, profile.delta_minus
     c = profile.c
-    qa_m1 = _q_shape(c / bm, bp**2 / ((bp + dp) * c), k)
-    qa_m2 = _q_shape((bm + dm) / bm, bp * bm / c**2, k)
-    qb_0 = _q_shape((bp + dp) / bp, bp * bm / c**2, k)
-    qb_m1 = _q_shape(c / bp, bm**2 / ((bm + dm) * c), k)
-    return qa_m1, qa_m2, qb_0, qb_m1
+    shapes = ((c / bm, bp**2 / ((bp + dp) * c)), ((bm + dm) / bm, bp * bm / c**2),
+              ((bp + dp) / bp, bp * bm / c**2), (c / bp, bm**2 / ((bm + dm) * c)))
+    if not all(math.isfinite(x) for pq in shapes for x in pq):
+        raise FloatingPointError("an interface-row matrix entry is not finite")
+    return tuple(_q_shape(p, q, k) for p, q in shapes)
 
 
 @dataclass(frozen=True)

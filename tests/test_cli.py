@@ -90,16 +90,45 @@ def test_exist_type2_takes_k_in_one_zone(tmp_path, capsys, k):
     ["exist", "--kind", "type2", "--delta-plus", "30", "--delta-minus", "-30"],
     ["bulk", "--path-points", "4"],
     ["evolve", "--kind", "type2", "--extent-m", "24", "--extent-n", "22", "--t-final", "0.01"],
+    ["spectrum", "--kind", "type2", "--n-cells", "80", "--k-points", "21"],
 ])
 @pytest.mark.parametrize("below", [False, True])
-def test_unwritable_out_exits_2(tmp_path, capsys, argv, below):
-    # --out names a regular file, or a directory inside one
+def test_unwritable_out_exits_2(tmp_path, monkeypatch, capsys, argv, below):
+    # --out names a regular file, or a directory inside one; it is refused
+    # before any solve or domain build, and nothing is created
+    import edgelab.cli as cli
+
+    def fail(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    monkeypatch.setattr(cli, "supercell_spectrum", fail)
+    monkeypatch.setattr(cli, "build_domain", fail)
     taken = tmp_path / "taken"
     taken.write_text("kept\n")
     out = taken / "o" if below else taken
     assert run([*argv, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("config error: cannot write output:")
     assert taken.read_text() == "kept\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+
+@pytest.mark.parametrize("c", ["1e-160", "1e-200", "1e150", "1e300"])
+@pytest.mark.parametrize("kind", ["type1", "type2"])
+def test_exist_at_extreme_couplings_never_decides_from_nan(tmp_path, capsys, kind, c):
+    # type I compares directions without an infinite ratio, so it decides;
+    # an interface-row entry of type II that overflows exits 2
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["exist", "--kind", kind, "--c", c, "--out", str(out)])
+    err = capsys.readouterr().err
+    if kind == "type1":
+        assert code == 0, err
+        assert _strict_json((out / "exist.json").read_text())["exists"] is False
+    else:
+        assert code == 2
+        assert err.startswith("config error: floating-point overflow:"), err
+        assert not out.exists()
 
 
 def _strict_json(text):

@@ -587,3 +587,78 @@ def test_initial_packet_off_domain_raises():
     dom = small_domain()
     with pytest.raises(ValueError):
         initial_wavepacket(dom, MIXED, center_m=1000.0, width=4.0, direction=+1)
+
+
+def _random_finite_parts(rng, n, bound=1e150):
+    # random float64 bit patterns, both signs, subnormals included
+    bits = rng.integers(0, 2**64, size=4 * n, dtype=np.uint64, endpoint=False)
+    x = bits.view(np.float64)
+    return x[np.isfinite(x) & (np.abs(x) < bound)][:n]
+
+
+def _random_amplitudes(rng, n):
+    amps = np.empty(n, dtype=complex)
+    amps.real, amps.imag = _random_finite_parts(rng, n), _random_finite_parts(rng, n)
+    amps[1::11] *= 1e-160 / np.abs(amps[1::11]).clip(1e-300)  # |a|^2 near 1e-320, subnormal
+    amps.real[2::13], amps.imag[3::13] = 0.0, -0.0
+    amps[4::17] = complex(-0.0, -0.0)
+    return amps
+
+
+def test_snapshot_abs2_is_python_abs_squared_bit_for_bit():
+    # record_run's array pass: libm hypot, then libm pow by 2.0, as Python's
+    # abs(a) ** 2 does per element; np.abs and a squaring product do not
+    rng = np.random.default_rng(20)
+    amps = _random_amplitudes(rng, 200_000)
+    reference = np.array([abs(a) ** 2 for a in amps.tolist()])
+    for part, expected in ((amps, reference), (amps[5:-3], reference[5:-3]),
+                           (amps[::3], reference[::3]), (amps[1::2].copy(), reference[1::2])):
+        abs2 = np.hypot(part.real, part.imag)
+        np.float_power(abs2, 2.0, out=abs2)
+        assert abs2.tobytes() == expected.tobytes()
+    assert np.count_nonzero((reference > 0) & (reference < np.finfo(float).tiny)) > 1000
+    # the look-alikes really differ, so the check above can fail
+    square = np.square(np.hypot(amps.real, amps.imag))
+    assert square.tobytes() != reference.tobytes()
+
+
+def test_snapshot_of_random_bit_patterns_matches_csv_writer(tmp_path):
+    # the exact layout record_run formats: the state's own complex array,
+    # written block by block, against csv.writer fed abs(a) ** 2
+    from edgelab.dynamics import record_run
+
+    dom = build_domain(DomainSpec(InterfaceKind.TYPE_II, (40, 40), MIXED, bend=(0, 1)))
+    amps = _random_amplitudes(np.random.default_rng(21), len(dom.positions))
+    st = WavepacketState(domain=dom, amplitudes=amps)
+    record_run(dom, st, t_final=1e-4, out_dir=tmp_path / "o", stride=1000)
+    assert (tmp_path / "o" / "snapshot_0000.csv").read_bytes() == (
+        _csv_writer_snapshot(tmp_path / "ref.csv", dom.positions, amps))
+
+
+def _object_array_templates(positions):
+    # the row templates as x + y + "%.17g\r\n" on object arrays of the
+    # distinct coordinates' text, gathered per block
+    from edgelab.output import BLOCK_ROWS
+
+    columns = []
+    for col in np.ascontiguousarray(positions.T):
+        bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
+        text = [f"{v:.17g}," for v in bits.view(np.float64).tolist()]
+        columns.append((np.array(text, dtype=object), inverse))
+    (x, ix), (y, iy) = columns
+    return ["".join(x[ix[lo:lo + BLOCK_ROWS]] + y[iy[lo:lo + BLOCK_ROWS]] + "%.17g\r\n")
+            for lo in range(0, len(positions), BLOCK_ROWS)]
+
+
+@pytest.mark.parametrize("kind", list(InterfaceKind))
+@pytest.mark.parametrize("bend", [None, (2, 1), (-3, -1)])
+@pytest.mark.parametrize("origin", [None, (-17, -9)])
+def test_snapshot_templates_match_object_array_oracle(kind, bend, origin):
+    from edgelab.dynamics import _snapshot_templates
+    from edgelab.output import BLOCK_ROWS
+
+    dom = build_domain(DomainSpec(kind, (30, 28), MIXED, bend=bend, origin=origin))
+    assert len(dom.positions) > BLOCK_ROWS and len(dom.positions) % BLOCK_ROWS
+    templates = _snapshot_templates(dom.positions)
+    assert templates == _object_array_templates(dom.positions)
+    assert [t.count("\r\n") for t in templates] == [BLOCK_ROWS, len(dom.positions) - BLOCK_ROWS]

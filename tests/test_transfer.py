@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -213,6 +215,59 @@ def test_type1_zero_exists_cases():
     assert not type1_zero_exists(profile, 50.0, 0.0)
     mixed = HoppingProfile(60, 60, 30, -30, 50.0)
     assert type1_zero_exists(mixed, matching_c_star(mixed), 0.0)
+
+
+@pytest.mark.parametrize("profile", [HoppingProfile(60, 60, 30, -30, 50.0),
+                                     HoppingProfile(60, 45, 20, 25, 50.0)])
+def test_type1_zero_exists_is_never_true_away_from_c_star(profile):
+    # false wherever the scaled vector's norm is finite; where only that norm
+    # overflows (here c between about 1e-160 and 1e-76) it refuses instead
+    c_star = matching_c_star(profile)
+    assert type1_zero_exists(profile, c_star, 0.0)
+    verdicts = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for c in np.logspace(-300, 300, 601):
+            if abs(c / c_star - 1) > 1e-3:
+                try:
+                    verdicts[c] = type1_zero_exists(profile, float(c), 0.0)
+                except FloatingPointError:
+                    verdicts[c] = None
+    assert not any(verdicts.values())
+    refused = [c for c, verdict in verdicts.items() if verdict is None]
+    assert 1e-160 < min(refused) and max(refused) < 1e-75
+    for c in (1e-160, 1e-200, 1e300):  # t^2 overflows, or c^2 would
+        assert not type1_zero_exists(profile, c, 0.0)
+
+
+def test_type1_zero_exists_keeps_the_ratio_form_verdict():
+    # where (b+ + delta+)(b- + delta-) / c^2 is finite, the verdict is the one
+    # taken with that ratio as the second component's scale
+    def ratio_form(profile, c, k):
+        rp = p_eigen(profile.b_plus, profile.delta_plus, k)
+        rm = p_eigen(profile.b_minus, profile.delta_minus, k)
+        scale = (profile.b_plus + profile.delta_plus) * (profile.b_minus + profile.delta_minus) / c**2
+        w, v = rp.v1 * np.array([1.0, scale]), rm.v2
+        return abs(w[0] * v[1] - w[1] * v[0]) / (np.linalg.norm(w) * np.linalg.norm(v)) < 1e-10
+
+    rng = np.random.default_rng(7)
+    verdicts = []
+    for _ in range(300):
+        bp, bm = rng.uniform(1, 100, 2)
+        dp, dm = rng.uniform(0.05, 2, 2) * rng.choice([-0.4, 1], 2) * (bp, bm)
+        profile = HoppingProfile(bp, bm, dp, dm, 50.0)
+        c_star = matching_c_star(profile)
+        k = float(rng.choice([0.0, rng.uniform(-np.pi, np.pi)]))
+        for c in (c_star, c_star * (1 + 1e-12), c_star * (1 + 1e-6), 10 ** rng.uniform(-20, 20)):
+            verdict = type1_zero_exists(profile, c, k)
+            assert verdict == ratio_form(profile, c, k)
+            verdicts.append(verdict)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_q_boundary_matrices_refuse_an_overflowing_entry():
+    with pytest.raises(FloatingPointError):
+        q_boundary_matrices(HoppingProfile(60, 60, 30, -30, 1e-160), 0.0)
 
 
 @settings(max_examples=60, deadline=None)
