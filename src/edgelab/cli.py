@@ -4,8 +4,9 @@ Subcommands: spectrum | match-c | exist | evolve | bulk.  Parameters come
 from a flat JSON config file, overridden by command-line flags; ``_SETTINGS``
 declares each one's type, default and commands once.  Every output JSON
 embeds the fully resolved configuration.  Outputs are byte-stable for
-identical configs on one machine, BLAS and thread count: fixed eigensolver
-ordering, fixed sign conventions, no timestamps.
+identical configs on one machine and BLAS (for evolve, and for spectrum and
+match-c without numpy's bundled OpenBLAS, also one BLAS thread count): fixed
+eigensolver ordering, fixed sign conventions, no timestamps.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ _SETTINGS = {
     "b_minus": (float, 60.0, _PROFILED),
     "delta_plus": (float, 30.0, _PROFILED),
     "delta_minus": (float, -30.0, _PROFILED),
-    "c": (float, 50.0, _PROFILED),
+    "c": (float, 50.0, ("spectrum", "exist", "evolve")),  # match-c takes c*
     "out_dir": (str, "edgelab_out", _PROFILED + ("bulk",)),
     "n_cells": (int, DEFAULT_N, ("spectrum", "match-c")),
     "k_points": (int, DEFAULT_K_POINTS, ("spectrum",)),
@@ -120,10 +121,11 @@ def _load_config(command: str, args: argparse.Namespace) -> dict:
     return {key: _checked(key, value) for key, value in cfg.items()}
 
 
-def _profile(cfg: dict) -> HoppingProfile:
+def _profile(cfg: dict, c: float | None = None) -> HoppingProfile:
     return HoppingProfile(
         b_plus=cfg["b_plus"], b_minus=cfg["b_minus"],
-        delta_plus=cfg["delta_plus"], delta_minus=cfg["delta_minus"], c=cfg["c"],
+        delta_plus=cfg["delta_plus"], delta_minus=cfg["delta_minus"],
+        c=cfg["c"] if c is None else c,
     )
 
 
@@ -169,11 +171,11 @@ def cmd_spectrum(cfg: dict) -> int:
 
 
 def cmd_match_c(cfg: dict) -> int:
-    profile = _profile(cfg)
-    if profile.delta_plus == 0.0 or profile.delta_minus == 0.0:
+    if cfg["delta_plus"] == 0.0 or cfg["delta_minus"] == 0.0:
         raise ConfigError("matching requires nonzero delta on both sides")
-    c_star, f1p, f1m = matching_coupling(profile)
-    tuned = profile.with_c(c_star)
+    c_star, f1p, f1m = matching_coupling(cfg["b_plus"], cfg["delta_plus"],
+                                         cfg["b_minus"], cfg["delta_minus"])
+    tuned = _profile(cfg, c_star)
     resid = min_abs_kept_at(InterfaceKind.TYPE_I, tuned, 0.0, cfg["n_cells"])
     write_json(Path(cfg["out_dir"]) / "match_c.json", {
         "c_star": c_star,
@@ -264,7 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="edge-state analysis of generalized honeycomb interfaces")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (help_text, _) in _COMMANDS.items():
-        p = sub.add_parser(command, help=help_text)
+        # no prefixes: `match-c --c 7` must not read as `--config 7`
+        p = sub.add_parser(command, help=help_text, allow_abbrev=False)
         p.add_argument("--config", help="JSON config file")
         for key, (typ, _, commands) in _SETTINGS.items():
             if command not in commands:

@@ -8,7 +8,8 @@ would leave the window are dropped.
 Every operator comes from one place: the frame bond list of
 :func:`edgelab.lattice.frame_bonds`, weighted by :func:`bond_weights` into six
 material rows.  It is assembled densely by :func:`chain_operator` into H(k) or
-dH/dk, and applied matrix-free to (cells, 6) amplitude arrays by :func:`chain_apply`.
+dH/dk, and applied matrix-free to (cells, 6) amplitude arrays by :func:`chain_apply`;
+the supercell solver fills its chiral block of H(k) from the same rows.
 """
 
 from __future__ import annotations

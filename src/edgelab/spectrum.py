@@ -12,9 +12,12 @@ conj(w(n)) with rev swapping sublattices 1 <-> 3 and 4 <-> 6, so the SVD is
 a real one there; type I away from k = 0 keeps the complex SVD.  Against
 one complex SVD per k point, energies and localizations move in their last
 bits (the grid points by at most 4.4e-16); the keep/discard verdicts of the
-README and acceptance configurations do not change.  The README
-``edgelab spectrum`` (type II, N = 80, 201 k points) takes 10-12 s on two
-cores, against 32-35 s with one complex SVD per k point.
+README and acceptance configurations do not change.  The distinct |k| are
+solved concurrently with numpy's OpenBLAS pinned to one thread, so the
+results do not depend on its thread count.  The README ``edgelab spectrum``
+(type II, N = 80, 201 k points) takes 4.7-6.0 s and 80 MiB on two cores,
+against 7.6-10.5 s and 59 MiB with the |k| solved in turn at OpenBLAS's
+default of two threads, and 32-35 s with one complex SVD per k point.
 
 The truncated chain introduces artificial boundary states; following the
 supercell workflow, every eigenpair is scored by the fraction of its mass in
@@ -25,12 +28,18 @@ extracted from the zero modes.
 
 from __future__ import annotations
 
+import contextvars
+import ctypes
+import functools
+import os
+import threading
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .errors import NoMidGapState
-from .hamiltonian import HoppingProfile, chain_apply_first_order, chain_operator
+from .hamiltonian import HoppingProfile, _bond_table, chain_apply_first_order
 from .lattice import InterfaceKind
 from .output import write_csv
 from .transfer import ZeroMode, zero_modes
@@ -89,18 +98,27 @@ def _chiral_block(kind, profile, k, N):
     basis change acts within cells, so margin masses and cluster Gram
     matrices are the same in either basis."""
     n = 2 * N + 1
-    # block (m, m2) couples sites 1-3 of cell m to sites 4-6 of cell m2
-    blocks = chain_operator(kind, profile, -N, N, k).reshape(n, 6, n, 6)[:, :3, :, 3:]
+    # the 9 bonds from sites 1-3 all end on sites 4-6; none shares a (j, j2, dn),
+    # so each entry is one bond's, added onto zeros as chain_operator adds it
+    j, j2, dn, vals = _bond_table(kind, profile, k, False)
+    a = j < 3
+    m = np.arange(n)[:, None]
+    m2 = m + dn[a]
+    keep = (m2 >= 0) & (m2 < n)
+    rows = vals[np.clip(m[:, 0] - N, -3, 2) + 3][:, a]
+    C = np.zeros((3 * n, 3 * n), dtype=complex)
+    C[(3 * m + j[a])[keep], (3 * m2 + j2[a] - 3)[keep]] += rows[keep]
     if kind is InterfaceKind.TYPE_II:
+        # block (m, m2) couples sites 1-3 of cell m to sites 4-6 of cell m2.
         # U = diag(e^{ink/2}) (x) _R_CELL, and C couples cells at most two
         # apart: U^H C U has block (m, m + d) = e^{ikd/2} R^H C_{m, m+d} R
+        blocks = C.reshape(n, 3, n, 3)
         C = np.zeros((n, 3, n, 3), dtype=complex)
         for d in range(-2, 3):
             m = np.arange(max(0, -d), min(n, n - d))
             C[m, :, m + d] = np.exp(0.5j * k * d) * (_R_CELL.conj().T @ blocks[m, :, m + d] @ _R_CELL)
         # the discarded imaginary part is rounding, about 1e-14 of max|C|
         return C.reshape(3 * n, 3 * n).real
-    C = blocks.reshape(3 * n, 3 * n)
     return C.real if k == 0 else C
 
 
@@ -135,6 +153,52 @@ def _solve_one(kind, profile, k, N, margin):
     return evals, loc
 
 
+@functools.cache
+def _openblas_threads():
+    """The (get, set) thread-count functions of the OpenBLAS bundled with numpy's
+    wheel, or None for any other BLAS; looked up on first use."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("libscipy_openblas64_*.so")):
+        try:
+            handle = ctypes.CDLL(str(lib))  # the copy numpy has loaded
+            get = handle.scipy_openblas_get_num_threads64_
+            set_ = handle.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+_PIN_LOCK = threading.Lock()
+
+
+def _solve_all(kind, profile, abs_k, N, margin):
+    """_solve_one at each |k|, in order.  With numpy's OpenBLAS the library is
+    pinned to one thread, whose results do not depend on the caller's thread
+    count, and the |k| are solved on up to one worker per usable core; the
+    caller's count is restored afterwards.  Any other BLAS solves in turn."""
+    blas = _openblas_threads()
+    if blas is None:
+        return [_solve_one(kind, profile, k, N, margin) for k in abs_k]
+    from concurrent.futures import ThreadPoolExecutor  # 6-8 ms, so not at import
+
+    get, set_ = blas
+    # the count is process-wide: one solve at a time saves, pins and restores it
+    with _PIN_LOCK:
+        saved = get()
+        set_(1)
+        try:
+            with ThreadPoolExecutor(min(len(os.sched_getaffinity(0)), len(abs_k))) as pool:
+                # each task runs in a copy of the caller's context, np.errstate included
+                futures = [pool.submit(contextvars.copy_context().run, _solve_one,
+                                       kind, profile, k, N, margin) for k in abs_k]
+                return [f.result() for f in futures]
+        finally:
+            set_(saved)
+
+
 def supercell_spectrum(kind: InterfaceKind, profile: HoppingProfile, c: float | None,
                        k_grid, N: int = DEFAULT_N, margin: int = DEFAULT_MARGIN,
                        threshold: float = DEFAULT_THRESHOLD) -> SpectrumTable:
@@ -153,11 +217,13 @@ def supercell_spectrum(kind: InterfaceKind, profile: HoppingProfile, c: float | 
     if c is not None:
         profile = profile.with_c(c)
     k_grid = np.asarray(k_grid, dtype=float)
+    if not k_grid.size:
+        raise ValueError("k_grid must hold at least one point")
 
     # H(-k) = conj(H(k)) bitwise, so k and -k share singular values, margin
     # masses and cluster rediagonalization: one solve per distinct |k|
     abs_k, mirror = np.unique(np.abs(k_grid), return_inverse=True)
-    results = [_solve_one(kind, profile, k, N, margin) for k in abs_k]
+    results = _solve_all(kind, profile, abs_k, N, margin)
     evals = np.array([r[0] for r in results])[mirror]
     loc = np.array([r[1] for r in results])[mirror]
     return SpectrumTable(

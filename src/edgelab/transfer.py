@@ -147,21 +147,23 @@ def p_eigen(b: float, eps: float, k: float) -> PMatrixReport:
     )
 
 
-def matching_coupling(profile: HoppingProfile) -> tuple[float, float, float]:
+def matching_coupling(b_plus: float, delta_plus: float, b_minus: float,
+                      delta_minus: float) -> tuple[float, float, float]:
     """(c*, f1_plus, f1_minus): the decaying-direction slopes of both
     materials at k = 0 and the coupling they determine."""
-    if profile.delta_plus == 0.0 or profile.delta_minus == 0.0:
+    if delta_plus == 0.0 or delta_minus == 0.0:
         raise DegenerateGapless("matching requires nonzero detuning on both sides")
-    f1p = p_eigen(profile.b_plus, profile.delta_plus, 0.0).f1
-    f1m = p_eigen(profile.b_minus, profile.delta_minus, 0.0).f1
-    prod = (profile.b_plus + profile.delta_plus) * (profile.b_minus + profile.delta_minus) * f1p * f1m
+    f1p = p_eigen(b_plus, delta_plus, 0.0).f1
+    f1m = p_eigen(b_minus, delta_minus, 0.0).f1
+    prod = (b_plus + delta_plus) * (b_minus + delta_minus) * f1p * f1m
     return math.sqrt(prod), f1p, f1m
 
 
 def matching_c_star(profile: HoppingProfile) -> float:
     """The unique interface coupling for which the two decaying directions
     align at k = 0 and a type-I zero mode exists."""
-    return matching_coupling(profile)[0]
+    return matching_coupling(profile.b_plus, profile.delta_plus,
+                             profile.b_minus, profile.delta_minus)[0]
 
 
 def type1_zero_exists(profile: HoppingProfile, c_test: float, k: float) -> bool:

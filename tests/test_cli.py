@@ -180,13 +180,29 @@ def test_spectrum_csv_shape(tmp_path):
 def test_match_c(tmp_path):
     out = tmp_path / "m"
     code = run(["match-c", "--b-plus", "60", "--b-minus", "60", "--delta-plus", "30",
-                "--delta-minus", "-30", "--c", "50", "--n-cells", "40", "--out", str(out)])
+                "--delta-minus", "-30", "--n-cells", "40", "--out", str(out)])
     assert code == 0
     payload = json.loads((out / "match_c.json").read_text())
+    assert "c" not in payload["config"]  # c* replaces any coupling
     assert payload["c_star"] == pytest.approx(63.544340067076796, rel=1e-12)
     assert payload["min_abs_E0_at_c_star"] < 1e-6 * 60
     assert payload["f1_plus"] < 0 and payload["f1_minus"] < 0
     assert run(["match-c", "--delta-plus", "0", "--out", str(out)]) == 2
+
+
+def test_match_c_takes_no_coupling(tmp_path, capsys):
+    # match-c replaces c by c*, so it neither reads nor records a --c; nor is
+    # --c taken as a prefix of --config
+    out = tmp_path / "m"
+    with pytest.raises(SystemExit) as exc:
+        run(["match-c", "--c", "7", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --c 7" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"c": 7.0}')
+    assert run(["match-c", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "unknown config keys for match-c: ['c']" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bulk_command(tmp_path):
@@ -259,7 +275,7 @@ def test_spectrum_grid_is_antisymmetric_and_reruns_identical(tmp_path):
     ["bulk", "--eps", "nan"],
     ["bulk", "--b", "inf"],
     ["spectrum", "--kind", "type2", "--n-cells", "24", "--threshold", "inf"],
-    ["match-c", "--c=-inf"],
+    ["match-c", "--delta-minus=-inf"],
 ])
 def test_non_finite_flags_exit_2(tmp_path, capsys, argv):
     out = tmp_path / "o"
@@ -444,7 +460,7 @@ def test_every_library_error_exits_with_its_code(tmp_path, monkeypatch, capsys, 
     ["exist", "--kind", "type2", "--b-plus", "1e-320"],
     ["exist", "--kind", "type1", "--b-minus", "3e-308", "--delta-minus=-2.5e-308"],
     ["match-c", "--b-plus", "1e-320", "--n-cells", "24"],
-    ["match-c", "--c", "1e-320", "--n-cells", "24"],
+    ["match-c", "--b-minus", "3e-308", "--delta-minus=-2.5e-308", "--n-cells", "24"],
 ])
 def test_subnormal_hoppings_exit_2(tmp_path, capsys, argv):
     out = tmp_path / "o"
@@ -459,7 +475,7 @@ def test_subnormal_hoppings_exit_2(tmp_path, capsys, argv):
     ["exist", "--kind", "type2", "--b-plus", "141.6", "--b-minus", "146.9",
      "--delta-plus", "67.9", "--delta-minus", "-86.6", "--c", "1e300"],
     ["match-c", "--b-plus", "101.7", "--b-minus", "1e-300", "--delta-plus", "126",
-     "--delta-minus", "18.5", "--c", "48.9", "--n-cells", "24"],
+     "--delta-minus", "18.5", "--n-cells", "24"],
     # the overflowed norm used to give "exists": true
     ["exist", "--kind", "type1", "--b-plus", "1e300", "--b-minus", "60", "--delta-plus", "124.7",
      "--delta-minus", "-27.7", "--c", "60", "--k", "3.0761136677239937"],
@@ -619,7 +635,7 @@ def test_commands_without_a_2d_domain_never_load_scipy(tmp_path):
 
 _FUZZ_FLAGS = {
     "exist": ("b-plus", "b-minus", "delta-plus", "delta-minus", "c", "k"),
-    "match-c": ("b-plus", "b-minus", "delta-plus", "delta-minus", "c"),
+    "match-c": ("b-plus", "b-minus", "delta-plus", "delta-minus"),
     "bulk": ("b", "eps"),
 }
 _FUZZ_FIXED = {"exist": (), "match-c": ("--n-cells=24",), "bulk": ("--path-points=12",)}

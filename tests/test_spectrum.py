@@ -1,8 +1,17 @@
+import concurrent.futures
+import ctypes
 import dataclasses
+import os
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from edgelab import spectrum
 from edgelab.errors import NoMidGapState
 from edgelab.hamiltonian import HoppingProfile, bloch_h1, bloch_h2, chain_operator
 from edgelab.lattice import InterfaceKind
@@ -17,6 +26,7 @@ from edgelab.spectrum import (
 )
 from edgelab.transfer import build_type1_zero_modes, matching_c_star, p_eigen
 
+from chiral_oracle import chiral_block
 from coefficient_rows import coeffs_type1
 
 MIXED = HoppingProfile(60, 60, 30, -30, 50.0)
@@ -327,3 +337,183 @@ def test_spectrum_csv_matches_csv_writer(tmp_path, kind):
     write_spectrum_csv(table, tmp_path / "spectrum.csv")
     assert (tmp_path / "spectrum.csv").read_bytes() == (
         _csv_writer_spectrum(tmp_path / "ref.csv", table))
+
+
+# ---------------------------------------------------------------------------
+# The k-point pool and the BLAS pin
+# ---------------------------------------------------------------------------
+
+_SPECTRUM_ARGV = {
+    # both differ between one and two BLAS threads when the count is not pinned
+    InterfaceKind.TYPE_I: ["--kind", "type1", "--n-cells", "24", "--k-points", "5"],
+    InterfaceKind.TYPE_II: ["--kind", "type2", "--n-cells", "40", "--k-points", "5"],
+}
+
+
+def _run_spectrum(argv, where, monkeypatch):
+    """spectrum.csv and summary.json of an in-process run; the same relative
+    --out, so that summary.json's config is the same too."""
+    from edgelab.cli import main
+
+    where.mkdir()
+    monkeypatch.chdir(where)
+    assert main(["spectrum", *argv, "--out", "o"]) == 0
+    return [(where / "o" / name).read_bytes() for name in ("spectrum.csv", "summary.json")]
+
+
+def _blas():
+    blas = spectrum._openblas_threads()
+    if blas is None:
+        pytest.skip("numpy's BLAS is not its bundled OpenBLAS")
+    return blas
+
+
+@pytest.fixture
+def record_solves(monkeypatch):
+    """The thread of every _solve_one call, with the caller's np.errstate
+    as that call saw it."""
+    calls = []
+    solve = spectrum._solve_one
+
+    def recording(*args):
+        calls.append((threading.get_ident(), np.geterr()["over"]))
+        return solve(*args)
+
+    monkeypatch.setattr(spectrum, "_solve_one", recording)
+    return calls
+
+
+@pytest.mark.parametrize("kind", list(InterfaceKind))
+def test_outputs_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, record_solves, kind):
+    runs = []
+    for cores in (1, 2):
+        monkeypatch.setattr(spectrum.os, "sched_getaffinity", lambda pid, n=cores: set(range(n)))
+        record_solves.clear()
+        runs.append(_run_spectrum(_SPECTRUM_ARGV[kind], tmp_path / str(cores), monkeypatch))
+        # 3 distinct |k| of 5 points, on at most one worker per core
+        assert len(record_solves) == 3
+        assert 1 <= len({ident for ident, _ in record_solves}) <= cores
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("kind", list(InterfaceKind))
+def test_outputs_do_not_depend_on_openblas_num_threads(tmp_path, kind):
+    _blas()
+    src = Path(__file__).resolve().parents[1] / "src"
+    runs = []
+    for threads in (None, "1", "2"):
+        env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = str(src)
+        if threads:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        out = tmp_path / str(threads)
+        result = subprocess.run([sys.executable, "-m", "edgelab", "spectrum", *_SPECTRUM_ARGV[kind],
+                                 "--out", "o"], cwd=tmp_path, env=env, capture_output=True,
+                                text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        (tmp_path / "o").rename(out)
+        runs.append([(out / name).read_bytes() for name in ("spectrum.csv", "summary.json")])
+    assert runs[0] == runs[1] == runs[2]
+
+
+def test_solve_restores_the_callers_blas_thread_count(monkeypatch):
+    get, set_ = _blas()
+    saved = get()
+    try:
+        for threads in (1, 2, 3):
+            set_(threads)
+            supercell_spectrum(InterfaceKind.TYPE_II, MIXED, None, [0.0, 0.5, 1.0], N=24)
+            assert get() == threads
+
+        def failing(*args):
+            raise FloatingPointError("solve failed")
+
+        monkeypatch.setattr(spectrum, "_solve_one", failing)
+        set_(2)
+        with pytest.raises(FloatingPointError, match="solve failed"):
+            supercell_spectrum(InterfaceKind.TYPE_II, MIXED, None, [0.0, 0.5, 1.0], N=24)
+        assert get() == 2
+    finally:
+        set_(saved)
+
+
+def test_concurrent_callers_keep_the_pin_and_the_count(monkeypatch):
+    get, set_ = _blas()
+    saved = get()
+    kg = [0.0, 0.3, 0.7, 1.1]
+    solve = spectrum._solve_one
+
+    def slow(*args):  # every caller's solve overlaps the others'
+        time.sleep(0.05)
+        return solve(*args)
+
+    monkeypatch.setattr(spectrum, "_solve_one", slow)
+    interval = sys.getswitchinterval()
+    try:
+        set_(2)
+        alone = supercell_spectrum(InterfaceKind.TYPE_I, MIXED, None, kg, N=24)
+        sys.setswitchinterval(1e-6)
+        # more callers than cores
+        with concurrent.futures.ThreadPoolExecutor(4) as pool:
+            tables = list(pool.map(lambda _: supercell_spectrum(InterfaceKind.TYPE_I, MIXED, None, kg, N=24),
+                                   range(4), timeout=120))
+        assert get() == 2
+        for table in tables:
+            assert table.eigenvalues.tobytes() == alone.eigenvalues.tobytes()
+            assert table.localization.tobytes() == alone.localization.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+        set_(saved)
+
+
+def test_workers_see_the_callers_errstate(record_solves):
+    with np.errstate(over="raise"):
+        supercell_spectrum(InterfaceKind.TYPE_II, MIXED, None, [0.0, 0.5, 1.0], N=24)
+    with np.errstate(over="ignore"):
+        supercell_spectrum(InterfaceKind.TYPE_II, MIXED, None, [0.0, 0.5, 1.0], N=24)
+    assert [over for _, over in record_solves] == ["raise"] * 3 + ["ignore"] * 3
+
+
+@pytest.mark.parametrize("kind", list(InterfaceKind))
+def test_sequential_fallback_without_the_symbol(tmp_path, monkeypatch, record_solves, kind):
+    get, set_ = _blas()
+    pooled = _run_spectrum(_SPECTRUM_ARGV[kind], tmp_path / "pooled", monkeypatch)
+
+    def no_library(*args, **kwargs):
+        raise OSError("no such library")
+
+    saved = get()
+    spectrum._openblas_threads.cache_clear()
+    monkeypatch.setattr(ctypes, "CDLL", no_library)
+    try:
+        assert spectrum._openblas_threads() is None
+        record_solves.clear()
+        set_(1)  # what the pin would have set: then the bytes must agree
+        assert _run_spectrum(_SPECTRUM_ARGV[kind], tmp_path / "sequential", monkeypatch) == pooled
+        assert {ident for ident, _ in record_solves} == {threading.get_ident()}
+        assert get() == 1  # the fallback leaves the count alone
+    finally:
+        set_(saved)
+        monkeypatch.undo()
+        spectrum._openblas_threads.cache_clear()
+
+
+def test_empty_grid_is_refused():
+    with pytest.raises(ValueError, match="at least one point"):
+        supercell_spectrum(InterfaceKind.TYPE_II, MIXED, None, [], N=24)
+
+
+@pytest.mark.parametrize("kind", list(InterfaceKind))
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_chiral_block_matches_the_sliced_operator(kind, seed):
+    # random gapped profiles of either detuning sign, every k class, two sizes
+    rng = np.random.default_rng(seed)
+    b = 10 ** rng.uniform(0.0, 2.5, size=2)
+    profile = HoppingProfile(b[0], b[1], rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 0.9) * b[0],
+                             rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 0.9) * b[1],
+                             10 ** rng.uniform(-2.0, 2.5))
+    for k in (0.0, 0.1, 0.7, 2.0, np.pi):
+        for N in (20, 48):
+            block, expected = _chiral_block(kind, profile, k, N), chiral_block(kind, profile, k, N)
+            assert block.dtype == expected.dtype and block.shape == expected.shape
+            assert block.tobytes() == expected.tobytes(), (k, N)

@@ -197,7 +197,8 @@ def test_symmetric_case_collapses():
     HoppingProfile(1e-3, 2e3, 5e-4, -7e2, 50.0),
 ])
 def test_matching_coupling_returns_the_slopes_behind_c_star(profile):
-    c_star, f1p, f1m = matching_coupling(profile)
+    c_star, f1p, f1m = matching_coupling(profile.b_plus, profile.delta_plus,
+                                         profile.b_minus, profile.delta_minus)
     assert c_star == matching_c_star(profile)
     assert f1p == p_eigen(profile.b_plus, profile.delta_plus, 0.0).f1
     assert f1m == p_eigen(profile.b_minus, profile.delta_minus, 0.0).f1
