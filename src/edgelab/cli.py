@@ -4,9 +4,9 @@ Subcommands: spectrum | match-c | exist | evolve | bulk.  Parameters come
 from a flat JSON config file, overridden by command-line flags; ``_SETTINGS``
 declares each one's type, default and commands once.  Every output JSON
 embeds the fully resolved configuration.  Outputs are byte-stable for
-identical configs on one machine and BLAS (for evolve, and for spectrum and
-match-c without numpy's bundled OpenBLAS, also one BLAS thread count): fixed
-eigensolver ordering, fixed sign conventions, no timestamps.
+identical configs on one machine and BLAS (without numpy's bundled OpenBLAS,
+also one BLAS thread count): fixed eigensolver ordering, fixed sign
+conventions, no timestamps.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .spectrum import (
     DEFAULT_MARGIN,
     DEFAULT_N,
     DEFAULT_THRESHOLD,
+    _one_blas_thread,
     edge_curves,
     min_abs_kept,
     min_abs_kept_at,
@@ -52,7 +53,7 @@ _PROFILED = ("spectrum", "match-c", "exist", "evolve")
 # (out_dir is --out) on those commands and a config-file key of that JSON
 # type; None is a valid value only where it is the default ("unset").
 _SETTINGS = {
-    "kind": (str, "type1", _PROFILED),
+    "kind": (str, "type1", ("spectrum", "exist", "evolve")),  # match-c solves type I
     "b_plus": (float, 60.0, _PROFILED),
     "b_minus": (float, 60.0, _PROFILED),
     "delta_plus": (float, 30.0, _PROFILED),
@@ -220,11 +221,14 @@ def cmd_evolve(cfg: dict) -> int:
         raise ConfigError("origin_m and origin_n must be given together")
     origin = None if cfg["origin_m"] is None else (cfg["origin_m"], cfg["origin_n"])
     bend = None if cfg["bend_m"] is None else (cfg["bend_m"], cfg["turn"])
-    domain = build_domain(DomainSpec(kind, (cfg["extent_m"], cfg["extent_n"]), profile,
-                                     bend=bend, origin=origin))
-    state = initial_wavepacket(domain, profile, cfg["center_m"], cfg["width"], cfg["direction"])
-    manifest = record_run(domain, state, cfg["t_final"], cfg["out_dir"],
-                          stride=cfg["stride"], dt=cfg["dt"], config=cfg)
+    # the packet's norm and the run's series take BLAS dot products, whose
+    # bits depend on the BLAS thread count unless it is pinned
+    with _one_blas_thread():
+        domain = build_domain(DomainSpec(kind, (cfg["extent_m"], cfg["extent_n"]), profile,
+                                         bend=bend, origin=origin))
+        state = initial_wavepacket(domain, profile, cfg["center_m"], cfg["width"], cfg["direction"])
+        manifest = record_run(domain, state, cfg["t_final"], cfg["out_dir"],
+                              stride=cfg["stride"], dt=cfg["dt"], config=cfg)
     print(f"evolve: {manifest['steps']} steps, final norm "
           f"{manifest['series']['norm'][-1]:.9f}")
     return 0

@@ -7,9 +7,9 @@ would leave the window are dropped.
 
 Every operator comes from one place: the frame bond list of
 :func:`edgelab.lattice.frame_bonds`, weighted by :func:`bond_weights` into six
-material rows.  It is assembled densely by :func:`chain_operator` into H(k) or
-dH/dk, and applied matrix-free to (cells, 6) amplitude arrays by :func:`chain_apply`;
-the supercell solver fills its chiral block of H(k) from the same rows.
+material rows of blocks T_d, each coupling a cell to the cell d further on.
+One placement of T_d makes H(k) and dH/dk in :func:`chain_operator` and the
+supercell's chiral block; :func:`chain_apply` applies the bonds matrix-free.
 """
 
 from __future__ import annotations
@@ -105,20 +105,34 @@ def _bond_table(kind: InterfaceKind, profile: HoppingProfile, k: float, derivati
     return j - 1, j2 - 1, dn, vals
 
 
+def _cell_blocks(kind: InterfaceKind, profile: HoppingProfile, k: float, derivative: bool):
+    """The (6, 5, 6, 6) cell blocks of _bond_table: [r, d + 2] couples a cell of
+    material row r to the cell d further on.  Each entry is one bond's, added
+    onto zeros so that a -0.0 real part of i dm (-w) is stored as +0.0."""
+    j, j2, dn, vals = _bond_table(kind, profile, k, derivative)
+    T = np.zeros((6, 5, 6, 6), dtype=complex)
+    T[:, dn + 2, j, j2] += vals
+    return T
+
+
+def _place_blocks(H: np.ndarray, T: np.ndarray, lo: int) -> np.ndarray:
+    """Place the s x s blocks T[r, d + 2] on the zeroed band matrix H of the cells
+    from lo on, with open ends: block (n, n + d) is T[clip(n, -3, 2) + 3, d + 2]."""
+    s = T.shape[-1]
+    n = len(H) // s
+    blocks = H.reshape(n, s, n, s)
+    for d in range(-2, 3):
+        m = np.arange(max(0, -d), min(n, n - d))
+        blocks[m, :, m + d] = T[np.clip(m + lo, -3, 2) + 3, d + 2]
+    return H
+
+
 def chain_operator(kind: InterfaceKind, profile: HoppingProfile, lo: int, hi: int,
                    k: float = 0.0, derivative: bool = False) -> np.ndarray:
     """Dense chain operator on the cells [lo, hi] with open ends; site (n, j)
-    has flat index 6 (n - lo) + j - 1.  No two bonds of the frame share a
-    (j, j2, dn), so every entry is one bond's."""
-    n = np.arange(lo, hi + 1)[:, None]
-    H = np.zeros((6 * len(n), 6 * len(n)), dtype=complex)  # first: an impossible size fails at once
-    j, j2, dn, vals = _bond_table(kind, profile, k, derivative)
-    vals = vals[np.clip(n[:, 0], -3, 2) + 3]
-    n2 = n + dn
-    keep = (n2 >= lo) & (n2 <= hi)
-    # added onto zeros, so a -0.0 real part of i dm (-w) is stored as +0.0
-    H[(6 * (n - lo) + j)[keep], (6 * (n2 - lo) + j2)[keep]] += vals[keep]
-    return H
+    has flat index 6 (n - lo) + j - 1."""
+    H = np.zeros((6 * (hi - lo + 1),) * 2, dtype=complex)  # first: an impossible size fails at once
+    return _place_blocks(H, _cell_blocks(kind, profile, k, derivative), lo)
 
 
 def _bloch(kind: InterfaceKind, profile: HoppingProfile, k: float, N: int) -> BlochOperator:

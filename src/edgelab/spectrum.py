@@ -2,32 +2,26 @@
 
 Every bond joins sublattices 1-3 to 4-6, so the truncated chain Hamiltonian
 is H(k) = [[0, C], [C^H, 0]] in that ordering and one SVD of the chiral
-block C (half the dimension of H) gives the whole spectrum as the pairs
-+-s with eigenvectors (u, +-v)/sqrt(2).  H(-k) is the complex conjugate of
-H(k), so k and -k share every result and each distinct |k| is solved once;
-``edgelab spectrum`` makes its grid bitwise antisymmetric for that reason.
-C is real at k = 0, and for type II at every k once written in a cell-local
-basis invariant under the type-II antiunitary R, (Rw)(n) = e^{ink} rev
-conj(w(n)) with rev swapping sublattices 1 <-> 3 and 4 <-> 6, so the SVD is
-a real one there; type I away from k = 0 keeps the complex SVD.  Against
-one complex SVD per k point, energies and localizations move in their last
-bits (the grid points by at most 4.4e-16); the keep/discard verdicts of the
-README and acceptance configurations do not change.  The distinct |k| are
-solved concurrently with numpy's OpenBLAS pinned to one thread, so the
-results do not depend on its thread count.  The README ``edgelab spectrum``
-(type II, N = 80, 201 k points) takes 4.7-6.0 s and 80 MiB on two cores,
-against 7.6-10.5 s and 59 MiB with the |k| solved in turn at OpenBLAS's
-default of two threads, and 32-35 s with one complex SVD per k point.
+block C gives the whole spectrum as the pairs +-s with eigenvectors
+(u, +-v)/sqrt(2).  H(-k) is the complex conjugate of H(k), so each distinct
+|k| is solved once; ``edgelab spectrum`` makes its grid bitwise
+antisymmetric for that reason.  C is placed from the cell blocks behind
+:func:`edgelab.hamiltonian.chain_operator`.  It is real at k = 0, and for
+type II at every k once written in a cell-local basis invariant under the
+type-II antiunitary R, (Rw)(n) = e^{ink} rev conj(w(n)) with rev swapping
+sublattices 1 <-> 3 and 4 <-> 6, so the SVD is a real one there.  The
+distinct |k| are solved concurrently with numpy's OpenBLAS pinned to one
+thread, so the results do not depend on its thread count.
 
-The truncated chain introduces artificial boundary states; following the
-supercell workflow, every eigenpair is scored by the fraction of its mass in
-the outermost cells and discarded when that fraction is too large.  The
-remaining mid-gap branches are compared against the perturbative slope
-extracted from the zero modes.
+The truncated chain introduces artificial boundary states; every eigenpair
+is scored by the fraction of its mass in the outermost cells and discarded
+when that fraction is too large.  The remaining mid-gap branches are
+compared against the perturbative slope extracted from the zero modes.
 """
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import ctypes
 import functools
@@ -39,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NoMidGapState
-from .hamiltonian import HoppingProfile, _bond_table, chain_apply_first_order
+from .hamiltonian import HoppingProfile, _cell_blocks, _place_blocks, chain_apply_first_order
 from .lattice import InterfaceKind
 from .output import write_csv
 from .transfer import ZeroMode, zero_modes
@@ -86,40 +80,24 @@ class SpectrumTable:
     threshold: float
 
 
-# Per cell, the columns (e1 + e3)/sqrt2, e2 and i (e1 - e3)/sqrt2 on sublattices
-# 1-3 (and the same on 4-6); with the phase e^{ink/2} of cell n they are the
-# vectors that R leaves invariant.
+# Per cell, the columns (e1 + e3)/sqrt2, e2 and i (e1 - e3)/sqrt2 on sublattices 1-3
+# (and 4-6); with the phase e^{ink/2} of cell n they are the vectors R leaves invariant.
 _R_CELL = np.array([[1, 0, 1j], [0, np.sqrt(2), 0], [1, 0, -1j]]) / np.sqrt(2)
 
 
 def _chiral_block(kind, profile, k, N):
-    """The chiral block C = H[A][:, B] of the chain on [-N, N], dense; real
-    at k = 0 and, for type II, at every k in the basis of _R_CELL.  That
-    basis change acts within cells, so margin masses and cluster Gram
-    matrices are the same in either basis."""
-    n = 2 * N + 1
-    # the 9 bonds from sites 1-3 all end on sites 4-6; none shares a (j, j2, dn),
-    # so each entry is one bond's, added onto zeros as chain_operator adds it
-    j, j2, dn, vals = _bond_table(kind, profile, k, False)
-    a = j < 3
-    m = np.arange(n)[:, None]
-    m2 = m + dn[a]
-    keep = (m2 >= 0) & (m2 < n)
-    rows = vals[np.clip(m[:, 0] - N, -3, 2) + 3][:, a]
-    C = np.zeros((3 * n, 3 * n), dtype=complex)
-    C[(3 * m + j[a])[keep], (3 * m2 + j2[a] - 3)[keep]] += rows[keep]
+    """The dense chiral block C = H[A][:, B] of the chain on [-N, N]; real at k = 0
+    and, for type II, at every k in the basis of _R_CELL, which acts within cells,
+    so margin masses and cluster Gram matrices are the same in either basis."""
+    # the cell blocks from sites 1-3 to sites 4-6: every bond of sites 1-3 ends there
+    T = _cell_blocks(kind, profile, k, False)[:, :, :3, 3:]
     if kind is InterfaceKind.TYPE_II:
-        # block (m, m2) couples sites 1-3 of cell m to sites 4-6 of cell m2.
-        # U = diag(e^{ink/2}) (x) _R_CELL, and C couples cells at most two
-        # apart: U^H C U has block (m, m + d) = e^{ikd/2} R^H C_{m, m+d} R
-        blocks = C.reshape(n, 3, n, 3)
-        C = np.zeros((n, 3, n, 3), dtype=complex)
-        for d in range(-2, 3):
-            m = np.arange(max(0, -d), min(n, n - d))
-            C[m, :, m + d] = np.exp(0.5j * k * d) * (_R_CELL.conj().T @ blocks[m, :, m + d] @ _R_CELL)
-        # the discarded imaginary part is rounding, about 1e-14 of max|C|
-        return C.reshape(3 * n, 3 * n).real
-    return C.real if k == 0 else C
+        # U = diag(e^{ink/2}) (x) _R_CELL: U^H C U has block (n, n + d) = e^{ikd/2} R^H T_d R,
+        # whose imaginary part is rounding, about 1e-14 of max|C|
+        T = np.exp(0.5j * k * np.arange(-2, 3))[:, None, None] * (_R_CELL.conj().T @ T @ _R_CELL)
+    if kind is InterfaceKind.TYPE_II or k == 0:
+        T = T.real
+    return _place_blocks(np.zeros((3 * (2 * N + 1),) * 2, dtype=T.dtype), T, -N)
 
 
 def _solve_one(kind, profile, k, N, margin):
@@ -174,29 +152,36 @@ def _openblas_threads():
 _PIN_LOCK = threading.Lock()
 
 
-def _solve_all(kind, profile, abs_k, N, margin):
-    """_solve_one at each |k|, in order.  With numpy's OpenBLAS the library is
-    pinned to one thread, whose results do not depend on the caller's thread
-    count, and the |k| are solved on up to one worker per usable core; the
-    caller's count is restored afterwards.  Any other BLAS solves in turn."""
-    blas = _openblas_threads()
-    if blas is None:
-        return [_solve_one(kind, profile, k, N, margin) for k in abs_k]
-    from concurrent.futures import ThreadPoolExecutor  # 6-8 ms, so not at import
-
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Pin numpy's OpenBLAS to one thread, whose results do not depend on the
+    caller's count, and restore that count on exit; yields whether it pinned.
+    The count is process-wide: one thread at a time saves, pins, restores it."""
+    if (blas := _openblas_threads()) is None:
+        yield False
+        return
     get, set_ = blas
-    # the count is process-wide: one solve at a time saves, pins and restores it
     with _PIN_LOCK:
         saved = get()
         set_(1)
         try:
-            with ThreadPoolExecutor(min(len(os.sched_getaffinity(0)), len(abs_k))) as pool:
-                # each task runs in a copy of the caller's context, np.errstate included
-                futures = [pool.submit(contextvars.copy_context().run, _solve_one,
-                                       kind, profile, k, N, margin) for k in abs_k]
-                return [f.result() for f in futures]
+            yield True
         finally:
             set_(saved)
+
+
+def _solve_all(kind, profile, abs_k, N, margin):
+    """_solve_one at each |k|, in order; on a worker per usable core while pinned."""
+    with _one_blas_thread() as pinned:
+        if not pinned:
+            return [_solve_one(kind, profile, k, N, margin) for k in abs_k]
+        from concurrent.futures import ThreadPoolExecutor  # 6-8 ms, so not at import
+
+        with ThreadPoolExecutor(min(len(os.sched_getaffinity(0)), len(abs_k))) as pool:
+            # each task runs in a copy of the caller's context, np.errstate included
+            futures = [pool.submit(contextvars.copy_context().run, _solve_one,
+                                   kind, profile, k, N, margin) for k in abs_k]
+            return [f.result() for f in futures]
 
 
 def supercell_spectrum(kind: InterfaceKind, profile: HoppingProfile, c: float | None,

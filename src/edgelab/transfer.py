@@ -126,10 +126,10 @@ def p_eigen(b: float, eps: float, k: float) -> PMatrixReport:
     if not abs(k) <= math.pi:
         raise ValueError(f"quasi-momentum k must be finite with |k| <= pi, got {k}")
     alpha, beta, gamma = p_elements(b, eps, k)
-    # b + eps rounds to b for |eps| below about 1e-16 b, and P is then
-    # exactly the identity too
-    if b + eps == b and k == 0.0:
-        raise DegenerateGapless("P is the identity at k = 0 when b + eps == b")
+    # b + eps rounds to b for |eps| below about 1e-16 b: a nonzero detuning is
+    # then lost at every k, and P is exactly the identity at k = 0
+    if b + eps == b and (eps != 0.0 or k == 0.0):
+        raise DegenerateGapless("b + eps == b: the detuning is zero or lost to rounding")
     disc = np.sqrt((alpha - gamma) ** 2 - 4 * np.exp(1j * k) * beta**2 + 0j)
     lam_a = (alpha + gamma - disc) / 2
     lam_b = (alpha + gamma + disc) / 2
@@ -172,12 +172,12 @@ def type1_zero_exists(profile: HoppingProfile, c_test: float, k: float) -> bool:
         raise ValueError("test coupling c_test must be positive and finite")
     rp = p_eigen(profile.b_plus, profile.delta_plus, k)
     rm = p_eigen(profile.b_minus, profile.delta_minus, k)
-    # v1 scaled by (1, t^2), t^2 = (b+ + delta+)(b- + delta-) / c_test^2.  t is
-    # a ratio of square roots, so only t^2 can overflow (a coupling far below
-    # the hoppings); the direction is then (1 / t^2, 1), never inf * 0
+    # v1 scaled by (1, t^2), t^2 = (b+ + delta+)(b- + delta-) / c_test^2, or by
+    # (1 / t^2, 1) from t^2 > 1: no scale exceeds 1, so the norms below stay
+    # finite at every coupling
     t = math.sqrt(profile.b_plus + profile.delta_plus) * math.sqrt(
         profile.b_minus + profile.delta_minus) / c_test
-    w = rp.v1 * (np.array([1.0, t * t]) if t * t < math.inf else np.array([1 / t / t, 1.0]))
+    w = rp.v1 * (np.array([1.0, t * t]) if t * t <= 1 else np.array([1 / t / t, 1.0]))
     v = rm.v2
     cross = abs(w[0] * v[1] - w[1] * v[0])
     with np.errstate(over="raise"):  # an infinite norm would read as parallel

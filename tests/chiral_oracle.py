@@ -1,20 +1,23 @@
 """The chiral block sliced out of the dense chain operator.
 
-H(k) = chain_operator(kind, profile, -N, N, k) is assembled on all six
-sublattices, and C is its block from sites 1-3 to sites 4-6 of every cell,
-taken to the real basis of ``spectrum._R_CELL`` for type II.  It is the
-oracle of :func:`edgelab.spectrum._chiral_block`, which fills the same
-entries straight from the bond table without the (12N + 6)^2 operator; both
-must agree bit for bit.
+H(k) = chain_oracle.chain_operator(kind, profile, -N, N, k) is assembled
+bond by bond on all six sublattices, and C is its block from sites 1-3 to
+sites 4-6 of every cell, taken to the real basis of ``spectrum._R_CELL`` for
+type II one cell pair at a time.  It is the oracle of
+:func:`edgelab.spectrum._chiral_block`, which places the same cell blocks as
+:func:`edgelab.hamiltonian.chain_operator` without the (12N + 6)^2 operator,
+so it must not go through that function; both must agree bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from edgelab.hamiltonian import HoppingProfile, chain_operator
+from edgelab.hamiltonian import HoppingProfile
 from edgelab.lattice import InterfaceKind
 from edgelab.spectrum import _R_CELL
+
+from chain_oracle import chain_operator
 
 
 def chiral_block(kind: InterfaceKind, profile: HoppingProfile, k: float, N: int) -> np.ndarray:

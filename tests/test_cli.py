@@ -1,4 +1,5 @@
 import json
+import os
 import shlex
 import subprocess
 import sys
@@ -203,6 +204,17 @@ def test_match_c_takes_no_coupling(tmp_path, capsys):
     assert run(["match-c", "--config", str(cfg), "--out", str(out)]) == 2
     assert "unknown config keys for match-c: ['c']" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_match_c_takes_no_kind(tmp_path, capsys):
+    # match-c always solves type I, so it neither reads nor records a --kind
+    out = tmp_path / "m"
+    with pytest.raises(SystemExit) as exc:
+        run(["match-c", "--kind", "type2", "--n-cells", "24", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --kind type2" in capsys.readouterr().err
+    assert run(["match-c", "--n-cells", "24", "--out", str(out)]) == 0
+    assert "kind" not in json.loads((out / "match_c.json").read_text())["config"]
 
 
 def test_bulk_command(tmp_path):
@@ -476,15 +488,23 @@ def test_subnormal_hoppings_exit_2(tmp_path, capsys, argv):
      "--delta-plus", "67.9", "--delta-minus", "-86.6", "--c", "1e300"],
     ["match-c", "--b-plus", "101.7", "--b-minus", "1e-300", "--delta-plus", "126",
      "--delta-minus", "18.5", "--n-cells", "24"],
-    # the overflowed norm used to give "exists": true
-    ["exist", "--kind", "type1", "--b-plus", "1e300", "--b-minus", "60", "--delta-plus", "124.7",
-     "--delta-minus", "-27.7", "--c", "60", "--k", "3.0761136677239937"],
 ])
 def test_overflow_exits_2(tmp_path, capsys, argv):
     assert run(argv + ["--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "overflow" in err
     assert not list(tmp_path.rglob("*.json"))
+
+
+@pytest.mark.parametrize("k", ["3.0761136677239937", "0.5", "0"])
+def test_detuning_that_rounds_into_b_exits_3(tmp_path, capsys, k):
+    # b+ + delta+ rounds to b+ = 1e300: the material has lost its detuning at
+    # every k (an overflowed norm once gave "exists": true here, then exit 2)
+    argv = ["exist", "--kind", "type1", "--b-plus", "1e300", "--b-minus", "60",
+            "--delta-plus", "124.7", "--delta-minus", "-27.7", "--c", "60", "--k", k]
+    assert run(argv + ["--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err.startswith("domain failure: b + eps == b")
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -631,6 +651,63 @@ def test_commands_without_a_2d_domain_never_load_scipy(tmp_path):
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "[]"
+
+
+def _openblas():
+    from edgelab import spectrum
+
+    blas = spectrum._openblas_threads()
+    if blas is None:
+        pytest.skip("numpy's BLAS is not its bundled OpenBLAS")
+    return blas
+
+
+# 10,560 sites: OpenBLAS threads the packet's and the series' dot products
+# there, and these files differed between one and two threads without the pin
+_THREADED_EVOLVE = ["evolve", "--kind", "type2", "--extent-m", "40", "--extent-n", "44",
+                    "--t-final", "0.01"]
+
+
+def test_evolve_bytes_do_not_depend_on_openblas_num_threads(tmp_path):
+    _openblas()
+    src = Path(__file__).resolve().parents[1] / "src"
+    runs = []
+    for threads in ("1", "2"):
+        env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+        env.update(PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
+        where = tmp_path / threads
+        where.mkdir()
+        result = subprocess.run([sys.executable, "-m", "edgelab", *_THREADED_EVOLVE, "--out", "o"],
+                                cwd=where, env=env, capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        runs.append({path.name: path.read_bytes() for path in sorted((where / "o").iterdir())})
+    assert len(runs[0]) == 3 and runs[0] == runs[1]
+
+
+def test_evolve_runs_pinned_and_restores_the_callers_thread_count(tmp_path, monkeypatch):
+    import edgelab.cli as cli
+
+    get, set_ = _openblas()
+    seen = []
+    record_run = cli.record_run
+
+    def recording(*args, **kwargs):
+        seen.append(get())
+        return record_run(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "record_run", recording)
+    saved = get()
+    try:
+        for threads in (1, 2, 3):
+            set_(threads)
+            assert run([*_THREADED_EVOLVE[:-1], "0.002", "--out", str(tmp_path / str(threads))]) == 0
+            assert get() == threads
+        set_(2)  # a run that fails inside the pin restores the count too
+        assert run([*_THREADED_EVOLVE, "--center-m", "1000", "--out", str(tmp_path / "x")]) == 2
+        assert get() == 2
+    finally:
+        set_(saved)
+    assert seen == [1, 1, 1]
 
 
 _FUZZ_FLAGS = {

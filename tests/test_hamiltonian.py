@@ -341,3 +341,26 @@ def test_chain_operator_allocates_before_building_entries(monkeypatch):
     with pytest.raises(MemoryError):
         chain_operator(InterfaceKind.TYPE_II, MIXED, -300000, 300000)
     assert calls == []
+
+
+@pytest.mark.parametrize("kind", list(InterfaceKind))
+def test_bulk_cell_blocks_fourier_sum_to_the_2d_bulk_hamiltonian(kind):
+    # rows 5 and 0 are the cells n >= 2 and n <= -3, whose bonds stay in one
+    # material: sum_d T_d(K.v_a) exp(i d K.v_b) is that material's bulk H(K)
+    from edgelab.bulk import bulk_h
+    from edgelab.lattice import frame_vectors
+
+    v_a, v_b = frame_vectors(kind)
+    rng = np.random.default_rng(22 if kind is InterfaceKind.TYPE_I else 220)
+    worst = 0.0
+    for _ in range(100):
+        profile = _random_profile(rng)
+        K = rng.uniform(-8.0, 8.0, size=2)
+        T = hamiltonian._cell_blocks(kind, profile, float(K @ v_a), False)
+        phases = np.exp(1j * np.arange(-2, 3) * (K @ v_b))
+        for row, b, delta in ((5, profile.b_plus, profile.delta_plus),
+                              (0, profile.b_minus, profile.delta_minus)):
+            H = bulk_h(b, delta, K)
+            summed = np.tensordot(phases, T[row], axes=1)
+            worst = max(worst, np.abs(summed - H).max() / np.abs(H).max())
+    assert worst < 1e-14
