@@ -17,7 +17,8 @@ in H/rho with Bessel-function coefficients (Tal-Ezer & Kosloff 1984), one
 series per snapshot interval; its truncation is below double precision, so
 the evolution is unitary to rounding.  Classic RK4 (:func:`evolve`) stays as
 the independent oracle.  Domains are sized so packets never reach the outer
-edge.
+edge.  :func:`record_run` formats its snapshots in one forked writer process
+(:class:`edgelab.output.BackgroundWriter`) while it propagates.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .lattice import (
     frame_vectors,
     material_sign,
 )
-from .output import BLOCK_ROWS, write_csv, write_json
+from .output import BLOCK_ROWS, BackgroundWriter, write_csv, write_json
 from .spectrum import perturbation_m0
 from .transfer import zero_modes
 
@@ -362,7 +363,10 @@ def record_run(domain: Domain, state: WavepacketState, t_final: float,
     sampling steps of ``dt`` plus a JSON manifest with the diagnostic time
     series.  Each snapshot interval is one :func:`propagate` call; ``dt``
     keeps the RK4 step rule dt * rho(H) <= 0.5, and a run holds at most
-    10,000 snapshots."""
+    10,000 snapshots.  Every snapshot but the last goes to one
+    :class:`~edgelab.output.BackgroundWriter`, forked once the row templates
+    exist, so its text is formatted while the next interval propagates; the
+    last is written here, and the writer is reaped before the manifest."""
     if stride < 1:
         raise ValueError("stride must be at least 1")
     if not (t_final > 0 and math.isfinite(t_final)):
@@ -388,11 +392,15 @@ def record_run(domain: Domain, state: WavepacketState, t_final: float,
     partition = make_bend_partition(domain) if domain.spec.bend is not None else None
     templates = _snapshot_templates(domain.positions)
 
+    def write_snapshot(snap_idx: int, abs2) -> None:
+        write_csv(out / f"snapshot_{snap_idx:04d}.csv", ["x", "y", "abs2"], len(abs2),
+                  lambda lo, hi: (templates[lo // BLOCK_ROWS], [abs2[lo:hi].tolist()]))
+
     series = {"time": [], "norm": [], "energy": [], "interface_mass": []}
     if partition is not None:
         series.update({"transmitted": [], "reflected": [], "residual": []})
 
-    def sample(st: WavepacketState, snap_idx: int):
+    def sample(st: WavepacketState) -> np.ndarray:
         series["time"].append(st.time)
         series["norm"].append(st.norm())
         series["energy"].append(float(np.vdot(st.amplitudes, Hc @ st.amplitudes).real))
@@ -405,20 +413,21 @@ def record_run(domain: Domain, state: WavepacketState, t_final: float,
         # libm hypot then pow, as Python's abs(a) ** 2 per element, bit for bit;
         # np.abs and squaring by a product both differ in the last bit
         abs2 = np.hypot(st.amplitudes.real, st.amplitudes.imag)
-        np.float_power(abs2, 2.0, out=abs2)
-        write_csv(out / f"snapshot_{snap_idx:04d}.csv", ["x", "y", "abs2"], len(abs2),
-                  lambda lo, hi: (templates[lo // BLOCK_ROWS], [abs2[lo:hi].tolist()]))
+        return np.float_power(abs2, 2.0, out=abs2)
 
-    snap = 0
-    sample(state, snap)
-    done = 0
-    while done < steps_total:
-        chunk = min(stride, steps_total - done)
-        amps = propagate(state.amplitudes, Hc, dt * chunk, rho)
-        state = WavepacketState(domain=domain, amplitudes=amps, time=state.time + dt * chunk)
-        done += chunk
-        snap += 1
-        sample(state, snap)
+    # every snapshot but the last is written by the writer process while the
+    # next interval propagates; the last has nothing left to overlap with
+    with BackgroundWriter(write_snapshot) as writer:
+        snap = done = 0
+        while done < steps_total:
+            writer.send(snap, sample(state))
+            chunk = min(stride, steps_total - done)
+            amps = propagate(state.amplitudes, Hc, dt * chunk, rho)
+            state = WavepacketState(domain=domain, amplitudes=amps, time=state.time + dt * chunk)
+            done += chunk
+            snap += 1
+        writer.check()  # a snapshot the writer could not write ends the run first
+        write_snapshot(snap, sample(state))
 
     manifest = {
         "dt": dt,

@@ -25,7 +25,6 @@ import contextlib
 import contextvars
 import ctypes
 import functools
-import os
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,7 +34,7 @@ import numpy as np
 from .errors import NoMidGapState
 from .hamiltonian import HoppingProfile, _cell_blocks, _place_blocks, chain_apply_first_order
 from .lattice import InterfaceKind
-from .output import write_csv
+from .output import usable_cores, write_csv
 from .transfer import ZeroMode, zero_modes
 
 __all__ = [
@@ -177,7 +176,7 @@ def _solve_all(kind, profile, abs_k, N, margin):
             return [_solve_one(kind, profile, k, N, margin) for k in abs_k]
         from concurrent.futures import ThreadPoolExecutor  # 6-8 ms, so not at import
 
-        with ThreadPoolExecutor(min(len(os.sched_getaffinity(0)), len(abs_k))) as pool:
+        with ThreadPoolExecutor(min(usable_cores(), len(abs_k))) as pool:
             # each task runs in a copy of the caller's context, np.errstate included
             futures = [pool.submit(contextvars.copy_context().run, _solve_one,
                                    kind, profile, k, N, margin) for k in abs_k]

@@ -684,6 +684,19 @@ def test_evolve_bytes_do_not_depend_on_openblas_num_threads(tmp_path):
     assert len(runs[0]) == 3 and runs[0] == runs[1]
 
 
+def test_evolve_reports_a_snapshot_the_writer_cannot_write(tmp_path, capsys):
+    # the writer fails on the first snapshot while the run goes on; a later
+    # snapshot (84,480 bytes, more than a pipe holds) finds it gone
+    out = tmp_path / "o"
+    (out / "snapshot_0000.csv").mkdir(parents=True)
+    assert run([*_THREADED_EVOLVE, "--stride", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"config error: cannot write output: [Errno 21] "
+                                       f"Is a directory: '{out / 'snapshot_0000.csv'}'\n")
+    assert [path.name for path in out.iterdir()] == ["snapshot_0000.csv"]  # no manifest
+    with pytest.raises(ChildProcessError):  # and no child left
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_evolve_runs_pinned_and_restores_the_callers_thread_count(tmp_path, monkeypatch):
     import edgelab.cli as cli
 

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -549,6 +551,88 @@ def test_snapshot_blocks_match_csv_writer(tmp_path):
     record_run(dom, st, t_final=1e-4, out_dir=tmp_path / "o", stride=1000)
     assert (tmp_path / "o" / "snapshot_0000.csv").read_bytes() == (
         _csv_writer_snapshot(tmp_path / "ref.csv", dom.positions, amps))
+
+
+def _counted_forks(monkeypatch, cores=None):
+    """Count os.fork calls; with ``cores`` set, the usable-core count reads it."""
+    from edgelab import output
+
+    forks = []
+    fork = os.fork
+
+    def counting():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting)
+    if cores is not None:
+        monkeypatch.setattr(output, "usable_cores", lambda: cores)
+    return forks
+
+
+def _files(where):
+    return {path.name: path.read_bytes() for path in sorted(where.iterdir())}
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _random_state(dom, seed=3):
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=len(dom.positions)) + 1j * rng.normal(size=len(dom.positions))
+    return WavepacketState(domain=dom, amplitudes=amps / np.linalg.norm(amps))
+
+
+@pytest.mark.parametrize("kind, bend", [(InterfaceKind.TYPE_I, None),
+                                        (InterfaceKind.TYPE_II, (0, 1))])
+def test_writer_process_and_in_process_write_the_same_bytes(tmp_path, monkeypatch, kind, bend):
+    from edgelab.dynamics import record_run
+    from edgelab.output import usable_cores
+
+    # 9,600 sites: a snapshot's 76,800 bytes are more than a pipe holds
+    dom = small_domain(kind, bend=bend, extent=(40, 40))
+    st = _random_state(dom)
+    dt = 0.1 / rho_bound(dom.hamiltonian)
+    routes = {}
+    for cores in (None, 1):
+        forks = _counted_forks(monkeypatch, cores)
+        where = tmp_path / str(cores)
+        record_run(dom, st, t_final=9.5 * dt, out_dir=where, stride=2, dt=dt)
+        assert len(forks) == (1 if cores is None and usable_cores() >= 2 else 0)
+        _no_child_left()
+        routes[cores] = _files(where)
+    assert len(routes[1]) == 7 and routes[None] == routes[1]
+
+
+def test_an_exception_mid_run_leaves_the_sent_snapshots_whole(tmp_path, monkeypatch):
+    from edgelab import dynamics
+    from edgelab.output import usable_cores
+
+    dom = small_domain(InterfaceKind.TYPE_II, bend=(0, 1), extent=(40, 40))
+    st = _random_state(dom)
+    propagate = dynamics.propagate
+    routes = {}
+    for cores in (None, 1):
+        calls = []
+
+        def failing(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                raise FloatingPointError("second interval")
+            return propagate(*args)
+
+        monkeypatch.setattr(dynamics, "propagate", failing)
+        forks = _counted_forks(monkeypatch, cores)
+        with pytest.raises(FloatingPointError, match="second interval"):
+            dynamics.record_run(dom, st, t_final=0.01, out_dir=tmp_path / str(cores), stride=1)
+        assert len(forks) == (1 if cores is None and usable_cores() >= 2 else 0)
+        _no_child_left()
+        routes[cores] = _files(tmp_path / str(cores))
+    # snapshots 0 and 1 were sent before the second interval; no manifest
+    assert sorted(routes[1]) == ["snapshot_0000.csv", "snapshot_0001.csv"]
+    assert routes[None] == routes[1]
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -1,12 +1,17 @@
+import contextlib
 import csv
 import json
 import math
+import os
+import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import edgelab
-from edgelab.output import BLOCK_ROWS, write_csv, write_json
+from edgelab import output
+from edgelab.output import BLOCK_ROWS, BackgroundWriter, usable_cores, write_csv, write_json
 
 SRC = Path(edgelab.__file__).parent
 _VALUES = [0.0, -0.0, 1.5, -2.25e-300, 1e-320, math.inf, -math.inf, math.nan, 1 / 3]
@@ -55,7 +60,115 @@ def test_only_the_output_module_writes_files():
     assert len(modules) >= 10 and SRC / "output.py" in modules
     output = (SRC / "output.py").read_text()
     assert "json.dumps(" in output and ".mkdir(" in output and "open(" in output
+    assert "os.fork(" in output and "fdopen(" in output
     found = [(path.name, needle) for path in modules if path.name != "output.py"
-             for needle in ("import csv", "json.dump", ".mkdir(", "open(")
+             for needle in ("import csv", "json.dump", ".mkdir(", "open(", "os.fork(", "fdopen(")
              if needle in path.read_text()]
     assert found == []
+
+
+def test_usable_cores_falls_back_to_the_cpu_count(monkeypatch):
+    assert usable_cores() >= 1
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert usable_cores() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
+    assert usable_cores() == 1
+
+
+def _forks():
+    if not hasattr(os, "fork") or usable_cores() < 2:
+        pytest.skip("the writer forks only with os.fork and two usable cores")
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _recording(where):
+    """A write function that records each payload's values and the writing pid."""
+    def write(key, doubles):
+        with open(where / f"{key}.txt", "w") as fh:
+            fh.write(f"{os.getpid()} {doubles.tolist()!r}")
+    return write
+
+
+# the last payload is larger than a pipe's buffer, so its send blocks
+_PAYLOADS = [np.arange(n) / 3.0 for n in (0, 1, 5, 100_000)]
+
+
+def test_background_writer_writes_every_payload_in_one_child(tmp_path):
+    _forks()
+    with BackgroundWriter(_recording(tmp_path)) as writer:
+        for key, doubles in enumerate(_PAYLOADS):
+            writer.send(key, doubles)
+    _no_child_left()
+    pids = set()
+    for key, doubles in enumerate(_PAYLOADS):
+        pid, values = (tmp_path / f"{key}.txt").read_text().split(" ", 1)
+        assert values == repr(doubles.tolist())
+        pids.add(int(pid))
+    assert len(pids) == 1 and os.getpid() not in pids
+
+
+def test_background_writer_runs_in_process_on_one_core(tmp_path, monkeypatch):
+    def no_fork():
+        raise AssertionError("os.fork called with one usable core")
+
+    monkeypatch.setattr(output, "usable_cores", lambda: 1)
+    monkeypatch.setattr(os, "fork", no_fork)
+    with BackgroundWriter(_recording(tmp_path)) as writer:
+        for key, doubles in enumerate(_PAYLOADS):
+            writer.send(key, doubles)
+            assert (tmp_path / f"{key}.txt").read_text() == f"{os.getpid()} {doubles.tolist()!r}"
+
+
+def test_background_writer_raises_the_childs_failure(tmp_path):
+    _forks()
+
+    def write(key, doubles):
+        if key == 1:
+            open(tmp_path, "w")  # a directory
+        _recording(tmp_path)(key, doubles)
+
+    with pytest.raises(IsADirectoryError) as info:
+        with BackgroundWriter(write) as writer:
+            for key in range(50):  # 4 MB, more than the pipe holds
+                writer.send(key, np.zeros(10_000))
+    assert info.value.filename == str(tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["0.txt"]  # it stops at the failure
+    _no_child_left()
+
+
+def test_background_writer_check_raises_a_failure_already_reported(tmp_path):
+    _forks()
+
+    def write(key, doubles):
+        raise ValueError(f"payload {key} of {len(doubles)}")
+
+    writer = BackgroundWriter(write)
+    try:
+        writer.send(7, np.zeros(3))
+        with pytest.raises(ValueError, match="payload 7 of 3"):
+            deadline = time.monotonic() + 60
+            while time.monotonic() < deadline:
+                writer.check()
+                time.sleep(0.01)
+    finally:
+        with contextlib.suppress(ValueError):
+            writer.__exit__(None, None, None)
+    _no_child_left()
+
+
+def test_background_writer_failure_replaces_a_later_exception(tmp_path):
+    _forks()
+
+    def write(key, doubles):
+        os._exit(3)  # a writer that dies without a report
+
+    with pytest.raises(ChildProcessError, match="status 3"):
+        with BackgroundWriter(write) as writer:
+            writer.send(0, np.zeros(3))
+            raise KeyError("later")
+    _no_child_left()

@@ -387,13 +387,30 @@ def record_solves(monkeypatch):
 def test_outputs_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, record_solves, kind):
     runs = []
     for cores in (1, 2):
-        monkeypatch.setattr(spectrum.os, "sched_getaffinity", lambda pid, n=cores: set(range(n)))
+        monkeypatch.setattr(spectrum, "usable_cores", lambda n=cores: n)
         record_solves.clear()
         runs.append(_run_spectrum(_SPECTRUM_ARGV[kind], tmp_path / str(cores), monkeypatch))
         # 3 distinct |k| of 5 points, on at most one worker per core
         assert len(record_solves) == 3
         assert 1 <= len({ident for ident, _ in record_solves}) <= cores
     assert runs[0] == runs[1]
+
+
+def test_the_pool_has_one_worker_per_usable_core(monkeypatch):
+    _blas()
+    sizes = []
+    pool = concurrent.futures.ThreadPoolExecutor
+
+    class Recording(pool):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+    for cores in (1, 2, 8):
+        monkeypatch.setattr(spectrum, "usable_cores", lambda n=cores: n)
+        supercell_spectrum(InterfaceKind.TYPE_II, MIXED, None, [0.0, 0.1, -0.1, 0.2], N=24)
+    assert sizes == [1, 2, 3]  # never more workers than distinct |k|
 
 
 @pytest.mark.parametrize("kind", list(InterfaceKind))
