@@ -13,6 +13,12 @@ sublattices 1 <-> 3 and 4 <-> 6, so the SVD is a real one there.  The
 distinct |k| are solved concurrently with numpy's OpenBLAS pinned to one
 thread, so the results do not depend on its thread count.
 
+The filter below needs only the margin rows of u and v.  With numpy's
+bundled OpenBLAS the SVD runs gesdd's own LAPACK steps through its LAPACKE
+(scale, bidiagonalize, bidiagonal divide and conquer) and back-transforms
+only those rows, so the singular values are np.linalg.svd's to the bit and
+the vectors' margin rows agree to rounding; elsewhere it is np.linalg.svd.
+
 The truncated chain introduces artificial boundary states; every eigenpair
 is scored by the fraction of its mass in the outermost cells and discarded
 when that fraction is too large.  The remaining mid-gap branches are
@@ -101,14 +107,13 @@ def _chiral_block(kind, profile, k, N):
 
 def _solve_one(kind, profile, k, N, margin):
     # (u_r, -+v_r)/sqrt2 is the eigenvector of -+s_r; see the module docstring
-    u, s, vh = np.linalg.svd(_chiral_block(kind, profile, k, N))
-    if not np.isfinite(s).all():
-        raise FloatingPointError("supercell energies overflow")
-    n = len(s)
-    evals = np.concatenate([-s, s[::-1]])
+    n = 3 * (2 * N + 1)
     # only the rows of the outer margin cells enter the boundary mass
     edge = np.r_[0:3 * margin, n - 3 * margin:n]
-    u_edge, v_edge = u[edge], vh[:, edge].conj().T
+    s, u_edge, v_edge = _margin_svd(_chiral_block(kind, profile, k, N), edge)
+    if not np.isfinite(s).all():
+        raise FloatingPointError("supercell energies overflow")
+    evals = np.concatenate([-s, s[::-1]])
     half = ((np.abs(u_edge) ** 2).sum(axis=0) + (np.abs(v_edge) ** 2).sum(axis=0)) / 2
     loc = np.concatenate([half, half[::-1]])
     # Within a degenerate cluster the eigenvector basis is solver-dependent
@@ -130,22 +135,106 @@ def _solve_one(kind, profile, k, N, margin):
     return evals, loc
 
 
+# gesdd scales a C whose largest |entry| lies outside [SMLNUM, BIGNUM] to the nearer end
+_SMLNUM = np.sqrt(np.finfo(float).tiny) / np.finfo(float).eps  # sqrt(dlamch('S')) / dlamch('P')
+_BIGNUM = 1 / _SMLNUM
+_COL_MAJOR = 102  # LAPACKE's matrix_layout for Fortran order
+
+
+def _margin_svd(C, rows):
+    """s, u[rows] and v[rows] of the SVD C = u diag(s) v^H, s descending.
+
+    gesdd's own steps, so s is np.linalg.svd's to the bit: C = Q B P^H with B
+    real upper bidiagonal, B = U_B diag(s) V_B^T, u = Q U_B and v = P V_B.  But
+    Q^H and P^H go onto the len(rows) columns of the row selector E^T rather
+    than Q and P onto U_B and V_B: u[rows] = (Q^H E^T)^H U_B, v[rows] = (P^H E^T)^H V_B.
+    np.linalg.svd where numpy's bundled OpenBLAS is missing."""
+    if (lapack := _lapacke()) is None:
+        u, s, vh = np.linalg.svd(C)
+        return s, u[rows], vh[:, rows].conj().T
+    t = "d" if C.dtype == np.float64 else "z"  # LAPACK's type letter
+    mbr, trans = ("dormbr", b"T") if t == "d" else ("zunmbr", b"C")
+    n, m = len(C), len(rows)
+    a = np.array(C, order="F")  # becomes the reflectors of Q and P
+    # as gesdd does: scale C first, and s back last
+    anrm = lapack[t + "lange"](_COL_MAJOR, b"M", n, n, a, n)
+    to = _SMLNUM if 0 < anrm < _SMLNUM else _BIGNUM if anrm > _BIGNUM else None
+    if to:
+        _call(lapack[t + "lascl"], b"G", 0, 0, anrm, to, n, n, a, n)
+    s, e = np.empty(n), np.empty(n - 1)
+    tauq, taup = np.empty(n, C.dtype), np.empty(n, C.dtype)
+    _call(lapack[t + "gebrd"], n, n, a, n, s, e, tauq, taup)
+    u_b, vt_b = np.empty((n, n), order="F"), np.empty((n, n), order="F")
+    _call(lapack["dbdsdc"], b"U", b"I", n, s, e, u_b, n, vt_b, n, None, None)
+    if to:
+        _call(lapack["dlascl"], b"G", 0, 0, to, anrm, n, 1, s, n)
+    q = np.zeros((n, m), C.dtype, order="F")
+    q[rows, np.arange(m)] = 1
+    p = q.copy(order="F")
+    _call(lapack[mbr], b"Q", b"L", trans, n, m, n, a, n, tauq, q, n)
+    _call(lapack[mbr], b"P", b"L", trans, n, m, n, a, n, taup, p, n)
+    return s, q.conj().T @ u_b, p.conj().T @ vt_b.T
+
+
+def _call(routine, *args):
+    # numpy's svd raises this for any nonzero gesdd info
+    if routine(_COL_MAJOR, *args):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+
 @functools.cache
-def _openblas_threads():
-    """The (get, set) thread-count functions of the OpenBLAS bundled with numpy's
-    wheel, or None for any other BLAS; looked up on first use."""
+def _openblas():
+    """The OpenBLAS bundled with numpy's wheel, the copy numpy has loaded, or
+    None for any other BLAS; looked up on first use."""
     libs = Path(np.__file__).parent.parent / "numpy.libs"
     for lib in sorted(libs.glob("libscipy_openblas64_*.so")):
-        try:
-            handle = ctypes.CDLL(str(lib))  # the copy numpy has loaded
-            get = handle.scipy_openblas_get_num_threads64_
-            set_ = handle.scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
-        return get, set_
+        with contextlib.suppress(OSError):
+            return ctypes.CDLL(str(lib))
     return None
+
+
+@functools.cache
+def _openblas_threads():
+    """The (get, set) thread-count functions of numpy's bundled OpenBLAS, or None."""
+    if (lib := _openblas()) is None:
+        return None
+    try:
+        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except AttributeError:
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+@functools.cache
+def _lapacke():
+    """The LAPACKE routines _margin_svd calls, by name, from the ILP64 LAPACKE
+    of numpy's bundled OpenBLAS; None without it."""
+    if (lib := _openblas()) is None:
+        return None
+    i, ch = ctypes.c_int64, ctypes.c_char
+    d, z = (np.ctypeslib.ndpointer(t, flags="F") for t in (np.float64, np.complex128))
+    signatures = {  # name: (restype, argtypes after matrix_layout)
+        "dlange": (ctypes.c_double, ch, i, i, d, i),
+        "zlange": (ctypes.c_double, ch, i, i, z, i),
+        "dlascl": (i, ch, i, i, ctypes.c_double, ctypes.c_double, i, i, d, i),
+        "zlascl": (i, ch, i, i, ctypes.c_double, ctypes.c_double, i, i, z, i),
+        "dgebrd": (i, i, i, d, i, d, d, d, d),
+        "zgebrd": (i, i, i, z, i, d, d, z, z),
+        "dbdsdc": (i, ch, ch, i, d, d, d, i, d, i, ctypes.c_void_p, ctypes.c_void_p),
+        "dormbr": (i, ch, ch, ch, i, i, i, d, i, d, d, i),
+        "zunmbr": (i, ch, ch, ch, i, i, i, z, i, z, z, i),
+    }
+    routines = {}
+    for name, (restype, *argtypes) in signatures.items():
+        try:
+            routine = getattr(lib, f"scipy_LAPACKE_{name}64_")
+        except AttributeError:
+            return None
+        routine.argtypes, routine.restype = [ctypes.c_int, *argtypes], restype
+        routines[name] = routine
+    return routines
 
 
 _PIN_LOCK = threading.Lock()

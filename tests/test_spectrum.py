@@ -32,6 +32,13 @@ from coefficient_rows import coeffs_type1
 MIXED = HoppingProfile(60, 60, 30, -30, 50.0)
 
 
+def _gapped_profile(rng, scale=1.0):
+    b = 10 ** rng.uniform(0.0, 2.5, size=2)
+    return HoppingProfile(*(scale * np.array([
+        b[0], b[1], rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 0.9) * b[0],
+        rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 0.9) * b[1], 10 ** rng.uniform(-2.0, 2.5)])))
+
+
 def test_preconditions():
     with pytest.raises(ValueError):
         supercell_spectrum(InterfaceKind.TYPE_I, MIXED, None, [0.0], N=10)
@@ -495,15 +502,10 @@ def test_workers_see_the_callers_errstate(record_solves):
 def test_sequential_fallback_without_the_symbol(tmp_path, monkeypatch, record_solves, kind):
     get, set_ = _blas()
     pooled = _run_spectrum(_SPECTRUM_ARGV[kind], tmp_path / "pooled", monkeypatch)
-
-    def no_library(*args, **kwargs):
-        raise OSError("no such library")
-
     saved = get()
-    spectrum._openblas_threads.cache_clear()
-    monkeypatch.setattr(ctypes, "CDLL", no_library)
+    # only the thread-count symbols go missing: both runs take the same SVD route
+    monkeypatch.setattr(spectrum, "_openblas_threads", lambda: None)
     try:
-        assert spectrum._openblas_threads() is None
         record_solves.clear()
         set_(1)  # what the pin would have set: then the bytes must agree
         assert _run_spectrum(_SPECTRUM_ARGV[kind], tmp_path / "sequential", monkeypatch) == pooled
@@ -511,8 +513,75 @@ def test_sequential_fallback_without_the_symbol(tmp_path, monkeypatch, record_so
         assert get() == 1  # the fallback leaves the count alone
     finally:
         set_(saved)
+
+
+def test_without_the_library_nothing_is_pinned_or_bound(monkeypatch):
+    def no_library(*args, **kwargs):
+        raise OSError("no such library")
+
+    lookups = (spectrum._openblas, spectrum._openblas_threads, spectrum._lapacke)
+    for lookup in lookups:
+        lookup.cache_clear()
+    monkeypatch.setattr(ctypes, "CDLL", no_library)
+    try:
+        assert [lookup() for lookup in lookups] == [None] * 3
+    finally:
         monkeypatch.undo()
-        spectrum._openblas_threads.cache_clear()
+        for lookup in lookups:
+            lookup.cache_clear()
+
+
+# the largest localization difference between the LAPACK route and np.linalg.svd,
+# measured 1.1e-15 over the cases of test_lapack_route_matches_the_svd (1.6e-15 over
+# seeds 0-11)
+_LOCALIZATION_ATOL = 1e-14
+
+
+@pytest.mark.parametrize("kind", list(InterfaceKind))
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("N", [24, 40])
+# 1e+-200 take gesdd's scaling of the block into its safe range
+@pytest.mark.parametrize("scale", [1.0, 1e-200, 1e200])
+def test_lapack_route_matches_the_svd(monkeypatch, kind, seed, N, scale):
+    # real blocks, complex type-I blocks and the zero-mode clusters of k = 0
+    profile = _gapped_profile(np.random.default_rng(seed), scale)
+    kg = [0.0, 1e-4, 0.7, np.pi]
+    table = supercell_spectrum(kind, profile, None, kg, N=N)
+    monkeypatch.setattr(spectrum, "_lapacke", lambda: None)
+    reference = supercell_spectrum(kind, profile, None, kg, N=N)
+    assert table.eigenvalues.tobytes() == reference.eigenvalues.tobytes()
+    assert table.kept.tobytes() == reference.kept.tobytes()
+    np.testing.assert_allclose(table.localization, reference.localization, rtol=0,
+                               atol=_LOCALIZATION_ATOL)
+
+
+def test_the_bundled_openblas_takes_the_lapack_route(monkeypatch):
+    # a numpy wheel that renamed the LAPACKE symbols would fall back to the slower SVD
+    _blas()
+    assert spectrum._lapacke() is not None
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    for kind in InterfaceKind:
+        evals, _ = spectrum._solve_one(kind, MIXED, 0.3, 24, 5)
+        assert np.isfinite(evals).all()
+
+
+@pytest.mark.parametrize("kind", list(InterfaceKind))
+def test_lapack_route_matches_the_svd_fallback(tmp_path, monkeypatch, kind):
+    _blas()
+    lapack = _run_spectrum(_SPECTRUM_ARGV[kind], tmp_path / "lapack", monkeypatch)
+    monkeypatch.setattr(spectrum, "_lapacke", lambda: None)
+    fallback = _run_spectrum(_SPECTRUM_ARGV[kind], tmp_path / "svd", monkeypatch)
+    assert lapack[1] == fallback[1]  # summary.json
+    columns = []
+    for csv in (lapack[0], fallback[0]):
+        rows = [line.split(b",") for line in csv.splitlines()]
+        columns.append(([row[:3] + row[4:] for row in rows], np.array([float(row[3]) for row in rows[1:]])))
+    assert columns[0][0] == columns[1][0]  # k, eig_index, energy, kept
+    np.testing.assert_allclose(columns[0][1], columns[1][1], rtol=0, atol=_LOCALIZATION_ATOL)
 
 
 def test_empty_grid_is_refused():
@@ -524,11 +593,7 @@ def test_empty_grid_is_refused():
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_chiral_block_matches_the_sliced_operator(kind, seed):
     # random gapped profiles of either detuning sign, every k class, two sizes
-    rng = np.random.default_rng(seed)
-    b = 10 ** rng.uniform(0.0, 2.5, size=2)
-    profile = HoppingProfile(b[0], b[1], rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 0.9) * b[0],
-                             rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 0.9) * b[1],
-                             10 ** rng.uniform(-2.0, 2.5))
+    profile = _gapped_profile(np.random.default_rng(seed))
     for k in (0.0, 0.1, 0.7, 2.0, np.pi):
         for N in (20, 48):
             block, expected = _chiral_block(kind, profile, k, N), chiral_block(kind, profile, k, N)
