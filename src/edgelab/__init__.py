@@ -9,6 +9,7 @@ Library layout:
 - :mod:`edgelab.bulk` -- 2D bulk bands, double Dirac point, band inversion
 - :mod:`edgelab.dynamics` -- wavepacket evolution on finite 2D domains
 - :mod:`edgelab.cli` -- command-line front end
+- :mod:`edgelab._platform` -- the BLAS route: numpy's bundled OpenBLAS or any other
 """
 
 from .errors import (

@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._platform import one_blas_thread
 from .bulk import bulk_bands, default_k_path, dirac_slope, gamma_eigs, write_bands_csv
 from .dynamics import DomainSpec, build_domain, initial_wavepacket, record_run
 from .errors import ConfigError, EdgelabError, NoMidGapState
@@ -33,7 +34,6 @@ from .spectrum import (
     DEFAULT_MARGIN,
     DEFAULT_N,
     DEFAULT_THRESHOLD,
-    _one_blas_thread,
     edge_curves,
     min_abs_kept,
     min_abs_kept_at,
@@ -223,7 +223,7 @@ def cmd_evolve(cfg: dict) -> int:
     bend = None if cfg["bend_m"] is None else (cfg["bend_m"], cfg["turn"])
     # the packet's norm and the run's series take BLAS dot products, whose
     # bits depend on the BLAS thread count unless it is pinned
-    with _one_blas_thread():
+    with one_blas_thread():
         domain = build_domain(DomainSpec(kind, (cfg["extent_m"], cfg["extent_n"]), profile,
                                          bend=bend, origin=origin))
         state = initial_wavepacket(domain, profile, cfg["center_m"], cfg["width"], cfg["direction"])

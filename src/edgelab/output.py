@@ -14,9 +14,9 @@ on computing, since the ``%`` formatting holds the GIL.  The child inherits
 everything the function reads, so only the payloads cross the pipe.  It runs
 stdlib code alone (no numpy or BLAS, so OpenBLAS's idle threads in the parent
 cannot deadlock it) and leaves through ``os._exit``.  A failure in it comes
-back to the caller as the same exception.  Without ``os.fork`` or a second
-usable core the same function runs in-process, so the bytes do not depend
-on the route.
+back to the caller as the same exception.  Without ``os.fork``, a second
+usable core (:func:`edgelab._platform.usable_cores`) or a process to fork,
+the same function runs in-process, so the bytes do not depend on the route.
 """
 
 from __future__ import annotations
@@ -29,15 +29,10 @@ import select
 import struct
 from pathlib import Path
 
+from . import _platform
+
 BLOCK_ROWS = 4096  # rows formatted and written per write call
 _HEADER = struct.Struct("=qq")  # a payload's key and byte count
-
-
-def usable_cores() -> int:
-    """The number of cores this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _open(path):
@@ -73,19 +68,24 @@ def _write_all(fd: int, data) -> None:
 
 class BackgroundWriter:
     """Runs ``write(key, doubles)`` for each :meth:`send`, in order, in one
-    forked child while the caller goes on, or in-process without ``os.fork``
-    or a second usable core; the child gets ``doubles`` as a memoryview of
-    the same float64 values.  A send blocks while the pipe is full, so about
-    one payload is in flight.  Leaving the ``with`` block waits for the child
-    and raises what stopped it, in place of any later exception, since an
-    in-process write would have failed first."""
+    forked child while the caller goes on, or in-process without ``os.fork``,
+    a second usable core or a successful fork; the child gets ``doubles`` as
+    a memoryview of the same float64 values.  A send blocks while the pipe is
+    full, so about one payload is in flight.  Leaving the ``with`` block waits
+    for the child and raises what stopped it, in place of any later
+    exception, since an in-process write would have failed first."""
 
     def __init__(self, write):
         self.write, self.pid = write, None
-        if hasattr(os, "fork") and usable_cores() >= 2:
+        if hasattr(os, "fork") and _platform.usable_cores() >= 2:
             data_r, self._data_w = os.pipe()
             self._status_r, status_w = os.pipe()
-            self.pid = os.fork()
+            try:
+                self.pid = os.fork()
+            except OSError:  # out of processes, say: write in-process
+                for fd in (data_r, self._data_w, self._status_r, status_w):
+                    os.close(fd)
+                return
             if self.pid == 0:
                 self._serve(data_r, status_w)
             os.close(data_r)

@@ -9,15 +9,15 @@ antisymmetric for that reason.  C is placed from the cell blocks behind
 :func:`edgelab.hamiltonian.chain_operator`.  It is real at k = 0, and for
 type II at every k once written in a cell-local basis invariant under the
 type-II antiunitary R, (Rw)(n) = e^{ink} rev conj(w(n)) with rev swapping
-sublattices 1 <-> 3 and 4 <-> 6, so the SVD is a real one there.  The
-distinct |k| are solved concurrently with numpy's OpenBLAS pinned to one
-thread, so the results do not depend on its thread count.
+sublattices 1 <-> 3 and 4 <-> 6, so the SVD is a real one there.
 
 The filter below needs only the margin rows of u and v.  With numpy's
-bundled OpenBLAS the SVD runs gesdd's own LAPACK steps through its LAPACKE
-(scale, bidiagonalize, bidiagonal divide and conquer) and back-transforms
-only those rows, so the singular values are np.linalg.svd's to the bit and
-the vectors' margin rows agree to rounding; elsewhere it is np.linalg.svd.
+bundled OpenBLAS (:mod:`edgelab._platform`) the |k| are solved concurrently
+with it pinned to one thread, so the results do not depend on its thread
+count, and the SVD runs gesdd's own LAPACK steps through its LAPACKE (scale,
+bidiagonalize, bidiagonal divide and conquer) and back-transforms only those
+rows: the singular values are np.linalg.svd's to the bit and the margin rows
+agree to rounding.  Otherwise np.linalg.svd solves the |k| in turn.
 
 The truncated chain introduces artificial boundary states; every eigenpair
 is scored by the fraction of its mass in the outermost cells and discarded
@@ -27,20 +27,16 @@ compared against the perturbative slope extracted from the zero modes.
 
 from __future__ import annotations
 
-import contextlib
 import contextvars
-import ctypes
-import functools
-import threading
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from . import _platform
 from .errors import NoMidGapState
 from .hamiltonian import HoppingProfile, _cell_blocks, _place_blocks, chain_apply_first_order
 from .lattice import InterfaceKind
-from .output import usable_cores, write_csv
+from .output import write_csv
 from .transfer import ZeroMode, zero_modes
 
 __all__ = [
@@ -148,8 +144,8 @@ def _margin_svd(C, rows):
     real upper bidiagonal, B = U_B diag(s) V_B^T, u = Q U_B and v = P V_B.  But
     Q^H and P^H go onto the len(rows) columns of the row selector E^T rather
     than Q and P onto U_B and V_B: u[rows] = (Q^H E^T)^H U_B, v[rows] = (P^H E^T)^H V_B.
-    np.linalg.svd where numpy's bundled OpenBLAS is missing."""
-    if (lapack := _lapacke()) is None:
+    np.linalg.svd on the route without numpy's bundled OpenBLAS."""
+    if (lapack := _platform.openblas()) is None:
         u, s, vh = np.linalg.svd(C)
         return s, u[rows], vh[:, rows].conj().T
     t = "d" if C.dtype == np.float64 else "z"  # LAPACK's type letter
@@ -182,90 +178,14 @@ def _call(routine, *args):
         raise np.linalg.LinAlgError("SVD did not converge")
 
 
-@functools.cache
-def _openblas():
-    """The OpenBLAS bundled with numpy's wheel, the copy numpy has loaded, or
-    None for any other BLAS; looked up on first use."""
-    libs = Path(np.__file__).parent.parent / "numpy.libs"
-    for lib in sorted(libs.glob("libscipy_openblas64_*.so")):
-        with contextlib.suppress(OSError):
-            return ctypes.CDLL(str(lib))
-    return None
-
-
-@functools.cache
-def _openblas_threads():
-    """The (get, set) thread-count functions of numpy's bundled OpenBLAS, or None."""
-    if (lib := _openblas()) is None:
-        return None
-    try:
-        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-    except AttributeError:
-        return None
-    get.argtypes, get.restype = [], ctypes.c_int
-    set_.argtypes, set_.restype = [ctypes.c_int], None
-    return get, set_
-
-
-@functools.cache
-def _lapacke():
-    """The LAPACKE routines _margin_svd calls, by name, from the ILP64 LAPACKE
-    of numpy's bundled OpenBLAS; None without it."""
-    if (lib := _openblas()) is None:
-        return None
-    i, ch = ctypes.c_int64, ctypes.c_char
-    d, z = (np.ctypeslib.ndpointer(t, flags="F") for t in (np.float64, np.complex128))
-    signatures = {  # name: (restype, argtypes after matrix_layout)
-        "dlange": (ctypes.c_double, ch, i, i, d, i),
-        "zlange": (ctypes.c_double, ch, i, i, z, i),
-        "dlascl": (i, ch, i, i, ctypes.c_double, ctypes.c_double, i, i, d, i),
-        "zlascl": (i, ch, i, i, ctypes.c_double, ctypes.c_double, i, i, z, i),
-        "dgebrd": (i, i, i, d, i, d, d, d, d),
-        "zgebrd": (i, i, i, z, i, d, d, z, z),
-        "dbdsdc": (i, ch, ch, i, d, d, d, i, d, i, ctypes.c_void_p, ctypes.c_void_p),
-        "dormbr": (i, ch, ch, ch, i, i, i, d, i, d, d, i),
-        "zunmbr": (i, ch, ch, ch, i, i, i, z, i, z, z, i),
-    }
-    routines = {}
-    for name, (restype, *argtypes) in signatures.items():
-        try:
-            routine = getattr(lib, f"scipy_LAPACKE_{name}64_")
-        except AttributeError:
-            return None
-        routine.argtypes, routine.restype = [ctypes.c_int, *argtypes], restype
-        routines[name] = routine
-    return routines
-
-
-_PIN_LOCK = threading.Lock()
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Pin numpy's OpenBLAS to one thread, whose results do not depend on the
-    caller's count, and restore that count on exit; yields whether it pinned.
-    The count is process-wide: one thread at a time saves, pins, restores it."""
-    if (blas := _openblas_threads()) is None:
-        yield False
-        return
-    get, set_ = blas
-    with _PIN_LOCK:
-        saved = get()
-        set_(1)
-        try:
-            yield True
-        finally:
-            set_(saved)
-
-
 def _solve_all(kind, profile, abs_k, N, margin):
     """_solve_one at each |k|, in order; on a worker per usable core while pinned."""
-    with _one_blas_thread() as pinned:
+    with _platform.one_blas_thread() as pinned:
         if not pinned:
             return [_solve_one(kind, profile, k, N, margin) for k in abs_k]
         from concurrent.futures import ThreadPoolExecutor  # 6-8 ms, so not at import
 
-        with ThreadPoolExecutor(min(usable_cores(), len(abs_k))) as pool:
+        with ThreadPoolExecutor(min(_platform.usable_cores(), len(abs_k))) as pool:
             # each task runs in a copy of the caller's context, np.errstate included
             futures = [pool.submit(contextvars.copy_context().run, _solve_one,
                                    kind, profile, k, N, margin) for k in abs_k]

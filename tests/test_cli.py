@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import shlex
@@ -11,6 +12,8 @@ import numpy as np
 import pytest
 
 from edgelab.cli import _load_config, build_parser, main
+
+from blas_route import blas_threads
 
 
 def run(argv):
@@ -653,15 +656,6 @@ def test_commands_without_a_2d_domain_never_load_scipy(tmp_path):
     assert result.stdout.splitlines()[-1] == "[]"
 
 
-def _openblas():
-    from edgelab import spectrum
-
-    blas = spectrum._openblas_threads()
-    if blas is None:
-        pytest.skip("numpy's BLAS is not its bundled OpenBLAS")
-    return blas
-
-
 # 10,560 sites: OpenBLAS threads the packet's and the series' dot products
 # there, and these files differed between one and two threads without the pin
 _THREADED_EVOLVE = ["evolve", "--kind", "type2", "--extent-m", "40", "--extent-n", "44",
@@ -669,7 +663,7 @@ _THREADED_EVOLVE = ["evolve", "--kind", "type2", "--extent-m", "40", "--extent-n
 
 
 def test_evolve_bytes_do_not_depend_on_openblas_num_threads(tmp_path):
-    _openblas()
+    blas_threads()
     src = Path(__file__).resolve().parents[1] / "src"
     runs = []
     for threads in ("1", "2"):
@@ -697,10 +691,27 @@ def test_evolve_reports_a_snapshot_the_writer_cannot_write(tmp_path, capsys):
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_evolve_writes_in_process_when_the_fork_fails(tmp_path, monkeypatch):
+    def failing():
+        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    runs = []
+    for route in ("fork", "failed fork"):
+        if route == "failed fork":
+            monkeypatch.setattr(os, "fork", failing)
+        (tmp_path / route).mkdir()
+        monkeypatch.chdir(tmp_path / route)  # the same --out, as the manifest embeds it
+        fds = len(os.listdir("/dev/fd"))
+        assert run([*_THREADED_EVOLVE, "--out", "o"]) == 0
+        assert len(os.listdir("/dev/fd")) == fds  # no pipe end left open
+        runs.append({path.name: path.read_bytes() for path in sorted(Path("o").iterdir())})
+    assert len(runs[0]) == 3 and runs[0] == runs[1]
+
+
 def test_evolve_runs_pinned_and_restores_the_callers_thread_count(tmp_path, monkeypatch):
     import edgelab.cli as cli
 
-    get, set_ = _openblas()
+    get, set_ = blas_threads()
     seen = []
     record_run = cli.record_run
 

@@ -555,7 +555,7 @@ def test_snapshot_blocks_match_csv_writer(tmp_path):
 
 def _counted_forks(monkeypatch, cores=None):
     """Count os.fork calls; with ``cores`` set, the usable-core count reads it."""
-    from edgelab import output
+    from edgelab import _platform
 
     forks = []
     fork = os.fork
@@ -566,7 +566,7 @@ def _counted_forks(monkeypatch, cores=None):
 
     monkeypatch.setattr(os, "fork", counting)
     if cores is not None:
-        monkeypatch.setattr(output, "usable_cores", lambda: cores)
+        monkeypatch.setattr(_platform, "usable_cores", lambda: cores)
     return forks
 
 
@@ -589,7 +589,7 @@ def _random_state(dom, seed=3):
                                         (InterfaceKind.TYPE_II, (0, 1))])
 def test_writer_process_and_in_process_write_the_same_bytes(tmp_path, monkeypatch, kind, bend):
     from edgelab.dynamics import record_run
-    from edgelab.output import usable_cores
+    from edgelab._platform import usable_cores
 
     # 9,600 sites: a snapshot's 76,800 bytes are more than a pipe holds
     dom = small_domain(kind, bend=bend, extent=(40, 40))
@@ -608,7 +608,7 @@ def test_writer_process_and_in_process_write_the_same_bytes(tmp_path, monkeypatc
 
 def test_an_exception_mid_run_leaves_the_sent_snapshots_whole(tmp_path, monkeypatch):
     from edgelab import dynamics
-    from edgelab.output import usable_cores
+    from edgelab._platform import usable_cores
 
     dom = small_domain(InterfaceKind.TYPE_II, bend=(0, 1), extent=(40, 40))
     st = _random_state(dom)

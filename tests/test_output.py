@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 import edgelab
-from edgelab import output
-from edgelab.output import BLOCK_ROWS, BackgroundWriter, usable_cores, write_csv, write_json
+from edgelab import _platform
+from edgelab._platform import usable_cores
+from edgelab.output import BLOCK_ROWS, BackgroundWriter, write_csv, write_json
 
 SRC = Path(edgelab.__file__).parent
 _VALUES = [0.0, -0.0, 1.5, -2.25e-300, 1e-320, math.inf, -math.inf, math.nan, 1 / 3]
@@ -116,7 +117,7 @@ def test_background_writer_runs_in_process_on_one_core(tmp_path, monkeypatch):
     def no_fork():
         raise AssertionError("os.fork called with one usable core")
 
-    monkeypatch.setattr(output, "usable_cores", lambda: 1)
+    monkeypatch.setattr(_platform, "usable_cores", lambda: 1)
     monkeypatch.setattr(os, "fork", no_fork)
     with BackgroundWriter(_recording(tmp_path)) as writer:
         for key, doubles in enumerate(_PAYLOADS):

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from edgelab import spectrum
+from edgelab import _platform, spectrum
 from edgelab.errors import NoMidGapState
 from edgelab.hamiltonian import HoppingProfile, bloch_h1, bloch_h2, chain_operator
 from edgelab.lattice import InterfaceKind
@@ -26,6 +26,7 @@ from edgelab.spectrum import (
 )
 from edgelab.transfer import build_type1_zero_modes, matching_c_star, p_eigen
 
+from blas_route import blas_threads
 from chiral_oracle import chiral_block
 from coefficient_rows import coeffs_type1
 
@@ -368,13 +369,6 @@ def _run_spectrum(argv, where, monkeypatch):
     return [(where / "o" / name).read_bytes() for name in ("spectrum.csv", "summary.json")]
 
 
-def _blas():
-    blas = spectrum._openblas_threads()
-    if blas is None:
-        pytest.skip("numpy's BLAS is not its bundled OpenBLAS")
-    return blas
-
-
 @pytest.fixture
 def record_solves(monkeypatch):
     """The thread of every _solve_one call, with the caller's np.errstate
@@ -394,7 +388,7 @@ def record_solves(monkeypatch):
 def test_outputs_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, record_solves, kind):
     runs = []
     for cores in (1, 2):
-        monkeypatch.setattr(spectrum, "usable_cores", lambda n=cores: n)
+        monkeypatch.setattr(_platform, "usable_cores", lambda n=cores: n)
         record_solves.clear()
         runs.append(_run_spectrum(_SPECTRUM_ARGV[kind], tmp_path / str(cores), monkeypatch))
         # 3 distinct |k| of 5 points, on at most one worker per core
@@ -404,7 +398,7 @@ def test_outputs_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, record
 
 
 def test_the_pool_has_one_worker_per_usable_core(monkeypatch):
-    _blas()
+    blas_threads()
     sizes = []
     pool = concurrent.futures.ThreadPoolExecutor
 
@@ -415,14 +409,14 @@ def test_the_pool_has_one_worker_per_usable_core(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
     for cores in (1, 2, 8):
-        monkeypatch.setattr(spectrum, "usable_cores", lambda n=cores: n)
+        monkeypatch.setattr(_platform, "usable_cores", lambda n=cores: n)
         supercell_spectrum(InterfaceKind.TYPE_II, MIXED, None, [0.0, 0.1, -0.1, 0.2], N=24)
     assert sizes == [1, 2, 3]  # never more workers than distinct |k|
 
 
 @pytest.mark.parametrize("kind", list(InterfaceKind))
 def test_outputs_do_not_depend_on_openblas_num_threads(tmp_path, kind):
-    _blas()
+    blas_threads()
     src = Path(__file__).resolve().parents[1] / "src"
     runs = []
     for threads in (None, "1", "2"):
@@ -441,7 +435,7 @@ def test_outputs_do_not_depend_on_openblas_num_threads(tmp_path, kind):
 
 
 def test_solve_restores_the_callers_blas_thread_count(monkeypatch):
-    get, set_ = _blas()
+    get, set_ = blas_threads()
     saved = get()
     try:
         for threads in (1, 2, 3):
@@ -462,7 +456,7 @@ def test_solve_restores_the_callers_blas_thread_count(monkeypatch):
 
 
 def test_concurrent_callers_keep_the_pin_and_the_count(monkeypatch):
-    get, set_ = _blas()
+    get, set_ = blas_threads()
     saved = get()
     kg = [0.0, 0.3, 0.7, 1.1]
     solve = spectrum._solve_one
@@ -499,36 +493,85 @@ def test_workers_see_the_callers_errstate(record_solves):
 
 
 @pytest.mark.parametrize("kind", list(InterfaceKind))
-def test_sequential_fallback_without_the_symbol(tmp_path, monkeypatch, record_solves, kind):
-    get, set_ = _blas()
-    pooled = _run_spectrum(_SPECTRUM_ARGV[kind], tmp_path / "pooled", monkeypatch)
+def test_without_the_library_the_k_are_solved_in_turn_unpinned(monkeypatch, record_solves, kind):
+    get, set_ = blas_threads()
+    kg = [0.0, 0.5, -0.5, 1.5, -1.5]
+    pooled = supercell_spectrum(kind, MIXED, None, kg, N=24)
     saved = get()
-    # only the thread-count symbols go missing: both runs take the same SVD route
-    monkeypatch.setattr(spectrum, "_openblas_threads", lambda: None)
+    monkeypatch.setattr(_platform, "openblas", lambda: None)
+    seen = []
+    solve = spectrum._solve_one
+    monkeypatch.setattr(spectrum, "_solve_one", lambda *args: (seen.append(get()), solve(*args))[1])
     try:
-        record_solves.clear()
-        set_(1)  # what the pin would have set: then the bytes must agree
-        assert _run_spectrum(_SPECTRUM_ARGV[kind], tmp_path / "sequential", monkeypatch) == pooled
-        assert {ident for ident, _ in record_solves} == {threading.get_ident()}
-        assert get() == 1  # the fallback leaves the count alone
+        for threads in (1, 2):
+            set_(threads)
+            seen.clear()
+            record_solves.clear()
+            table = supercell_spectrum(kind, MIXED, None, kg, N=24)
+            # 3 distinct |k|, solved on the caller's thread at the caller's count
+            assert seen == [threads] * 3 and get() == threads
+            assert [ident for ident, _ in record_solves] == [threading.get_ident()] * 3
+            if threads == 1:  # the count the pin sets: the energies agree bitwise
+                assert table.eigenvalues.tobytes() == pooled.eigenvalues.tobytes()
+                assert table.kept.tobytes() == pooled.kept.tobytes()
+                np.testing.assert_allclose(table.localization, pooled.localization, rtol=0,
+                                           atol=_LOCALIZATION_ATOL)
     finally:
         set_(saved)
+
+
+class _Lacking:
+    """A loaded library with one symbol missing."""
+
+    def __init__(self, lib, missing):
+        self.lib, self.missing = lib, missing
+
+    def __getattr__(self, name):
+        if name == self.missing:
+            raise AttributeError(name)
+        return getattr(self.lib, name)
 
 
 def test_without_the_library_nothing_is_pinned_or_bound(monkeypatch):
     def no_library(*args, **kwargs):
         raise OSError("no such library")
 
-    lookups = (spectrum._openblas, spectrum._openblas_threads, spectrum._lapacke)
-    for lookup in lookups:
-        lookup.cache_clear()
+    _platform.openblas.cache_clear()
     monkeypatch.setattr(ctypes, "CDLL", no_library)
     try:
-        assert [lookup() for lookup in lookups] == [None] * 3
+        assert _platform.openblas() is None
+        with _platform.one_blas_thread() as pinned:
+            assert pinned is False
     finally:
         monkeypatch.undo()
-        for lookup in lookups:
-            lookup.cache_clear()
+        _platform.openblas.cache_clear()
+
+
+@pytest.mark.parametrize("missing", ["scipy_LAPACKE_zunmbr64_", "scipy_openblas_set_num_threads64_"])
+def test_a_library_lacking_one_routine_binds_nothing_and_neither_pins_nor_pools(
+        monkeypatch, record_solves, missing):
+    get, set_ = blas_threads()
+    cdll = ctypes.CDLL
+
+    def pools(*args, **kwargs):
+        raise AssertionError("a pool was made")
+
+    _platform.openblas.cache_clear()
+    monkeypatch.setattr(ctypes, "CDLL", lambda *args, **kwargs: _Lacking(cdll(*args, **kwargs), missing))
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", pools)
+    saved = get()
+    try:
+        assert _platform.openblas() is None
+        set_(2)
+        with _platform.one_blas_thread() as pinned:
+            assert pinned is False and get() == 2
+        supercell_spectrum(InterfaceKind.TYPE_I, MIXED, None, [0.0, 0.5, -0.5], N=24)
+        assert get() == 2
+        assert [ident for ident, _ in record_solves] == [threading.get_ident()] * 2
+    finally:
+        set_(saved)
+        monkeypatch.undo()
+        _platform.openblas.cache_clear()
 
 
 # the largest localization difference between the LAPACK route and np.linalg.svd,
@@ -547,8 +590,10 @@ def test_lapack_route_matches_the_svd(monkeypatch, kind, seed, N, scale):
     profile = _gapped_profile(np.random.default_rng(seed), scale)
     kg = [0.0, 1e-4, 0.7, np.pi]
     table = supercell_spectrum(kind, profile, None, kg, N=N)
-    monkeypatch.setattr(spectrum, "_lapacke", lambda: None)
-    reference = supercell_spectrum(kind, profile, None, kg, N=N)
+    # the other route at the count the pin sets, so that only the SVD differs
+    with _platform.one_blas_thread():
+        monkeypatch.setattr(_platform, "openblas", lambda: None)
+        reference = supercell_spectrum(kind, profile, None, kg, N=N)
     assert table.eigenvalues.tobytes() == reference.eigenvalues.tobytes()
     assert table.kept.tobytes() == reference.kept.tobytes()
     np.testing.assert_allclose(table.localization, reference.localization, rtol=0,
@@ -557,8 +602,8 @@ def test_lapack_route_matches_the_svd(monkeypatch, kind, seed, N, scale):
 
 def test_the_bundled_openblas_takes_the_lapack_route(monkeypatch):
     # a numpy wheel that renamed the LAPACKE symbols would fall back to the slower SVD
-    _blas()
-    assert spectrum._lapacke() is not None
+    blas_threads()
+    assert _platform.openblas() is not None
 
     def no_svd(*args, **kwargs):
         raise AssertionError("np.linalg.svd called")
@@ -571,10 +616,11 @@ def test_the_bundled_openblas_takes_the_lapack_route(monkeypatch):
 
 @pytest.mark.parametrize("kind", list(InterfaceKind))
 def test_lapack_route_matches_the_svd_fallback(tmp_path, monkeypatch, kind):
-    _blas()
+    blas_threads()
     lapack = _run_spectrum(_SPECTRUM_ARGV[kind], tmp_path / "lapack", monkeypatch)
-    monkeypatch.setattr(spectrum, "_lapacke", lambda: None)
-    fallback = _run_spectrum(_SPECTRUM_ARGV[kind], tmp_path / "svd", monkeypatch)
+    with _platform.one_blas_thread():  # as above
+        monkeypatch.setattr(_platform, "openblas", lambda: None)
+        fallback = _run_spectrum(_SPECTRUM_ARGV[kind], tmp_path / "svd", monkeypatch)
     assert lapack[1] == fallback[1]  # summary.json
     columns = []
     for csv in (lapack[0], fallback[0]):

@@ -76,3 +76,23 @@ def test_every_public_name_has_a_caller_outside_the_unit_tests():
               for name, line in sorted(_public_names(path).items(), key=lambda item: item[1])
               if name not in referenced]
     assert not unused, "public names that only unit tests call: " + ", ".join(unused)
+
+
+
+def test_the_platform_is_decided_in_one_module():
+    # only _platform.py loads libraries, and no other module imports or reads
+    # an underscore name of one that does, so substituting _platform's
+    # functions switches the whole route
+    sources = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
+    loaders = {name for name, text in sources.items()
+               if "import ctypes" in text or "numpy.libs" in text}
+    found = [f"{name}.py loads libraries" for name in sorted(loaders - {"_platform"})]
+    for name, text in sorted(sources.items()):
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ImportFrom) and node.module in loaders:
+                found += [f"{name}.py:{node.lineno} imports {node.module}.{alias.name}"
+                          for alias in node.names if alias.name.startswith("_")]
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in loaders and node.attr.startswith("_")):
+                found.append(f"{name}.py:{node.lineno} reads {node.value.id}.{node.attr}")
+    assert found == []
