@@ -493,7 +493,7 @@ def test_workers_see_the_callers_errstate(record_solves):
 
 
 @pytest.mark.parametrize("kind", list(InterfaceKind))
-def test_without_the_library_the_k_are_solved_in_turn_unpinned(monkeypatch, record_solves, kind):
+def test_sequential_fallback_without_the_symbol(monkeypatch, record_solves, kind):
     get, set_ = blas_threads()
     kg = [0.0, 0.5, -0.5, 1.5, -1.5]
     pooled = supercell_spectrum(kind, MIXED, None, kg, N=24)
