@@ -22,15 +22,18 @@ def usable_cores() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
+def _library_files():
+    """numpy's bundled OpenBLAS files; the first is the copy numpy has loaded."""
+    return sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"))
+
+
 @functools.cache
 def openblas():
     """The routines bound from numpy's bundled OpenBLAS, by short name:
     ``get_num_threads``, ``set_num_threads`` and the LAPACKE routines the
-    spectrum's SVD calls; None without the library or any one of them.
-    Looked up on first use."""
-    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"))
+    spectrum's SVD calls; None without the library or any one of them."""
     try:
-        lib = ctypes.CDLL(str(libs[0]))  # the copy numpy has loaded
+        lib = ctypes.CDLL(str(_library_files()[0]))
     except (IndexError, OSError):
         return None
     i, ch, L = ctypes.c_int64, ctypes.c_char, ctypes.c_int  # L: LAPACKE's matrix_layout

@@ -4,16 +4,18 @@ The digests below were recorded on one platform, keyed by numpy's version
 and the config string of its bundled OpenBLAS, which names the library's
 version, build and the core kernel it picked.  There each command must write
 exactly those bytes.  On any other platform the bytes may differ in their
-last bits, so each command runs twice and the two runs must agree.
+last bits, so each command runs twice and the two runs must agree, and a
+warning names the key that has no digests.
 """
 
 import ctypes
 import hashlib
-from pathlib import Path
+import warnings
 
 import numpy as np
 import pytest
 
+from edgelab import _platform
 from edgelab.cli import main
 
 _COMMANDS = {
@@ -67,18 +69,15 @@ _DIGESTS = {
 }
 
 
-def _platform():
-    """numpy's version and its bundled OpenBLAS's config string; None without
-    that library."""
-    libs = Path(np.__file__).parent.parent / "numpy.libs"
-    for lib in sorted(libs.glob("libscipy_openblas64_*.so")):
-        try:
-            config = ctypes.CDLL(str(lib)).scipy_openblas_get_config64_
-        except (OSError, AttributeError):
-            continue
-        config.argtypes, config.restype = [], ctypes.c_char_p
-        return f"numpy {np.__version__}, {config().decode()}"
-    return None
+def _key():
+    """numpy's version and the config string of the OpenBLAS file whose
+    routines edgelab binds; None without that library."""
+    libs = _platform._library_files()
+    if not libs:
+        return None
+    config = ctypes.CDLL(str(libs[0])).scipy_openblas_get_config64_
+    config.argtypes, config.restype = [], ctypes.c_char_p
+    return f"numpy {np.__version__}, {config().decode()}"
 
 
 def _digests(argv, where, monkeypatch):
@@ -94,8 +93,9 @@ def _digests(argv, where, monkeypatch):
 @pytest.mark.parametrize("command", list(_COMMANDS))
 def test_every_file_keeps_its_bytes(tmp_path, monkeypatch, command):
     first = _digests(_COMMANDS[command], tmp_path / "first", monkeypatch)
-    recorded = _DIGESTS.get(_platform())
-    if recorded is None:
+    recorded = _DIGESTS.get(key := _key())
+    if recorded is None:  # shown in the warnings summary, so the digests are not skipped unseen
+        warnings.warn(f"no digests recorded for {key}; comparing two runs instead", stacklevel=1)
         assert _digests(_COMMANDS[command], tmp_path / "second", monkeypatch) == first
     else:
         assert first == recorded[command]

@@ -692,9 +692,15 @@ def test_evolve_reports_a_snapshot_the_writer_cannot_write(tmp_path, capsys):
 
 
 def test_evolve_writes_in_process_when_the_fork_fails(tmp_path, monkeypatch):
+    from edgelab import _platform
+
+    forks = []
+
     def failing():
+        forks.append(os.getpid())
         raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
 
+    monkeypatch.setattr(_platform, "usable_cores", lambda: 2)  # so both runs reach os.fork
     runs = []
     for route in ("fork", "failed fork"):
         if route == "failed fork":
@@ -705,7 +711,7 @@ def test_evolve_writes_in_process_when_the_fork_fails(tmp_path, monkeypatch):
         assert run([*_THREADED_EVOLVE, "--out", "o"]) == 0
         assert len(os.listdir("/dev/fd")) == fds  # no pipe end left open
         runs.append({path.name: path.read_bytes() for path in sorted(Path("o").iterdir())})
-    assert len(runs[0]) == 3 and runs[0] == runs[1]
+    assert len(runs[0]) == 3 and runs[0] == runs[1] and len(forks) == 1
 
 
 def test_evolve_runs_pinned_and_restores_the_callers_thread_count(tmp_path, monkeypatch):
