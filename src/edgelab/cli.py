@@ -22,7 +22,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ._platform import one_blas_thread
 from .bulk import bulk_bands, default_k_path, dirac_slope, gamma_eigs, write_bands_csv
 from .dynamics import DomainSpec, build_domain, initial_wavepacket, record_run
 from .errors import ConfigError, EdgelabError, NoMidGapState
@@ -221,14 +220,11 @@ def cmd_evolve(cfg: dict) -> int:
         raise ConfigError("origin_m and origin_n must be given together")
     origin = None if cfg["origin_m"] is None else (cfg["origin_m"], cfg["origin_n"])
     bend = None if cfg["bend_m"] is None else (cfg["bend_m"], cfg["turn"])
-    # the packet's norm and the run's series take BLAS dot products, whose
-    # bits depend on the BLAS thread count unless it is pinned
-    with one_blas_thread():
-        domain = build_domain(DomainSpec(kind, (cfg["extent_m"], cfg["extent_n"]), profile,
-                                         bend=bend, origin=origin))
-        state = initial_wavepacket(domain, profile, cfg["center_m"], cfg["width"], cfg["direction"])
-        manifest = record_run(domain, state, cfg["t_final"], cfg["out_dir"],
-                              stride=cfg["stride"], dt=cfg["dt"], config=cfg)
+    domain = build_domain(DomainSpec(kind, (cfg["extent_m"], cfg["extent_n"]), profile,
+                                     bend=bend, origin=origin))
+    state = initial_wavepacket(domain, profile, cfg["center_m"], cfg["width"], cfg["direction"])
+    manifest = record_run(domain, state, cfg["t_final"], cfg["out_dir"],
+                          stride=cfg["stride"], dt=cfg["dt"], config=cfg)
     print(f"evolve: {manifest['steps']} steps, final norm "
           f"{manifest['series']['norm'][-1]:.9f}")
     return 0

@@ -127,12 +127,12 @@ class Domain:
         return len(self.m_range), len(self.n_range)
 
     def cell_mass(self, amplitudes: np.ndarray) -> np.ndarray:
-        return np.abs(amplitudes.reshape(-1, 6)) ** 2 @ np.ones(6)
+        return (np.abs(amplitudes.reshape(-1, 6)) ** 2).sum(axis=1)
 
 
 def build_domain(spec: DomainSpec) -> Domain:
-    """Enumerate sites, assemble the sparse real-symmetric Hamiltonian, and
-    precompute interface geometry used by the diagnostics."""
+    """Enumerate sites, assemble the sparse real-symmetric Hamiltonian (complex
+    entries), and precompute the interface geometry the diagnostics use."""
     import scipy.sparse as sp  # only the 2D domain pays for sparse storage
 
     Ma, Mb = spec.extent
@@ -167,7 +167,8 @@ def build_domain(spec: DomainSpec) -> Domain:
         vals[:, c] = -bond_weights(spec.profile, intracell, sigma, s2)
         # crossing bonds come in mirrored pairs, so this marks both of their ends
         at_interface |= keep[:, c] & (sigma != s2)
-    data = vals[keep]
+    # complex entries, stored once, so no product with a complex state casts them
+    data = vals[keep].astype(complex)
     del vals  # each (cells, 18) table goes once its kept entries are out
     idx = np.int32 if 3 * n_sites < 2**31 else np.int64
     indices = (6 * cell.astype(idx)[:, None] + shift[order].astype(idx))[keep]
@@ -196,17 +197,19 @@ def build_domain(spec: DomainSpec) -> Domain:
 
 @dataclass
 class WavepacketState:
-    """Complex amplitude per site at a given time."""
+    """Complex amplitude per site at a given time.  Its norm and energy are
+    numpy sums, whose bits no BLAS thread count moves."""
 
     domain: Domain
     amplitudes: np.ndarray
     time: float = 0.0
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        return math.sqrt(np.sum(np.abs(self.amplitudes) ** 2))
 
     def energy(self) -> float:
-        return float(np.real(np.vdot(self.amplitudes, self.domain.hamiltonian @ self.amplitudes)))
+        a = self.amplitudes
+        return float(np.sum((a.conj() * (self.domain.hamiltonian @ a)).real))
 
 
 def initial_wavepacket(domain: Domain, profile: HoppingProfile, center_m: float,
@@ -231,7 +234,7 @@ def initial_wavepacket(domain: Domain, profile: HoppingProfile, center_m: float,
     amps[keep, n0 - domain.n_range[0]:n1 - domain.n_range[0] + 1] += (
         env[keep, None, None] * chi[None, n0 + L:n1 + L + 1])
     amps = amps.reshape(-1)
-    norm = np.linalg.norm(amps)
+    norm = math.sqrt(np.sum(np.abs(amps) ** 2))
     if not norm > 0:
         raise ValueError("the wavepacket envelope misses the domain")
     amps /= norm
@@ -282,7 +285,7 @@ def _chebyshev_coefficients(x: float) -> np.ndarray:
 def propagate(amplitudes: np.ndarray, H, t: float, rho: float) -> np.ndarray:
     """exp(-iHt) applied to ``amplitudes`` as a Chebyshev series in H/rho;
     ``rho`` must bound the spectral radius of H (e.g. :func:`rho_bound`).
-    Pass H as complex to avoid a cast on every product."""
+    A domain's H stores complex entries, so no product casts them."""
     out = amplitudes.astype(complex)
     if rho * t == 0.0:
         return out
@@ -365,8 +368,8 @@ def record_run(domain: Domain, state: WavepacketState, t_final: float,
     keeps the RK4 step rule dt * rho(H) <= 0.5, and a run holds at most
     10,000 snapshots.  Every snapshot but the last goes to one
     :class:`~edgelab.output.BackgroundWriter`, forked once the row templates
-    exist, so its text is formatted while the next interval propagates; the
-    last is written here, and the writer is reaped before the manifest."""
+    exist, so its text is formatted while the next interval propagates; it is
+    closed, and finishes while the last is written here, then reaped."""
     if stride < 1:
         raise ValueError("stride must be at least 1")
     if not (t_final > 0 and math.isfinite(t_final)):
@@ -386,9 +389,6 @@ def record_run(domain: Domain, state: WavepacketState, t_final: float,
                          f"{_MAX_SNAPSHOTS} snapshots")
     steps_total = math.ceil(t_final / dt)
     out = Path(out_dir)
-    # one complex copy of the entries on H's own index arrays; products of the
-    # real H with a complex vector upcast its entries to these same values
-    Hc = type(H)((H.data.astype(complex), H.indices, H.indptr), shape=H.shape)
     partition = make_bend_partition(domain) if domain.spec.bend is not None else None
     templates = _snapshot_templates(domain.positions)
 
@@ -403,7 +403,7 @@ def record_run(domain: Domain, state: WavepacketState, t_final: float,
     def sample(st: WavepacketState) -> np.ndarray:
         series["time"].append(st.time)
         series["norm"].append(st.norm())
-        series["energy"].append(float(np.vdot(st.amplitudes, Hc @ st.amplitudes).real))
+        series["energy"].append(st.energy())
         series["interface_mass"].append(interface_mass(st, 5.0))
         if partition is not None:
             t, r, rest = transmission(st, partition)
@@ -422,11 +422,11 @@ def record_run(domain: Domain, state: WavepacketState, t_final: float,
         while done < steps_total:
             writer.send(snap, sample(state))
             chunk = min(stride, steps_total - done)
-            amps = propagate(state.amplitudes, Hc, dt * chunk, rho)
+            amps = propagate(state.amplitudes, H, dt * chunk, rho)
             state = WavepacketState(domain=domain, amplitudes=amps, time=state.time + dt * chunk)
             done += chunk
             snap += 1
-        writer.check()  # a snapshot the writer could not write ends the run first
+        writer.close()  # the writer finishes its snapshots while this one is written
         write_snapshot(snap, sample(state))
 
     manifest = {

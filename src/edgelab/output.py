@@ -25,7 +25,6 @@ import contextlib
 import json
 import os
 import pickle
-import select
 import struct
 from pathlib import Path
 
@@ -71,21 +70,23 @@ class BackgroundWriter:
     forked child while the caller goes on, or in-process without ``os.fork``,
     a second usable core or a successful fork; the child gets ``doubles`` as
     a memoryview of the same float64 values.  A send blocks while the pipe is
-    full, so about one payload is in flight.  Leaving the ``with`` block waits
-    for the child and raises what stopped it, in place of any later
-    exception, since an in-process write would have failed first."""
+    full, so about one payload is in flight.  :meth:`close` ends the stream
+    without waiting.  Leaving the ``with`` block waits for the child and
+    raises what stopped it, in place of any later exception, since an
+    in-process write would have failed first."""
 
     def __init__(self, write):
-        self.write, self.pid = write, None
+        self.write, self.pid, self._data_w = write, None, None
         if hasattr(os, "fork") and _platform.usable_cores() >= 2:
-            data_r, self._data_w = os.pipe()
+            data_r, data_w = os.pipe()
             self._status_r, status_w = os.pipe()
             try:
                 self.pid = os.fork()
             except OSError:  # out of processes, say: write in-process
-                for fd in (data_r, self._data_w, self._status_r, status_w):
+                for fd in (data_r, data_w, self._status_r, status_w):
                     os.close(fd)
                 return
+            self._data_w = data_w
             if self.pid == 0:
                 self._serve(data_r, status_w)
             os.close(data_r)
@@ -123,15 +124,17 @@ class BackgroundWriter:
             self._reap()
             raise
 
-    def check(self) -> None:
-        """Raise what stopped the child if it has already stopped."""
-        if self.pid is not None and select.select([self._status_r], [], [], 0)[0]:
-            self._reap()
+    def close(self) -> None:
+        """End the stream: the child writes what it was sent and exits while
+        the caller goes on.  Sends end here; closing again does nothing."""
+        if self._data_w is not None:
+            os.close(self._data_w)
+            self._data_w = None
 
     def _reap(self) -> None:
         """Close the pipe, wait for the child and raise what stopped it."""
         pid, self.pid = self.pid, None
-        os.close(self._data_w)
+        self.close()
         with os.fdopen(self._status_r, "rb") as fh:
             report = fh.read()
         status = os.waitpid(pid, 0)[1]

@@ -57,9 +57,9 @@ _DIGESTS = {
             "bulk.json": "88e9c7b6b602e9a3492f6caefb03a992fcbbd690644955afbe646032cb42c823",
         },
         "evolve": {
-            "manifest.json": "af06d45edba6892c6f7abc716aad8d0222593f7d06a7ebc29e83de4104397dc0",
-            "snapshot_0000.csv": "db00c4acb3767b845b81fdacd98886eba67baa3e06af00ef9f8d1429f2b0b7f8",
-            "snapshot_0001.csv": "22eb948967f7283f83d65d40fbe454353e0b56a44c4ff8b4561f8b853a5e1f47",
+            "manifest.json": "2146fb429b5aeb8695262337d94b9b9741b8c65f4cc9538400c1d06f7584ba54",
+            "snapshot_0000.csv": "55aa75d76475ee96ed5eeae53f7991600427d742d4c4957a77a316b36a3301a2",
+            "snapshot_0001.csv": "849205c7b771888e168440e1f4df1c1ff6c0b614e62361a33ef4e27bd193ec52",
         },
         "spectrum_sweep": {
             "spectrum.csv": "1be8dde7ff176559198ba8b241f156eeedfd946c25b737d878e61d4d210569e1",

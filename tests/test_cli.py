@@ -656,17 +656,17 @@ def test_commands_without_a_2d_domain_never_load_scipy(tmp_path):
     assert result.stdout.splitlines()[-1] == "[]"
 
 
-# 10,560 sites: OpenBLAS threads the packet's and the series' dot products
-# there, and these files differed between one and two threads without the pin
+# 10,560 sites: OpenBLAS threads dot products there, and these files differed
+# between one and two threads while the packet's norm and the series' norms
+# and energies were BLAS dot products
 _THREADED_EVOLVE = ["evolve", "--kind", "type2", "--extent-m", "40", "--extent-n", "44",
                     "--t-final", "0.01"]
 
 
 def test_evolve_bytes_do_not_depend_on_openblas_num_threads(tmp_path):
-    blas_threads()
     src = Path(__file__).resolve().parents[1] / "src"
     runs = []
-    for threads in ("1", "2"):
+    for threads in ("1", "2", "4"):
         env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
         env.update(PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
         where = tmp_path / threads
@@ -675,7 +675,7 @@ def test_evolve_bytes_do_not_depend_on_openblas_num_threads(tmp_path):
                                 cwd=where, env=env, capture_output=True, text=True, timeout=120)
         assert result.returncode == 0, result.stderr
         runs.append({path.name: path.read_bytes() for path in sorted((where / "o").iterdir())})
-    assert len(runs[0]) == 3 and runs[0] == runs[1]
+    assert len(runs[0]) == 3 and runs[0] == runs[1] == runs[2]
 
 
 def test_evolve_reports_a_snapshot_the_writer_cannot_write(tmp_path, capsys):
@@ -714,8 +714,12 @@ def test_evolve_writes_in_process_when_the_fork_fails(tmp_path, monkeypatch):
     assert len(runs[0]) == 3 and runs[0] == runs[1] and len(forks) == 1
 
 
-def test_evolve_runs_pinned_and_restores_the_callers_thread_count(tmp_path, monkeypatch):
+def test_evolve_runs_unpinned_at_the_callers_thread_count(tmp_path, monkeypatch):
     import edgelab.cli as cli
+    from edgelab import _platform
+
+    def no_pin():
+        raise AssertionError("evolve entered the BLAS pin")
 
     get, set_ = blas_threads()
     seen = []
@@ -725,6 +729,7 @@ def test_evolve_runs_pinned_and_restores_the_callers_thread_count(tmp_path, monk
         seen.append(get())
         return record_run(*args, **kwargs)
 
+    monkeypatch.setattr(_platform, "one_blas_thread", no_pin)
     monkeypatch.setattr(cli, "record_run", recording)
     saved = get()
     try:
@@ -732,12 +737,9 @@ def test_evolve_runs_pinned_and_restores_the_callers_thread_count(tmp_path, monk
             set_(threads)
             assert run([*_THREADED_EVOLVE[:-1], "0.002", "--out", str(tmp_path / str(threads))]) == 0
             assert get() == threads
-        set_(2)  # a run that fails inside the pin restores the count too
-        assert run([*_THREADED_EVOLVE, "--center-m", "1000", "--out", str(tmp_path / "x")]) == 2
-        assert get() == 2
     finally:
         set_(saved)
-    assert seen == [1, 1, 1]
+    assert seen == [1, 2, 3]
 
 
 _FUZZ_FLAGS = {

@@ -38,7 +38,7 @@ def test_domain_matrix_real_symmetric_and_bond_weights():
     dom = small_domain(InterfaceKind.TYPE_I, extent=(24, 24))
     H = dom.hamiltonian
     assert (abs(H - H.T)).max() == 0.0
-    assert np.abs(H.data.imag).max() == 0.0 if np.iscomplexobj(H.data) else True
+    assert np.iscomplexobj(H.data) and np.abs(H.data.imag).max() == 0.0
     # intracell bond (1, cell)-(5, cell) deep in the + material
     m, n = 3, 5
     assert H[site_index(dom, m, n, 1), site_index(dom, m, n, 5)] == -60.0
@@ -99,7 +99,11 @@ def test_domain_csr_matches_coo_assembly(kind, extent):
             spec = DomainSpec(kind, extent, profile, bend=bend, origin=origin)
             H, ref = build_domain(spec).hamiltonian, coo_hamiltonian(spec)
             assert H.shape == ref.shape and H.has_sorted_indices
-            for name in ("data", "indices", "indptr"):
+            # complex entries: the oracle's real ones, bit for bit, and +0.0
+            assert H.data.dtype == np.complex128 and ref.data.dtype == np.float64
+            assert H.data.real.tobytes() == ref.data.tobytes(), (bend, origin)
+            assert H.data.imag.tobytes() == bytes(8 * ref.nnz), (bend, origin)
+            for name in ("indices", "indptr"):
                 got, want = getattr(H, name), getattr(ref, name)
                 assert got.dtype == want.dtype, (bend, origin, name)
                 assert got.tobytes() == want.tobytes(), (bend, origin, name)
@@ -197,17 +201,19 @@ def _traced_peak(call):
 
 
 def test_build_domain_peak_memory_per_cell_is_bounded():
-    # the bonds go into CSR one column at a time: 489 B/cell, against 1,575
-    # when all 18 bonds of every cell went through COO at once
+    # the bonds go into CSR one column at a time: 632 B/cell with complex
+    # entries (489 with real ones), against 1,575 when all 18 bonds of every
+    # cell went through COO at once
     _traced_peak(small_domain)  # import and cache warm-up
     spec = DomainSpec(InterfaceKind.TYPE_II, (180, 180), MIXED, bend=(0, 1))
     assert _traced_peak(lambda: build_domain(spec)) <= 800 * 180**2
 
 
 def test_record_run_peak_memory_per_site_is_bounded(tmp_path):
-    # one complex copy of the entries, row sums without a matrix copy, and
-    # one row template per block: 175 B/site, against 241 with a copy of H
-    # per product and a str per site
+    # no copy of the complex entries, row sums without a matrix copy, and
+    # one row template per block: 127 B/site, against 175 with a complex
+    # copy of the entries per run and 241 with a copy of H per product and
+    # a str per site
     from edgelab.dynamics import record_run
 
     dom = build_domain(DomainSpec(InterfaceKind.TYPE_II, (120, 120), MIXED, bend=(0, 1)))
@@ -430,11 +436,11 @@ def test_propagate_matches_expm_multiply(t):
 
     dom, st = _packet_domain()
     H = dom.hamiltonian
-    ref = expm_multiply(-1j * t * H.astype(complex), st.amplitudes)
-    got = propagate(st.amplitudes, H.astype(complex), t, rho_bound(H))
+    ref = expm_multiply(-1j * t * H, st.amplitudes)
+    got = propagate(st.amplitudes, H, t, rho_bound(H))
     assert np.abs(got - ref).max() < 1e-10
     # a real H gives the same state
-    assert np.abs(propagate(st.amplitudes, H, t, rho_bound(H)) - got).max() < 1e-14
+    assert np.abs(propagate(st.amplitudes, H.real, t, rho_bound(H)) - got).max() < 1e-14
 
 
 def test_propagate_agrees_with_rk4_within_its_error():
@@ -446,7 +452,7 @@ def test_propagate_agrees_with_rk4_within_its_error():
     H = dom.hamiltonian
     dt = 0.1 / rho_bound(H)
     rk4 = evolve(st, H, dt, 400)
-    ref = expm_multiply(-1j * rk4.time * H.astype(complex), st.amplitudes)
+    ref = expm_multiply(-1j * rk4.time * H, st.amplitudes)
     rk4_err = np.abs(rk4.amplitudes - ref).max()
     assert 0 < rk4_err < 1e-5
     got = propagate(st.amplitudes, H, rk4.time, rho_bound(H))
@@ -511,7 +517,7 @@ def test_record_run_schedule_snapshots_and_rerun(tmp_path):
         _csv_writer_snapshot(ref, dom.positions, st.amplitudes))
     amps = st.amplitudes
     for chunk in (10, 10, 6):
-        amps = propagate(amps, H.astype(complex), dt * chunk, rho_bound(H))
+        amps = propagate(amps, H, dt * chunk, rho_bound(H))
     assert (tmp_path / "a" / "snapshot_0003.csv").read_bytes() == (
         _csv_writer_snapshot(ref, dom.positions, amps))
 
@@ -529,7 +535,7 @@ def test_manifest_energy_is_the_state_energy(tmp_path):
     manifest = record_run(dom, st, t_final=25.5 * dt, out_dir=tmp_path, stride=10)
     amps, energies = st.amplitudes, [st.energy()]
     for chunk in (10, 10, 6):
-        amps = propagate(amps, H.astype(complex), dt * chunk, rho_bound(H))
+        amps = propagate(amps, H, dt * chunk, rho_bound(H))
         energies.append(WavepacketState(domain=dom, amplitudes=amps).energy())
     assert manifest["series"]["energy"] == energies  # bit for bit
 

@@ -1,5 +1,5 @@
-import contextlib
 import csv
+import errno
 import json
 import math
 import os
@@ -142,24 +142,58 @@ def test_background_writer_raises_the_childs_failure(tmp_path):
     _no_child_left()
 
 
-def test_background_writer_check_raises_a_failure_already_reported(tmp_path):
+def test_background_writer_close_ends_the_stream_without_waiting(tmp_path, monkeypatch):
     _forks()
-
-    def write(key, doubles):
-        raise ValueError(f"payload {key} of {len(doubles)}")
-
-    writer = BackgroundWriter(write)
-    try:
-        writer.send(7, np.zeros(3))
-        with pytest.raises(ValueError, match="payload 7 of 3"):
-            deadline = time.monotonic() + 60
-            while time.monotonic() < deadline:
-                writer.check()
-                time.sleep(0.01)
-    finally:
-        with contextlib.suppress(ValueError):
-            writer.__exit__(None, None, None)
+    if not hasattr(os, "waitid"):
+        pytest.skip("needs os.waitid to see the child exit before it is reaped")
+    with BackgroundWriter(_recording(tmp_path)) as writer:
+        for key, doubles in enumerate(_PAYLOADS):
+            writer.send(key, doubles)
+        writer.close()
+        writer.close()  # closing twice does nothing
+        # the child writes every payload and exits while this process waits
+        expected = {f"{key}.txt": f"{writer.pid} {doubles.tolist()!r}"
+                    for key, doubles in enumerate(_PAYLOADS)}
+        deadline = time.monotonic() + 60
+        while (exited := os.waitid(os.P_PID, writer.pid,
+                                   os.WEXITED | os.WNOHANG | os.WNOWAIT)) is None:
+            assert time.monotonic() < deadline, "the child did not exit after close()"
+            time.sleep(0.01)
+        assert (exited.si_code, exited.si_status) == (os.CLD_EXITED, 0)
+        assert {path.name: path.read_text() for path in tmp_path.iterdir()} == expected
     _no_child_left()
+
+    # a failure in the last payload sent comes out of the with block
+    def failing_last(key, doubles):
+        if key == len(_PAYLOADS) - 1:
+            raise ValueError(f"payload {key} of {len(doubles)}")
+
+    closed = []
+    with pytest.raises(ValueError, match=f"payload 3 of {len(_PAYLOADS[-1])}"):
+        with BackgroundWriter(failing_last) as writer:
+            for key, doubles in enumerate(_PAYLOADS):
+                writer.send(key, doubles)
+            writer.close()
+            closed.append(writer.pid)
+    assert closed[0] is not None  # close() returned, and leaving the block raised
+    _no_child_left()
+
+    # in-process, on one core and after a failed fork, close() closes nothing
+    def failed_fork():
+        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "fork", failed_fork)
+    for cores in (1, 2):
+        monkeypatch.setattr(_platform, "usable_cores", lambda: cores)
+        (tmp_path / str(cores)).mkdir()
+        fds = len(os.listdir("/dev/fd"))
+        with BackgroundWriter(_recording(tmp_path / str(cores))) as writer:
+            writer.send(0, _PAYLOADS[1])
+            writer.close()
+            writer.close()
+            assert writer.pid is None
+        assert len(os.listdir("/dev/fd")) == fds  # no pipe end left open
+        assert (tmp_path / str(cores) / "0.txt").read_text() == f"{os.getpid()} [0.0]"
 
 
 def test_background_writer_failure_replaces_a_later_exception(tmp_path):
