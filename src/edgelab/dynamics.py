@@ -43,7 +43,7 @@ from .lattice import (
     frame_vectors,
     material_sign,
 )
-from .output import BLOCK_ROWS, BackgroundWriter, write_csv, write_json
+from .output import BLOCK_ROWS, BackgroundWriter, g17_texts, write_csv, write_json
 from .spectrum import perturbation_m0
 from .transfer import zero_modes
 
@@ -341,20 +341,14 @@ def transmission(state: WavepacketState, partition: np.ndarray) -> tuple[float, 
 
 def _snapshot_templates(positions: np.ndarray) -> list[str]:
     """The ``%`` format of every ``BLOCK_ROWS`` block of snapshot rows: one
-    "x,y,%.17g" row per site, its coordinates' ``.17g`` digits baked in.
-    Each distinct coordinate is formatted once; distinct means distinct
-    bits, so -0.0 keeps its sign as a per-site format would."""
-    columns = []
-    for col in np.ascontiguousarray(positions.T):
-        bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
-        text = [f"{v:.17g}," for v in bits.view(np.float64).tolist()]
-        columns.append((np.array(text, dtype=object), inverse))
-    (x, ix), (y, iy) = columns
+    "x,y,%.17g" row per site, its coordinates' ``.17g`` digits baked in,
+    each distinct coordinate formatted once."""
+    x, y = g17_texts(positions.T)
     templates = []
     for lo in range(0, len(positions), BLOCK_ROWS):
-        xs, ys = x[ix[lo:lo + BLOCK_ROWS]].tolist(), y[iy[lo:lo + BLOCK_ROWS]].tolist()
-        parts = [None] * (3 * len(xs))  # x, y, abs2 format of each row in turn
-        parts[0::3], parts[1::3], parts[2::3] = xs, ys, ["%.17g\r\n"] * len(xs)
+        xs, ys = x[lo:lo + BLOCK_ROWS].tolist(), y[lo:lo + BLOCK_ROWS].tolist()
+        parts = [","] * (4 * len(xs))  # x, ",", y and ",%.17g\r\n" of each row in turn
+        parts[0::4], parts[2::4], parts[3::4] = xs, ys, [",%.17g\r\n"] * len(xs)
         templates.append("".join(parts))
     return templates
 

@@ -3,6 +3,8 @@
 CSV is csv.writer's dialect (commas, CRLF, no field needs quoting), written
 ``BLOCK_ROWS`` rows at a time, one ``%`` format per block, from the format
 and columns the caller builds per block, so the memory held stays bounded.
+:func:`g17_texts` gives the ``%.17g`` text of many values, formatting each
+distinct magnitude once, for callers that build a block's text from it.
 JSON is strict (no NaN or infinity), indented by 2, with sorted keys and a
 final newline.
 Writing a file makes its directory, so a command that fails before it has
@@ -28,6 +30,8 @@ import pickle
 import struct
 from pathlib import Path
 
+import numpy as np
+
 from . import _platform
 
 BLOCK_ROWS = 4096  # rows formatted and written per write call
@@ -51,6 +55,19 @@ def write_csv(path, header, n_rows: int, block) -> None:
             for c, column in enumerate(columns):
                 fields[c::len(columns)] = column
             fh.write(fmt % tuple(fields))
+
+
+def g17_texts(values) -> np.ndarray:
+    """``"%.17g" % x`` for each x of a float64 array, as an object array of
+    its shape.  Each distinct magnitude is formatted once: a negative x is
+    "-" and its magnitude's text, as ``%`` writes -0.0, -inf and every finite
+    x, but a NaN is "nan" whatever its sign bit."""
+    values = np.asarray(values, dtype=np.float64)
+    bits, inverse = np.unique(np.abs(values).view(np.int64), return_inverse=True)
+    text = ["%.17g" % m for m in bits.view(np.float64).tolist()]
+    table = np.array(text + ["-" + t for t in text], dtype=object)
+    negative = np.signbit(values) & ~np.isnan(values)
+    return table[inverse.reshape(values.shape) + len(text) * negative]
 
 
 def write_json(path, payload: dict) -> None:

@@ -36,7 +36,7 @@ from . import _platform
 from .errors import NoMidGapState
 from .hamiltonian import HoppingProfile, _cell_blocks, _place_blocks, chain_apply_first_order
 from .lattice import InterfaceKind
-from .output import write_csv
+from .output import g17_texts, write_csv
 from .transfer import ZeroMode, zero_modes
 
 __all__ = [
@@ -117,17 +117,14 @@ def _solve_one(kind, profile, k, N, margin):
     # boundary-mass form is rediagonalized there: each cluster member gets
     # one of the extremal localization scores.
     tol = 1e-8 * max(1.0, float(np.abs(evals).max()))
-    i = 0
-    while i < 2 * n:
-        j = i + 1
-        while j < 2 * n and evals[j] - evals[j - 1] < tol:
-            j += 1
-        if j - i > 1:
-            idx = np.arange(i, j)
-            r = np.where(idx < n, idx, 2 * n - 1 - idx)
-            V = np.vstack([u_edge[:, r], np.where(idx < n, -1, 1) * v_edge[:, r]])
-            loc[i:j] = np.sort(np.linalg.eigvalsh(V.conj().T @ V / 2))
-        i = j
+    # a cluster runs between consecutive gaps of at least tol
+    cuts = np.flatnonzero(np.diff(evals, prepend=-np.inf, append=np.inf) >= tol)
+    wide = np.diff(cuts) > 1
+    for i, j in zip(cuts[:-1][wide].tolist(), cuts[1:][wide].tolist()):
+        idx = np.arange(i, j)
+        r = np.where(idx < n, idx, 2 * n - 1 - idx)
+        V = np.vstack([u_edge[:, r], np.where(idx < n, -1, 1) * v_edge[:, r]])
+        loc[i:j] = np.sort(np.linalg.eigvalsh(V.conj().T @ V / 2))
     return evals, loc
 
 
@@ -317,12 +314,35 @@ def perturbation_matrix(kind: InterfaceKind, profile: HoppingProfile,
 
 
 def write_spectrum_csv(table: SpectrumTable, path) -> None:
-    """Columns: k, eig_index, energy, localization, kept."""
-    def block(lo, hi):
-        i, j = np.divmod(np.arange(lo, hi), table.eigenvalues.shape[1])
-        return "%.17g,%d,%.17g,%.17g,%d\r\n" * (hi - lo), [
-            table.k_grid[i].tolist(), j.tolist(), table.eigenvalues.ravel()[lo:hi].tolist(),
-            table.localization.ravel()[lo:hi].tolist(), table.kept.ravel()[lo:hi].tolist()]
+    """Columns: k, eig_index, energy, localization, kept.  k-rows whose
+    energies, localizations and verdicts are equal bit for bit (those of k
+    and -k) share the text of their lines, in which each distinct magnitude
+    is formatted once; a k-row writes only its k into it."""
+    n_eig = table.eigenvalues.shape[1]
+    # k-rows with the same bytes share one text of their lines: a `%` format
+    # that takes k at the start of each line, and where each line starts
+    text_of, rows = {}, []
+    for row in zip(table.eigenvalues, table.localization, table.kept):
+        key = b"".join(map(bytes, row))
+        if key not in text_of:
+            E, L, kept = row
+            fields = [None] * (4 * n_eig)
+            fields[0::4], fields[1::4], fields[2::4], fields[3::4] = (
+                range(n_eig), g17_texts(E).tolist(), g17_texts(L).tolist(), kept.tolist())
+            text = "%%s,%d,%s,%s,%d\r\n" * n_eig % tuple(fields)
+            ends = np.flatnonzero(np.frombuffer(text.encode("ascii"), np.uint8) == ord("\n")) + 1
+            text_of[key] = text, np.r_[0, ends]
+        rows.append(text_of[key])
+    k_text = g17_texts(table.k_grid).tolist()
 
-    write_csv(path, ["k", "eig_index", "energy", "localization", "kept"],
-              table.eigenvalues.size, block)
+    def block(lo, hi):
+        fmt, ks = [], []
+        for row in range(lo // n_eig, (hi - 1) // n_eig + 1):
+            a, b = max(lo - row * n_eig, 0), min(hi - row * n_eig, n_eig)
+            text, starts = rows[row]
+            fmt.append(text[starts[a]:starts[b]])
+            ks += [k_text[row]] * (b - a)
+        return "".join(fmt), [ks]
+
+    write_csv(path, ["k", "eig_index", "energy", "localization", "kept"], table.eigenvalues.size,
+              block)

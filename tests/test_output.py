@@ -8,11 +8,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import edgelab
 from edgelab import _platform
 from edgelab._platform import usable_cores
-from edgelab.output import BLOCK_ROWS, BackgroundWriter, write_csv, write_json
+from edgelab.output import BLOCK_ROWS, BackgroundWriter, g17_texts, write_csv, write_json
 
 SRC = Path(edgelab.__file__).parent
 _VALUES = [0.0, -0.0, 1.5, -2.25e-300, 1e-320, math.inf, -math.inf, math.nan, 1 / 3]
@@ -36,6 +38,25 @@ def test_write_csv_matches_csv_writer_across_blocks(tmp_path, n_rows):
         for i in range(n_rows):
             w.writerow([f"p{i}", f"{float(i):.17g}", i, f"{_VALUES[i % len(_VALUES)]:.17g}"])
     assert path.read_bytes() == ref.read_bytes()
+
+
+# NaN with either sign bit and with a payload, subnormals and the largest finite double
+_SPECIAL = [0.0, 1 / 3, math.inf, math.nan, float(np.copysign(math.nan, -1)),
+            float(np.int64(0x7FF8000000000001).view(np.float64)), 5e-324,
+            2.2250738585072009e-308, 1.7976931348623157e308]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats() | st.sampled_from(_SPECIAL), max_size=30))
+def test_g17_texts_is_the_percent_format_of_each_value(values):
+    # every value with its negation and its neighbours one ulp either side,
+    # so that equal magnitudes of either sign and close ones meet in one call
+    a = np.array(values, dtype=np.float64)
+    with np.errstate(over="ignore"):  # the largest double's upper neighbour is inf
+        a = np.stack([a, -a, np.nextafter(a, np.inf), np.nextafter(a, -np.inf)])
+    texts = g17_texts(a)
+    assert texts.shape == a.shape and texts.dtype == object
+    assert texts.ravel().tolist() == ["%.17g" % x for x in a.ravel().tolist()]
 
 
 def test_write_json_is_indented_sorted_and_newline_terminated(tmp_path):

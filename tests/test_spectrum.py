@@ -347,6 +347,101 @@ def test_spectrum_csv_matches_csv_writer(tmp_path, kind):
         _csv_writer_spectrum(tmp_path / "ref.csv", table))
 
 
+def _one_bit_apart(field):
+    # k = -0.7 and 0.7 of a mirrored grid, with one bit of `field` flipped at -0.7
+    table = supercell_spectrum(InterfaceKind.TYPE_II, MIXED, None, [-0.7, 0.0, 0.7], N=24)
+    values = getattr(table, field).copy()
+    assert np.array_equal(values[0], values[2])
+    if field == "kept":
+        values[0, 7] = not values[0, 7]
+    else:
+        values[0].view(np.int64)[7] ^= 1
+    return dataclasses.replace(table, **{field: values})
+
+
+def _special_values():
+    # -0.0, infinities and NaN of either sign bit, on rows equal to other rows
+    table = supercell_spectrum(InterfaceKind.TYPE_I, MIXED, None, [0.5, -0.5, 0.5], N=24)
+    E, L = table.eigenvalues.copy(), table.localization.copy()
+    E[:, :4] = [-0.0, -np.inf, np.inf, np.copysign(np.nan, -1)]
+    L[:, :2] = [np.nan, 5e-324]
+    return dataclasses.replace(table, k_grid=np.array([-0.0, 0.0, -0.0]),
+                               eigenvalues=E, localization=L)
+
+
+def _long_rows():
+    # k-rows longer than a block, so that blocks begin and end inside one;
+    # the rows of -0.3 and 0.3 are equal and Fortran-ordered
+    from edgelab.output import BLOCK_ROWS
+
+    rng = np.random.default_rng(0)
+    E = np.asfortranarray(rng.standard_normal((3, BLOCK_ROWS + 7)))
+    E[2] = E[0]
+    L = np.abs(E) / 4
+    table = supercell_spectrum(InterfaceKind.TYPE_II, MIXED, None, [0.3], N=24)
+    return dataclasses.replace(table, k_grid=np.array([-0.3, 0.0, 0.3]), eigenvalues=E,
+                               localization=L, kept=L < 0.2)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _one_bit_apart("eigenvalues"),
+    lambda: _one_bit_apart("localization"),
+    lambda: _one_bit_apart("kept"),
+    _special_values,
+    _long_rows,
+    # one k; an even count, which has no k = 0
+    lambda: supercell_spectrum(InterfaceKind.TYPE_I, MIXED, None, [0.3], N=24),
+    lambda: supercell_spectrum(InterfaceKind.TYPE_II, MIXED, None, np.linspace(-np.pi, np.pi, 6),
+                               N=24),
+], ids=["energy-bit", "localization-bit", "kept-bit", "special-values", "long-rows", "one-k",
+         "even-k"])
+def test_spectrum_csv_shares_text_by_value(tmp_path, make):
+    table = make()
+    write_spectrum_csv(table, tmp_path / "spectrum.csv")
+    assert (tmp_path / "spectrum.csv").read_bytes() == (
+        _csv_writer_spectrum(tmp_path / "ref.csv", table))
+
+
+def _loop_solve(kind, profile, k, N, margin):
+    """_solve_one with its cluster search as the loop over the sorted
+    energies, and the number of clusters it rediagonalized."""
+    n = 3 * (2 * N + 1)
+    edge = np.r_[0:3 * margin, n - 3 * margin:n]
+    s, u_edge, v_edge = spectrum._margin_svd(_chiral_block(kind, profile, k, N), edge)
+    evals = np.concatenate([-s, s[::-1]])
+    half = ((np.abs(u_edge) ** 2).sum(axis=0) + (np.abs(v_edge) ** 2).sum(axis=0)) / 2
+    loc = np.concatenate([half, half[::-1]])
+    tol = 1e-8 * max(1.0, float(np.abs(evals).max()))
+    clusters, i = 0, 0
+    while i < 2 * n:
+        j = i + 1
+        while j < 2 * n and evals[j] - evals[j - 1] < tol:
+            j += 1
+        if j - i > 1:
+            idx = np.arange(i, j)
+            r = np.where(idx < n, idx, 2 * n - 1 - idx)
+            V = np.vstack([u_edge[:, r], np.where(idx < n, -1, 1) * v_edge[:, r]])
+            loc[i:j] = np.sort(np.linalg.eigvalsh(V.conj().T @ V / 2))
+            clusters += 1
+        i = j
+    return evals, loc, clusters
+
+
+@pytest.mark.parametrize("kind, profile, clusters", [
+    (InterfaceKind.TYPE_I, HoppingProfile(60, 60, 30, 30, 50.0), 2),  # two clusters side by side
+    (InterfaceKind.TYPE_II, HoppingProfile(60, 60, 30, 30, 50.0), 1),
+    (InterfaceKind.TYPE_II, HoppingProfile(60, 60, 0, 0, 60.0), 2),
+])
+@pytest.mark.parametrize("N", [24, 30])
+def test_cluster_search_matches_the_loop(kind, profile, clusters, N):
+    # k = 0 tables whose energies hold degenerate clusters
+    evals, loc = spectrum._solve_one(kind, profile, 0.0, N, 5)
+    expected = _loop_solve(kind, profile, 0.0, N, 5)
+    assert expected[2] == clusters
+    assert evals.tobytes() == expected[0].tobytes()
+    assert loc.tobytes() == expected[1].tobytes()
+
+
 # ---------------------------------------------------------------------------
 # The k-point pool and the BLAS pin
 # ---------------------------------------------------------------------------
