@@ -43,7 +43,7 @@ from .lattice import (
     frame_vectors,
     material_sign,
 )
-from .output import BLOCK_ROWS, BackgroundWriter, g17_texts, write_csv, write_json
+from .output import BackgroundWriter, row_prefix, write_json, write_rows
 from .spectrum import perturbation_m0
 from .transfer import zero_modes
 
@@ -339,20 +339,6 @@ def transmission(state: WavepacketState, partition: np.ndarray) -> tuple[float, 
     return float(transmitted), float(reflected), float(residual)
 
 
-def _snapshot_templates(positions: np.ndarray) -> list[str]:
-    """The ``%`` format of every ``BLOCK_ROWS`` block of snapshot rows: one
-    "x,y,%.17g" row per site, its coordinates' ``.17g`` digits baked in,
-    each distinct coordinate formatted once."""
-    x, y = g17_texts(positions.T)
-    templates = []
-    for lo in range(0, len(positions), BLOCK_ROWS):
-        xs, ys = x[lo:lo + BLOCK_ROWS].tolist(), y[lo:lo + BLOCK_ROWS].tolist()
-        parts = [","] * (4 * len(xs))  # x, ",", y and ",%.17g\r\n" of each row in turn
-        parts[0::4], parts[2::4], parts[3::4] = xs, ys, [",%.17g\r\n"] * len(xs)
-        templates.append("".join(parts))
-    return templates
-
-
 def record_run(domain: Domain, state: WavepacketState, t_final: float,
                out_dir, stride: int = 200, dt: float | None = None,
                config: dict | None = None) -> dict:
@@ -361,9 +347,10 @@ def record_run(domain: Domain, state: WavepacketState, t_final: float,
     series.  Each snapshot interval is one :func:`propagate` call; ``dt``
     keeps the RK4 step rule dt * rho(H) <= 0.5, and a run holds at most
     10,000 snapshots.  Every snapshot but the last goes to one
-    :class:`~edgelab.output.BackgroundWriter`, forked once the row templates
-    exist, so its text is formatted while the next interval propagates; it is
-    closed, and finishes while the last is written here, then reaped."""
+    :class:`~edgelab.output.BackgroundWriter`, forked once the rows' "x,y,"
+    prefix exists, so its text is formatted while the next interval
+    propagates; it is closed, and finishes while the last is written here,
+    then reaped."""
     if stride < 1:
         raise ValueError("stride must be at least 1")
     if not (t_final > 0 and math.isfinite(t_final)):
@@ -384,11 +371,10 @@ def record_run(domain: Domain, state: WavepacketState, t_final: float,
     steps_total = math.ceil(t_final / dt)
     out = Path(out_dir)
     partition = make_bend_partition(domain) if domain.spec.bend is not None else None
-    templates = _snapshot_templates(domain.positions)
+    prefix = row_prefix(domain.positions.T)
 
     def write_snapshot(snap_idx: int, abs2) -> None:
-        write_csv(out / f"snapshot_{snap_idx:04d}.csv", ["x", "y", "abs2"], len(abs2),
-                  lambda lo, hi: (templates[lo // BLOCK_ROWS], [abs2[lo:hi].tolist()]))
+        write_rows(out / f"snapshot_{snap_idx:04d}.csv", ["x", "y", "abs2"], prefix, abs2)
 
     series = {"time": [], "norm": [], "energy": [], "interface_mass": []}
     if partition is not None:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -97,12 +98,22 @@ def bond_weights(profile: HoppingProfile, intracell, s1, s2) -> np.ndarray:
 def _bond_table(kind: InterfaceKind, profile: HoppingProfile, k: float, derivative: bool):
     """Sites j -> j2 (0-based), cell offsets dn and the entries -w exp(i k dm) of H(k), or
     i dm (-w) of dH/dk at k = 0, of the 18 frame bonds in the cells n = -3..2; bonds reach
-    two cells, so any cell n has the entries of row clip(n, -3, 2) + 3."""
+    two cells, so any cell n has the entries of row clip(n, -3, 2) + 3.  The arrays are
+    read-only and shared by the calls with the same key; k = -0.0 and 0.0 have their own,
+    since exp(i k dm) keeps the sign of a zero."""
+    return _bond_tables(kind, profile, k, math.copysign(1.0, k), derivative)
+
+
+@lru_cache(maxsize=32)  # a closed-form op asks for 4 keys, a spectrum for one per k
+def _bond_tables(kind, profile, k, k_sign, derivative):
     j, j2, dm, dn, intracell = frame_bonds(kind).T
     n = np.arange(-3, 3)[:, None]
     w = bond_weights(profile, intracell, material_sign(n), material_sign(n + dn))
     vals = 1j * dm * -w if derivative else -w * np.exp(1j * k * dm)
-    return j - 1, j2 - 1, dn, vals
+    table = j - 1, j2 - 1, dn, vals
+    for a in table:
+        a.flags.writeable = False
+    return table
 
 
 def _cell_blocks(kind: InterfaceKind, profile: HoppingProfile, k: float, derivative: bool):

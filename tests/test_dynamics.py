@@ -726,8 +726,8 @@ def test_snapshot_of_random_bit_patterns_matches_csv_writer(tmp_path):
 
 
 def _object_array_templates(positions):
-    # the row templates as x + y + "%.17g\r\n" on object arrays of the
-    # distinct coordinates' text, gathered per block
+    # the rows' fixed "x,y," part as x + y on object arrays of the distinct
+    # coordinates' text, gathered and joined per block
     from edgelab.output import BLOCK_ROWS
 
     columns = []
@@ -736,7 +736,7 @@ def _object_array_templates(positions):
         text = [f"{v:.17g}," for v in bits.view(np.float64).tolist()]
         columns.append((np.array(text, dtype=object), inverse))
     (x, ix), (y, iy) = columns
-    return ["".join(x[ix[lo:lo + BLOCK_ROWS]] + y[iy[lo:lo + BLOCK_ROWS]] + "%.17g\r\n")
+    return ["".join(x[ix[lo:lo + BLOCK_ROWS]] + y[iy[lo:lo + BLOCK_ROWS]])
             for lo in range(0, len(positions), BLOCK_ROWS)]
 
 
@@ -744,11 +744,26 @@ def _object_array_templates(positions):
 @pytest.mark.parametrize("bend", [None, (2, 1), (-3, -1)])
 @pytest.mark.parametrize("origin", [None, (-17, -9)])
 def test_snapshot_templates_match_object_array_oracle(kind, bend, origin):
-    from edgelab.dynamics import _snapshot_templates
-    from edgelab.output import BLOCK_ROWS
+    # the per-run prefix every snapshot row starts with: per coordinate, the
+    # text of each distinct value at the left edge of a table row, its keep
+    # mask a run of its length, and the table row of every site
+    from edgelab.output import BLOCK_ROWS, row_prefix
 
     dom = build_domain(DomainSpec(kind, (30, 28), MIXED, bend=bend, origin=origin))
-    assert len(dom.positions) > BLOCK_ROWS and len(dom.positions) % BLOCK_ROWS
-    templates = _snapshot_templates(dom.positions)
-    assert templates == _object_array_templates(dom.positions)
-    assert [t.count("\r\n") for t in templates] == [BLOCK_ROWS, len(dom.positions) - BLOCK_ROWS]
+    n = len(dom.positions)
+    assert n > BLOCK_ROWS and n % BLOCK_ROWS
+    pieces = row_prefix(dom.positions.T)
+    assert len(pieces) == 2
+    texts = []
+    for (table, keep, index), col in zip(pieces, dom.positions.T):
+        assert table.dtype == np.uint8 and index.dtype == np.int32 and index.shape == (n,)
+        assert len(table) == len(np.unique(col)) and table.shape == keep.shape
+        size = keep.sum(axis=1)
+        assert (keep == (np.arange(table.shape[1]) < size[:, None])).all()
+        assert not table[~keep].any() and size.max() == table.shape[1]
+        texts.append([bytes(row[:k]) for row, k in zip(table, size.tolist())])
+    (x, ix), (y, iy) = ((text, piece[2]) for text, piece in zip(texts, pieces))
+    rows = [x[i] + y[j] for i, j in zip(ix.tolist(), iy.tolist())]
+    blocks = [b"".join(rows[lo:lo + BLOCK_ROWS]).decode() for lo in range(0, n, BLOCK_ROWS)]
+    assert blocks == _object_array_templates(dom.positions)
+    assert [block.count(",") for block in blocks] == [2 * BLOCK_ROWS, 2 * (n - BLOCK_ROWS)]

@@ -334,6 +334,35 @@ def test_chain_operator_is_bitwise_the_per_cell_oracle(kind):
         assert H.tobytes() == expected.tobytes(), (case, profile, lo, length, k, derivative)
 
 
+@pytest.mark.parametrize("kind", list(InterfaceKind))
+def test_bond_table_is_cached_read_only_and_keeps_the_bits(kind):
+    # the chain products ask for few distinct (kind, profile, k, derivative)
+    # keys; a repeated key reuses its read-only arrays, and the products read
+    # the same bits from a cold and a warm cache
+    hamiltonian._bond_tables.cache_clear()
+    rng = np.random.default_rng(29)
+    cells = _random_cells(rng, 1, 9)
+    for k, derivative in [(0.3, False), (0.0, False), (-0.0, False), (0.0, True)] * 2:
+        table = hamiltonian._bond_table(kind, MIXED, k, derivative)
+        assert hamiltonian._bond_table(kind, MIXED, k, derivative) is table
+        for array in table:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[...] = 0
+        H = chain_operator(kind, MIXED, -3, 5, k, derivative)
+        expected = chain_oracle.chain_operator(kind, MIXED, -3, 5, k, derivative)
+        assert H.tobytes() == expected.tobytes()
+        image = (chain_apply_first_order(kind, MIXED, -3, cells) if derivative
+                 else chain_apply(kind, MIXED, -3, cells, k))
+        expected = chain_oracle.chain_apply(kind, MIXED, -3, cells, k, derivative)
+        assert image.tobytes() == expected.tobytes()
+    # -0.0 and 0.0 are two keys, since exp(i k dm) keeps the sign of a zero
+    assert (hamiltonian._bond_table(kind, MIXED, -0.0, False)
+            is not hamiltonian._bond_table(kind, MIXED, 0.0, False))
+    info = hamiltonian._bond_tables.cache_info()
+    assert (info.currsize, info.misses) == (4, 4) and info.maxsize <= 64
+
+
 def test_chain_operator_allocates_before_building_entries(monkeypatch):
     # 3.6e6 sites: the dense matrix cannot exist, and no bond value is built
     calls = []
