@@ -15,10 +15,11 @@ linear in the cells and an interface cell reads exactly 0.
 Time evolution of i dPhi/dt = H Phi applies exp(-iHt) as a Chebyshev series
 in H/rho with Bessel-function coefficients (Tal-Ezer & Kosloff 1984), one
 series per snapshot interval; its truncation is below double precision, so
-the evolution is unitary to rounding.  Classic RK4 (:func:`evolve`) stays as
-the independent oracle.  Domains are sized so packets never reach the outer
-edge.  :func:`record_run` formats its snapshots in one forked writer process
-(:class:`edgelab.output.BackgroundWriter`) while it propagates.
+the evolution is unitary to rounding.  :func:`evolve` takes the state
+``steps`` sampling steps on through the same series, under the step rule
+dt * rho(H) <= 0.5 that the CLI keeps.  Domains are sized so packets never
+reach the outer edge.  :func:`record_run` formats its snapshots on one writer
+thread (:class:`edgelab.output.BackgroundWriter`) while it propagates.
 """
 
 from __future__ import annotations
@@ -254,19 +255,13 @@ def rho_bound(H) -> float:
 
 
 def evolve(state: WavepacketState, H, dt: float, steps: int) -> WavepacketState:
-    """Classic RK4 for dPhi/dt = -i H Phi; requires |dt| * rho(H) <= 0.5."""
-    if abs(dt) * rho_bound(H) > 0.5:
+    """The state ``steps`` steps of ``dt`` later, through :func:`propagate`;
+    requires |dt| * rho(H) <= 0.5, the sampling rule of :func:`record_run`."""
+    rho = rho_bound(H)
+    if abs(dt) * rho > 0.5:
         raise StepTooLarge("dt * rho(H) exceeds 0.5")
-    A = (-1j * dt) * H  # once; on this linear equation RK4 is a polynomial in A
-    y = state.amplitudes.astype(complex, copy=True)
-    for _ in range(steps):
-        z = A @ y  # y + A(y + A/2(y + A/3(y + A/4 y))), from the inside out
-        for m in (4.0, 3.0, 2.0):
-            z *= 1.0 / m
-            z += y
-            z = A @ z
-        y += z
-    return WavepacketState(domain=state.domain, amplitudes=y, time=state.time + dt * steps)
+    amplitudes = propagate(state.amplitudes, H, dt * steps, rho)
+    return WavepacketState(domain=state.domain, amplitudes=amplitudes, time=state.time + dt * steps)
 
 
 def _chebyshev_coefficients(x: float) -> np.ndarray:
@@ -345,12 +340,12 @@ def record_run(domain: Domain, state: WavepacketState, t_final: float,
     """Evolve to t_final, writing |amplitude|^2 snapshots every ``stride``
     sampling steps of ``dt`` plus a JSON manifest with the diagnostic time
     series.  Each snapshot interval is one :func:`propagate` call; ``dt``
-    keeps the RK4 step rule dt * rho(H) <= 0.5, and a run holds at most
-    10,000 snapshots.  Every snapshot but the last goes to one
-    :class:`~edgelab.output.BackgroundWriter`, forked once the rows' "x,y,"
-    prefix exists, so its text is formatted while the next interval
-    propagates; it is closed, and finishes while the last is written here,
-    then reaped."""
+    keeps the step rule dt * rho(H) <= 0.5, and a run holds at most 10,000
+    snapshots.  Every snapshot but the last goes to one
+    :class:`~edgelab.output.BackgroundWriter`, so its text is formatted on
+    the writer thread while the next interval propagates.  The last is
+    written here, its blocks shared with that thread, which is joined
+    before the manifest is written."""
     if stride < 1:
         raise ValueError("stride must be at least 1")
     if not (t_final > 0 and math.isfinite(t_final)):
@@ -373,8 +368,9 @@ def record_run(domain: Domain, state: WavepacketState, t_final: float,
     partition = make_bend_partition(domain) if domain.spec.bend is not None else None
     prefix = row_prefix(domain.positions.T)
 
-    def write_snapshot(snap_idx: int, abs2) -> None:
-        write_rows(out / f"snapshot_{snap_idx:04d}.csv", ["x", "y", "abs2"], prefix, abs2)
+    def write_snapshot(snap_idx: int, abs2, helper=None) -> None:
+        write_rows(out / f"snapshot_{snap_idx:04d}.csv", ["x", "y", "abs2"], prefix, abs2,
+                   helper)
 
     series = {"time": [], "norm": [], "energy": [], "interface_mass": []}
     if partition is not None:
@@ -395,8 +391,8 @@ def record_run(domain: Domain, state: WavepacketState, t_final: float,
         abs2 = np.hypot(st.amplitudes.real, st.amplitudes.imag)
         return np.float_power(abs2, 2.0, out=abs2)
 
-    # every snapshot but the last is written by the writer process while the
-    # next interval propagates; the last has nothing left to overlap with
+    # every snapshot but the last is written on the writer thread while the
+    # next interval propagates; the last has only its own blocks to overlap
     with BackgroundWriter(write_snapshot) as writer:
         snap = done = 0
         while done < steps_total:
@@ -406,8 +402,7 @@ def record_run(domain: Domain, state: WavepacketState, t_final: float,
             state = WavepacketState(domain=domain, amplitudes=amps, time=state.time + dt * chunk)
             done += chunk
             snap += 1
-        writer.close()  # the writer finishes its snapshots while this one is written
-        write_snapshot(snap, sample(state))
+        write_snapshot(snap, sample(state), helper=writer.executor)
 
     manifest = {
         "dt": dt,

@@ -28,7 +28,7 @@ class GapLawViolated(EdgelabError):
 
 
 class StepTooLarge(EdgelabError):
-    """RK4 step violates dt * rho(H) <= 0.5."""
+    """A sampling step violates dt * rho(H) <= 0.5."""
 
     exit_code = 4
     label = "numerical precondition violated"

@@ -13,34 +13,24 @@ final newline.
 Writing a file makes its directory, so a command that fails before it has
 results leaves none.
 
-A :class:`BackgroundWriter` runs a caller's write function on float64
-payloads in one forked child process, fed over a pipe while the caller goes
-on computing, so the formatting overlaps the caller's work.  The child
-inherits everything the function reads, so only the payloads cross the pipe.
-It runs numpy elementwise code but makes no BLAS-backed call, so OpenBLAS's
-idle threads in the parent, and any lock they held at the fork, are never
-waited on; it leaves through ``os._exit``.  A failure in it comes back to the
-caller as the same exception.  Without ``os.fork``, a second usable core
-(:func:`edgelab._platform.usable_cores`) or a process to fork, the same
-function runs in-process, so the bytes do not depend on the route.
+A :class:`BackgroundWriter` runs a caller's write function on one writer
+thread, fed payloads while the caller goes on computing.  The kernel's numpy
+loops and scipy's sparse product release the GIL while they run, so on a
+second core the formatting overlaps the caller's work, in part.
+:func:`write_rows` may share a file's blocks with that thread.
 """
 
 from __future__ import annotations
 
-import contextlib
+import contextvars
 import json
 import math
-import os
-import pickle
-import struct
+import threading
 from pathlib import Path
 
 import numpy as np
 
-from . import _platform
-
 BLOCK_ROWS = 4096  # rows formatted and written per write call
-_HEADER = struct.Struct("=qq")  # a payload's key and byte count
 
 
 def _open(path, binary: bool = False):
@@ -141,6 +131,9 @@ class _Tables:
         self.d = np.zeros((4, 4198))
 
     def fill(self, index) -> None:
+        # Two threads may fill the same entry at once: each writes the same
+        # values, computed from i alone, and sets ready[i] only after them, so
+        # a reader that finds ready[i] set reads finished entries either way.
         for i in index.tolist():
             e = i - 1074
             k0 = math.floor((e - 1) * math.log10(2))  # off by one at most: fixed
@@ -160,6 +153,7 @@ class _Tables:
 
 
 _tables: _Tables | None = None
+_TABLES_LOCK = threading.Lock()
 
 
 def _significand(a, t: _Tables):
@@ -231,9 +225,10 @@ def g17_fields(values, text, keep) -> int:
     (:func:`_significand`); a row whose rounded-off fraction is within 1e-9
     of one half (ties such as 1e15 + 0.25), and a non-finite one, takes
     Python's ``%`` instead; returns their count.  Elementwise numpy only,
-    with no BLAS call, so a forked child may run it."""
+    so two threads may run it at once."""
     global _tables
-    t = _tables = _tables or _Tables()
+    with _TABLES_LOCK:  # the caller and the writer thread may both come first
+        t = _tables = _tables or _Tables()
     x = np.asarray(values, dtype=np.float64)
     ok = (x != 0) & np.isfinite(x)  # zero, inf and NaN take other routes
     j, n, half = _significand(np.where(ok, np.abs(x), 1.0), t)
@@ -284,29 +279,48 @@ def row_prefix(columns) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     return pieces
 
 
-def write_rows(path, header, prefix, values) -> None:
+def write_rows(path, header, prefix, values, helper=None) -> None:
     """The ``header`` line, then row i: the texts of :func:`row_prefix`'s
     pieces for row i, ``"%.17g" % values[i]`` and CRLF, as csv.writer writes
     them.  Each ``BLOCK_ROWS`` block is one uint8 matrix, its value columns
-    from :func:`g17_fields`, made into bytes by one boolean-mask compression."""
+    from :func:`g17_fields`, made into bytes by one boolean-mask compression.
+    With ``helper``, an executor, every other block is formatted there, in
+    buffers of its own, while the caller formats the one before it; the
+    caller writes the blocks in order, so at most one formatted block waits."""
     values = np.asarray(values, dtype=np.float64)
     width = sum(table.shape[1] for table, _, _ in prefix)
     base = -(-width // 4) * 4  # the value's columns start on a word
-    rows = np.empty((min(len(values), BLOCK_ROWS), base + _TEXT), dtype=np.uint8)
-    keep = np.empty(rows.shape, dtype=bool)
-    keep[:, width:base] = False
+
+    def buffers(n_rows):
+        rows = np.empty((min(n_rows, BLOCK_ROWS), base + _TEXT), dtype=np.uint8)
+        keep = np.empty(rows.shape, dtype=bool)
+        keep[:, width:base] = False
+        return rows, keep
+
+    def block(lo, rows, keep):
+        m = min(len(values) - lo, BLOCK_ROWS)
+        at = 0
+        for table, lead, index in prefix:
+            w = table.shape[1]
+            rows[:m, at:at + w] = table.take(index[lo:lo + m], axis=0)
+            keep[:m, at:at + w] = lead.take(index[lo:lo + m], axis=0)
+            at += w
+        g17_fields(values[lo:lo + m], rows[:m, base:], keep[:m, base:])
+        return rows[:m][keep[:m]]
+
+    shared = helper is not None and len(values) > BLOCK_ROWS
+    mine = buffers(len(values))
+    theirs = buffers(len(values) - BLOCK_ROWS) if shared else None
     with _open(path, binary=True) as fh:
         fh.write((",".join(header) + "\r\n").encode("ascii"))
-        for lo in range(0, len(values), BLOCK_ROWS):
-            m = min(len(values) - lo, BLOCK_ROWS)
-            at = 0
-            for table, lead, index in prefix:
-                w = table.shape[1]
-                rows[:m, at:at + w] = table.take(index[lo:lo + m], axis=0)
-                keep[:m, at:at + w] = lead.take(index[lo:lo + m], axis=0)
-                at += w
-            g17_fields(values[lo:lo + m], rows[:m, base:], keep[:m, base:])
-            fh.write(rows[:m][keep[:m]])
+        for lo in range(0, len(values), 2 * BLOCK_ROWS if shared else BLOCK_ROWS):
+            later = None
+            if shared and lo + BLOCK_ROWS < len(values):
+                later = helper.submit(contextvars.copy_context().run, block,
+                                      lo + BLOCK_ROWS, *theirs)
+            fh.write(block(lo, *mine))
+            if later is not None:
+                fh.write(later.result())
 
 
 def write_json(path, payload: dict) -> None:
@@ -315,97 +329,34 @@ def write_json(path, payload: dict) -> None:
         fh.write(text)
 
 
-def _write_all(fd: int, data) -> None:
-    view = memoryview(data).cast("B")
-    while view:
-        view = view[os.write(fd, view):]
-
-
 class BackgroundWriter:
-    """Runs ``write(key, doubles)`` for each :meth:`send`, in order, in one
-    forked child while the caller goes on, or in-process without ``os.fork``,
-    a second usable core or a successful fork; the child gets ``doubles`` as
-    a memoryview of the same float64 values.  ``write`` may run numpy
-    elementwise code but no BLAS-backed call (no matrix product, ``dot`` or
-    ``linalg``): the child is forked from a process whose OpenBLAS threads
-    may hold a lock.  A send blocks while the pipe is full, so about one
-    payload is in flight.  :meth:`close` ends the stream
-    without waiting.  Leaving the ``with`` block waits for the child and
-    raises what stopped it, in place of any later exception, since an
-    in-process write would have failed first."""
+    """Runs ``write(key, doubles)`` for each :meth:`send`, in order, on one
+    writer thread while the caller goes on.  Each call runs in a copy of the
+    caller's context, so the caller's ``np.errstate`` holds there.  A send
+    first waits for the payload before it, so one payload waits while one is
+    written; the caller must leave a sent array unchanged.  ``executor`` is
+    the thread's, for work the caller shares with it (:func:`write_rows`'
+    ``helper``).  The first failure comes back as the same exception at the
+    next send and on leaving the ``with`` block, in place of any later
+    exception.  Leaving the block joins the thread on every path."""
 
     def __init__(self, write):
-        self.write, self.pid, self._data_w = write, None, None
-        if hasattr(os, "fork") and _platform.usable_cores() >= 2:
-            data_r, data_w = os.pipe()
-            self._status_r, status_w = os.pipe()
-            try:
-                self.pid = os.fork()
-            except OSError:  # out of processes, say: write in-process
-                for fd in (data_r, data_w, self._status_r, status_w):
-                    os.close(fd)
-                return
-            self._data_w = data_w
-            if self.pid == 0:
-                self._serve(data_r, status_w)
-            os.close(data_r)
-            os.close(status_w)
+        from concurrent.futures import ThreadPoolExecutor  # 6-8 ms, so not at import
 
-    def _serve(self, data_r: int, status_w: int):
-        """The child: write every payload until the pipe closes, send back
-        the exception that stops it, and exit without returning."""
-        code = 1
-        try:
-            os.close(self._data_w)  # or the pipe never reads as closed
-            os.close(self._status_r)
-            with os.fdopen(data_r, "rb") as fh:
-                while len(head := fh.read(_HEADER.size)) == _HEADER.size:
-                    key, size = _HEADER.unpack(head)
-                    if len(payload := fh.read(size)) < size:
-                        break  # the caller stopped in the middle of a send
-                    self.write(key, memoryview(payload).cast("d"))
-            code = 0
-        except BaseException as exc:  # interrupts too: the child never returns
-            with contextlib.suppress(BaseException):
-                _write_all(status_w, pickle.dumps(exc))
-        finally:
-            os._exit(code)
+        self.write, self._last = write, None
+        self.executor = ThreadPoolExecutor(1, thread_name_prefix="edgelab-writer")
 
     def send(self, key: int, doubles) -> None:
-        """Have ``write(key, doubles)`` run; ``doubles`` is a C-contiguous
-        float64 array."""
-        if self.pid is None:
-            return self.write(key, doubles)
-        try:
-            _write_all(self._data_w, _HEADER.pack(key, doubles.nbytes))
-            _write_all(self._data_w, doubles)
-        except BrokenPipeError:  # the child has stopped
-            self._reap()
-            raise
-
-    def close(self) -> None:
-        """End the stream: the child writes what it was sent and exits while
-        the caller goes on.  Sends end here; closing again does nothing."""
-        if self._data_w is not None:
-            os.close(self._data_w)
-            self._data_w = None
-
-    def _reap(self) -> None:
-        """Close the pipe, wait for the child and raise what stopped it."""
-        pid, self.pid = self.pid, None
-        self.close()
-        with os.fdopen(self._status_r, "rb") as fh:
-            report = fh.read()
-        status = os.waitpid(pid, 0)[1]
-        if report:
-            raise pickle.loads(report)
-        if status:
-            raise ChildProcessError(
-                f"writer process ended with status {os.waitstatus_to_exitcode(status)}")
+        """Have ``write(key, doubles)`` run once the payload before it is written."""
+        if self._last is not None:
+            self._last.result()
+        self._last = self.executor.submit(contextvars.copy_context().run, self.write, key, doubles)
 
     def __enter__(self):
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        if self.pid is not None:
-            self._reap()
+        self.executor.shutdown()  # runs what it holds, then joins the thread
+        failure = None if self._last is None else self._last.exception()
+        if failure is not None and failure is not exc:
+            raise failure

@@ -29,6 +29,12 @@ _COMMANDS = {
     # 10,560 sites through a bend, two snapshots
     "evolve": ["evolve", "--kind", "type2", "--extent-m", "40", "--extent-n", "44",
                "--bend-m", "4", "--t-final", "0.01"],
+    # the benchmark's bend_evolve geometry: 7,200 sites, so every snapshot is
+    # two blocks, and six of its seven snapshots go through the writer
+    "evolve stride 4": ["evolve", "--kind", "type2", "--extent-m", "30", "--extent-n", "40",
+                        "--origin-m", "-18", "--origin-n", "-10", "--bend-m", "2",
+                        "--center-m", "-7", "--width", "4", "--t-final", "0.01",
+                        "--stride", "4"],
     # a spectrum_sweep op of the benchmark, at one drawn type-II profile
     "spectrum_sweep": ["spectrum", "--kind", "type2", "--delta-plus", "31.25",
                        "--delta-minus", "-28.5", "--c", "47.75", "--n-cells", "48",
@@ -60,6 +66,16 @@ _DIGESTS = {
             "manifest.json": "2146fb429b5aeb8695262337d94b9b9741b8c65f4cc9538400c1d06f7584ba54",
             "snapshot_0000.csv": "55aa75d76475ee96ed5eeae53f7991600427d742d4c4957a77a316b36a3301a2",
             "snapshot_0001.csv": "849205c7b771888e168440e1f4df1c1ff6c0b614e62361a33ef4e27bd193ec52",
+        },
+        "evolve stride 4": {
+            "manifest.json": "8a91e7275103baf88c4e0645b6eaf347cb5259487dfcfb610dd2399d930425bd",
+            "snapshot_0000.csv": "4e4c615235175b5c35043ee1001836996a5da1bdcb1ee89552d19f9653dd56b5",
+            "snapshot_0001.csv": "a0b0e9dfda0d10b46785bd741a14c7b9925c62a0be12c354fd30903deb3ef085",
+            "snapshot_0002.csv": "495f9ffa9b55e8d35d0ac7170cd06147b8895838db084f477d058e52805cfd20",
+            "snapshot_0003.csv": "2919a249f67994978e0c9d06f357c9bed449d0c0adb0edfd646a9aa7139ad86e",
+            "snapshot_0004.csv": "8c1a586c60e3966b9890eec5e08edaf7b58c6aa984d7d458b48b57b5b37f23b4",
+            "snapshot_0005.csv": "fe76650b9d17c7a950e4c15f95011a7bcee91dab41f552ec20d9660cad6876e3",
+            "snapshot_0006.csv": "93d8c68109f8c3f5b359553673219bcc922602dbaca198c27d5efbb60092a2cd",
         },
         "spectrum_sweep": {
             "spectrum.csv": "1be8dde7ff176559198ba8b241f156eeedfd946c25b737d878e61d4d210569e1",

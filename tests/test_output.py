@@ -1,11 +1,10 @@
-import ast
 import csv
-import errno
 import json
 import math
 import os
 import subprocess
 import sys
+import threading
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -16,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import edgelab
-from edgelab import _platform, output
+from edgelab import output
 from edgelab._platform import usable_cores
 from edgelab.output import (
     BLOCK_ROWS,
@@ -231,41 +230,15 @@ def test_write_json_refuses_non_finite_numbers(tmp_path, value):
 
 def test_only_the_output_module_writes_files():
     # the format of every file, and where its directory comes from, is
-    # decided in edgelab.output alone
+    # decided in edgelab.output alone; no module forks a writer
     modules = sorted(SRC.glob("*.py"))
     assert len(modules) >= 10 and SRC / "output.py" in modules
     output = (SRC / "output.py").read_text()
     assert "json.dumps(" in output and ".mkdir(" in output and "open(" in output
-    assert "os.fork(" in output and "fdopen(" in output
-    found = [(path.name, needle) for path in modules if path.name != "output.py"
+    found = [(path.name, needle) for path in modules
              for needle in ("import csv", "json.dump", ".mkdir(", "open(", "os.fork(", "fdopen(")
-             if needle in path.read_text()]
+             if needle in path.read_text() and (path.name != "output.py" or "fork" in needle)]
     assert found == []
-
-
-_BLAS_NAMES = {"dot", "matmul", "linalg", "einsum", "tensordot", "inner", "vdot"}
-
-
-def _blas_uses(source):
-    """The matrix products and BLAS-backed numpy names a module uses."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
-            found.append("@")
-        if isinstance(node, ast.alias):
-            found += [part for part in node.name.split(".") if part in _BLAS_NAMES]
-        elif (name := getattr(node, "id", getattr(node, "attr", None))) in _BLAS_NAMES:
-            found.append(name)
-    return sorted(found)
-
-
-def test_the_output_module_makes_no_blas_call():
-    # the forked writer runs numpy elementwise code, which takes no lock that
-    # OpenBLAS's threads in the parent could hold at the fork; a BLAS call
-    # could wait on one forever
-    assert _blas_uses("import numpy.linalg\na @ b\nc @= d\nnp.dot(a, b)\nfrom x import vdot") == [
-        "@", "@", "dot", "linalg", "vdot"]
-    assert _blas_uses((SRC / "output.py").read_text()) == []
 
 
 def test_usable_cores_falls_back_to_the_cpu_count(monkeypatch):
@@ -277,133 +250,144 @@ def test_usable_cores_falls_back_to_the_cpu_count(monkeypatch):
     assert usable_cores() == 1
 
 
-def _forks():
-    if not hasattr(os, "fork") or usable_cores() < 2:
-        pytest.skip("the writer forks only with os.fork and two usable cores")
+def _writer_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("edgelab-writer")]
 
 
-def _no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def _recording(where):
-    """A write function that records each payload's values and the writing pid."""
+def _recording(written):
+    """A write function that records each payload's key, values and thread."""
     def write(key, doubles):
-        with open(where / f"{key}.txt", "w") as fh:
-            fh.write(f"{os.getpid()} {doubles.tolist()!r}")
+        written.append((key, doubles.tolist(), threading.get_ident()))
     return write
 
 
-# the last payload is larger than a pipe's buffer, so its send blocks
 _PAYLOADS = [np.arange(n) / 3.0 for n in (0, 1, 5, 100_000)]
 
 
-def test_background_writer_writes_every_payload_in_one_child(tmp_path):
-    _forks()
-    with BackgroundWriter(_recording(tmp_path)) as writer:
+def test_background_writer_writes_every_payload_in_one_thread():
+    written = []
+    with BackgroundWriter(_recording(written)) as writer:
         for key, doubles in enumerate(_PAYLOADS):
             writer.send(key, doubles)
-    _no_child_left()
-    pids = set()
-    for key, doubles in enumerate(_PAYLOADS):
-        pid, values = (tmp_path / f"{key}.txt").read_text().split(" ", 1)
-        assert values == repr(doubles.tolist())
-        pids.add(int(pid))
-    assert len(pids) == 1 and os.getpid() not in pids
+    assert [(key, values) for key, values, _ in written] == [
+        (key, doubles.tolist()) for key, doubles in enumerate(_PAYLOADS)]
+    threads = {thread for _, _, thread in written}
+    assert len(threads) == 1 and threading.get_ident() not in threads
+    assert _writer_threads() == []
 
 
-def test_background_writer_runs_in_process_on_one_core(tmp_path, monkeypatch):
-    def no_fork():
-        raise AssertionError("os.fork called with one usable core")
-
-    monkeypatch.setattr(_platform, "usable_cores", lambda: 1)
-    monkeypatch.setattr(os, "fork", no_fork)
-    with BackgroundWriter(_recording(tmp_path)) as writer:
-        for key, doubles in enumerate(_PAYLOADS):
-            writer.send(key, doubles)
-            assert (tmp_path / f"{key}.txt").read_text() == f"{os.getpid()} {doubles.tolist()!r}"
-
-
-def test_background_writer_raises_the_childs_failure(tmp_path):
-    _forks()
+def test_background_writer_raises_the_writers_failure():
+    failure, written = OSError(28, "No space left on device"), []
 
     def write(key, doubles):
         if key == 1:
-            open(tmp_path, "w")  # a directory
-        _recording(tmp_path)(key, doubles)
+            raise failure
+        written.append(key)
 
-    with pytest.raises(IsADirectoryError) as info:
+    # at the next send, and again on leaving the block
+    with pytest.raises(OSError) as info:
         with BackgroundWriter(write) as writer:
-            for key in range(50):  # 4 MB, more than the pipe holds
-                writer.send(key, np.zeros(10_000))
-    assert info.value.filename == str(tmp_path)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["0.txt"]  # it stops at the failure
-    _no_child_left()
-
-
-def test_background_writer_close_ends_the_stream_without_waiting(tmp_path, monkeypatch):
-    _forks()
-    if not hasattr(os, "waitid"):
-        pytest.skip("needs os.waitid to see the child exit before it is reaped")
-    with BackgroundWriter(_recording(tmp_path)) as writer:
-        for key, doubles in enumerate(_PAYLOADS):
-            writer.send(key, doubles)
-        writer.close()
-        writer.close()  # closing twice does nothing
-        # the child writes every payload and exits while this process waits
-        expected = {f"{key}.txt": f"{writer.pid} {doubles.tolist()!r}"
-                    for key, doubles in enumerate(_PAYLOADS)}
-        deadline = time.monotonic() + 60
-        while (exited := os.waitid(os.P_PID, writer.pid,
-                                   os.WEXITED | os.WNOHANG | os.WNOWAIT)) is None:
-            assert time.monotonic() < deadline, "the child did not exit after close()"
-            time.sleep(0.01)
-        assert (exited.si_code, exited.si_status) == (os.CLD_EXITED, 0)
-        assert {path.name: path.read_text() for path in tmp_path.iterdir()} == expected
-    _no_child_left()
+            writer.send(0, np.zeros(3))
+            writer.send(1, np.zeros(3))
+            with pytest.raises(OSError) as at_send:
+                writer.send(2, np.zeros(3))
+            assert at_send.value is failure
+    assert info.value is failure and written == [0]  # it stops at the failure
 
     # a failure in the last payload sent comes out of the with block
-    def failing_last(key, doubles):
-        if key == len(_PAYLOADS) - 1:
-            raise ValueError(f"payload {key} of {len(doubles)}")
-
-    closed = []
-    with pytest.raises(ValueError, match=f"payload 3 of {len(_PAYLOADS[-1])}"):
-        with BackgroundWriter(failing_last) as writer:
-            for key, doubles in enumerate(_PAYLOADS):
-                writer.send(key, doubles)
-            writer.close()
-            closed.append(writer.pid)
-    assert closed[0] is not None  # close() returned, and leaving the block raised
-    _no_child_left()
-
-    # in-process, on one core and after a failed fork, close() closes nothing
-    def failed_fork():
-        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-
-    monkeypatch.setattr(os, "fork", failed_fork)
-    for cores in (1, 2):
-        monkeypatch.setattr(_platform, "usable_cores", lambda: cores)
-        (tmp_path / str(cores)).mkdir()
-        fds = len(os.listdir("/dev/fd"))
-        with BackgroundWriter(_recording(tmp_path / str(cores))) as writer:
-            writer.send(0, _PAYLOADS[1])
-            writer.close()
-            writer.close()
-            assert writer.pid is None
-        assert len(os.listdir("/dev/fd")) == fds  # no pipe end left open
-        assert (tmp_path / str(cores) / "0.txt").read_text() == f"{os.getpid()} [0.0]"
+    with pytest.raises(OSError) as info:
+        with BackgroundWriter(write) as writer:
+            writer.send(1, np.zeros(3))
+    assert info.value is failure
+    assert _writer_threads() == []
 
 
-def test_background_writer_failure_replaces_a_later_exception(tmp_path):
-    _forks()
+def test_background_writer_failure_replaces_a_later_exception():
+    failure = ValueError("the writer's")
 
     def write(key, doubles):
-        os._exit(3)  # a writer that dies without a report
+        raise failure
 
-    with pytest.raises(ChildProcessError, match="status 3"):
+    with pytest.raises(ValueError) as info:
         with BackgroundWriter(write) as writer:
             writer.send(0, np.zeros(3))
             raise KeyError("later")
-    _no_child_left()
+    assert info.value is failure and isinstance(info.value.__context__, KeyError)
+    assert _writer_threads() == []
+
+
+def test_background_writer_holds_the_callers_errstate():
+    def write(key, doubles):
+        np.multiply(doubles, 1e308)
+
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError, match="overflow"):
+            with BackgroundWriter(write) as writer:
+                writer.send(0, np.full(3, 10.0))
+    with np.errstate(over="ignore"):
+        with BackgroundWriter(write) as writer:
+            writer.send(0, np.full(3, 10.0))
+
+
+def test_background_writer_leaves_no_thread_alive():
+    for raising in (False, True):
+        started = threading.Event()
+
+        def write(key, doubles):
+            started.set()
+            time.sleep(0.05)  # still writing when the caller leaves the block
+
+        try:
+            with BackgroundWriter(write) as writer:
+                writer.send(0, np.zeros(3))
+                assert started.wait(timeout=60)
+                assert len(_writer_threads()) == 1
+                if raising:
+                    raise KeyError("caller")
+        except KeyError:
+            assert raising
+        assert _writer_threads() == []
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 5])
+def test_write_rows_with_a_helper_writes_the_same_bytes(tmp_path, n_rows):
+    from concurrent.futures import ThreadPoolExecutor
+
+    rng = np.random.default_rng(n_rows)
+    prefix = row_prefix([np.round(rng.normal(size=n_rows), 2), rng.normal(size=n_rows)])
+    values = rng.random(n_rows) ** 6
+    values[::7] = [_VALUES[i % len(_VALUES)] for i in range(len(values[::7]))]
+    write_rows(tmp_path / "alone.csv", ["x", "y", "v"], prefix, values)
+    with ThreadPoolExecutor(1) as helper:
+        write_rows(tmp_path / "shared.csv", ["x", "y", "v"], prefix, values, helper=helper)
+    assert (tmp_path / "shared.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
+
+
+def test_g17_fields_fills_fresh_tables_from_threads_at_once(monkeypatch):
+    # more threads than cores, switching often, all finding no tables and
+    # the same unfilled exponents: each gets the % text, and one table set
+    monkeypatch.setattr(output, "_tables", None)
+    rng = np.random.default_rng(41)
+    values = rng.integers(0, 2**64, 20_000, dtype=np.uint64).view(np.float64)
+    n = max(4, usable_cores() + 2)
+    barrier, texts, tables = threading.Barrier(n, timeout=60), [None] * n, [None] * n
+
+    def run(i):
+        barrier.wait()
+        texts[i] = _kernel_texts(values)[0]
+        tables[i] = output._tables
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(n)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    expected = ["%.17g" % x for x in values.tolist()]
+    assert texts == [expected] * n
+    assert all(t is output._tables for t in tables)
