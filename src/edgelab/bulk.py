@@ -14,7 +14,7 @@ import numpy as np
 from .errors import GapLawViolated, NotConical
 from .hamiltonian import check_material
 from .lattice import BASIS, InterfaceKind, frame_bonds, frame_vectors
-from .output import BLOCK_ROWS, write_csv
+from .output import BLOCK_ROWS, text_table, write_rows
 
 __all__ = [
     "dual_basis",
@@ -148,10 +148,12 @@ def band_inversion(b: float, eps: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def write_bands_csv(bands: np.ndarray, path) -> None:
-    """Columns: path_parameter, band_index, energy."""
-    def block(lo, hi):
-        i, j = np.divmod(np.arange(lo, hi), bands.shape[1])
-        return "%d,%d,%.17g\r\n" * (hi - lo), [i.tolist(), j.tolist(),
-                                                bands.ravel()[lo:hi].tolist()]
-
-    write_csv(path, ["path_parameter", "band_index", "energy"], bands.size, block)
+    """Columns: path_parameter, band_index, energy.  The path parameter is an
+    integer formatted per row as a value (``%.17g`` of an integer is its
+    ``%d``), so the write holds nothing per path point."""
+    n = bands.shape[1]
+    band_text, _ = text_table(np.arange(n))  # row j holds j
+    write_rows(path, ["path_parameter", "band_index", "energy"], bands.size, [
+        (None, lambda lo, hi: np.arange(lo, hi) // n),
+        (band_text, lambda lo, hi: np.arange(lo, hi) % n),
+        (None, bands.ravel())])

@@ -44,7 +44,7 @@ from .lattice import (
     frame_vectors,
     material_sign,
 )
-from .output import BackgroundWriter, row_prefix, write_json, write_rows
+from .output import BackgroundWriter, text_table, write_json, write_rows
 from .spectrum import perturbation_m0
 from .transfer import zero_modes
 
@@ -366,11 +366,11 @@ def record_run(domain: Domain, state: WavepacketState, t_final: float,
     steps_total = math.ceil(t_final / dt)
     out = Path(out_dir)
     partition = make_bend_partition(domain) if domain.spec.bend is not None else None
-    prefix = row_prefix(domain.positions.T)
+    x, y = (text_table(col) for col in domain.positions.T)
 
     def write_snapshot(snap_idx: int, abs2, helper=None) -> None:
-        write_rows(out / f"snapshot_{snap_idx:04d}.csv", ["x", "y", "abs2"], prefix, abs2,
-                   helper)
+        write_rows(out / f"snapshot_{snap_idx:04d}.csv", ["x", "y", "abs2"], len(abs2),
+                   [x, y, (None, abs2)], helper)
 
     series = {"time": [], "norm": [], "energy": [], "interface_mass": []}
     if partition is not None:

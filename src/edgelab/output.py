@@ -1,13 +1,12 @@
 """The one writer of every output file.
 
-CSV is csv.writer's dialect (commas, CRLF, no field needs quoting), written
-``BLOCK_ROWS`` rows at a time so the memory held stays bounded.
-:func:`write_csv` takes one ``%`` format per block and its columns from the
-caller; :func:`g17_texts` gives the ``%.17g`` text of many values, formatting
-each distinct magnitude once, for callers that build a block's text from it.
-:func:`write_rows` writes rows of a fixed text prefix (:func:`row_prefix`)
-and one ``%.17g`` value through :func:`g17_fields`, an exact vectorized
-``%.17g`` that builds a block's bytes in one uint8 matrix.
+CSV is csv.writer's dialect (commas, CRLF, no field needs quoting), every
+field the ``%.17g`` text of a number (an integer's is its ``%d``), and
+:func:`write_rows` writes every CSV ``BLOCK_ROWS`` rows at a time, so the
+memory held stays bounded.  Each block is one uint8 matrix: a column is
+either a :func:`text_table`, each distinct value's text formatted once with
+its separator, or values formatted per row by :func:`g17_fields`, an exact
+vectorized ``%.17g``.
 JSON is strict (no NaN or infinity), indented by 2, with sorted keys and a
 final newline.
 Writing a file makes its directory, so a command that fails before it has
@@ -33,36 +32,9 @@ import numpy as np
 BLOCK_ROWS = 4096  # rows formatted and written per write call
 
 
-def _open(path, binary: bool = False):
+def _open(path):
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    return open(path, "wb") if binary else open(path, "w", newline="")
-
-
-def write_csv(path, header, n_rows: int, block) -> None:
-    """The ``header`` line, then ``n_rows`` rows; ``block(lo, hi)`` returns
-    the ``%`` format of rows lo..hi-1, line ends included, and their fields
-    as one sequence per column."""
-    with _open(path) as fh:
-        fh.write(",".join(header) + "\r\n")
-        for lo in range(0, n_rows, BLOCK_ROWS):
-            fmt, columns = block(lo, min(lo + BLOCK_ROWS, n_rows))
-            fields = [None] * sum(map(len, columns))  # row-major
-            for c, column in enumerate(columns):
-                fields[c::len(columns)] = column
-            fh.write(fmt % tuple(fields))
-
-
-def g17_texts(values) -> np.ndarray:
-    """``"%.17g" % x`` for each x of a float64 array, as an object array of
-    its shape.  Each distinct magnitude is formatted once: a negative x is
-    "-" and its magnitude's text, as ``%`` writes -0.0, -inf and every finite
-    x, but a NaN is "nan" whatever its sign bit."""
-    values = np.asarray(values, dtype=np.float64)
-    bits, inverse = np.unique(np.abs(values).view(np.int64), return_inverse=True)
-    text = ["%.17g" % m for m in bits.view(np.float64).tolist()]
-    table = np.array(text + ["-" + t for t in text], dtype=object)
-    negative = np.signbit(values) & ~np.isnan(values)
-    return table[inverse.reshape(values.shape) + len(text) * negative]
+    return open(path, "wb")
 
 
 # One value's text in the kernel's row layout: each piece has fixed columns
@@ -257,65 +229,75 @@ def g17_fields(values, text, keep) -> int:
     return len(fallback)
 
 
-def row_prefix(columns) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The fixed part of the rows :func:`write_rows` writes, one piece per
-    column: the text ``"%.17g," % v`` of each distinct value v as a uint8
-    table, each text at its left edge, with its keep mask, and the table row
-    of every value (int32).  Each distinct value goes through
-    :func:`g17_fields` once, and a run holds 4 bytes a value beside them."""
-    pieces = []
-    for col in columns:
-        bits, inverse = np.unique(np.asarray(col, dtype=np.float64).view(np.int64),
-                                  return_inverse=True)
-        text = np.empty((len(bits), _TEXT), dtype=np.uint8)
-        keep = np.empty(text.shape, dtype=bool)
-        g17_fields(bits.view(np.float64), text, keep)
+def text_table(values, last: bool = False):
+    """A text table of a column: the text ``"%.17g," % v`` of each distinct
+    value v (CRLF in place of the comma when ``last``) at the left edge of a
+    uint8 table row, with its keep mask, and the table row of every value
+    (int32): together, a :func:`write_rows` column.  Each distinct value goes
+    through :func:`g17_fields` once."""
+    bits, inverse = np.unique(np.asarray(values, dtype=np.float64).view(np.int64),
+                              return_inverse=True)
+    text = np.empty((len(bits), _TEXT), dtype=np.uint8)
+    keep = np.empty(text.shape, dtype=bool)
+    g17_fields(bits.view(np.float64), text, keep)
+    if not last:
         text[:, 52], keep[:, 53] = ord(","), False  # a comma for the CRLF
-        size = keep.sum(axis=1)
-        lead = np.arange(size.max(initial=0)) < size[:, None]
-        table = np.zeros(lead.shape, dtype=np.uint8)
-        table[lead] = text[keep]
-        pieces.append((table, lead, inverse.astype(np.int32)))
-    return pieces
+    size = keep.sum(axis=1)
+    lead = np.arange(size.max(initial=0)) < size[:, None]
+    table = np.zeros(lead.shape, dtype=np.uint8)
+    table[lead] = text[keep]
+    return (table, lead), inverse.astype(np.int32)
 
 
-def write_rows(path, header, prefix, values, helper=None) -> None:
-    """The ``header`` line, then row i: the texts of :func:`row_prefix`'s
-    pieces for row i, ``"%.17g" % values[i]`` and CRLF, as csv.writer writes
-    them.  Each ``BLOCK_ROWS`` block is one uint8 matrix, its value columns
-    from :func:`g17_fields`, made into bytes by one boolean-mask compression.
-    With ``helper``, an executor, every other block is formatted there, in
-    buffers of its own, while the caller formats the one before it; the
-    caller writes the blocks in order, so at most one formatted block waits."""
-    values = np.asarray(values, dtype=np.float64)
-    width = sum(table.shape[1] for table, _, _ in prefix)
-    base = -(-width // 4) * 4  # the value's columns start on a word
+def write_rows(path, header, n_rows: int, columns, helper=None) -> None:
+    """The ``header`` line, then ``n_rows`` rows as csv.writer writes them,
+    one field per column, each the ``%.17g`` text of its value.  A column is
+    a pair (table, entries): with a :func:`text_table` ``table`` its entries
+    are table rows, and with None they are float64 values, formatted per row
+    by :func:`g17_fields`.  ``entries`` holds every row's, or is a function
+    of (lo, hi) that makes those of rows lo..hi-1.  Each ``BLOCK_ROWS``
+    block is one uint8 matrix made into bytes by one boolean-mask
+    compression.  With ``helper``, an executor, every other block is
+    formatted there, in buffers of its own, while the caller formats the one
+    before it; the caller writes the blocks in order, so at most one
+    formatted block waits."""
+    spans, at = [], 0  # each column's first byte and width in a row
+    for table, _ in columns:
+        if table is None:
+            at = -(-at // 4) * 4  # a value's text starts on a word
+        spans.append((at, _TEXT if table is None else table[0].shape[1]))
+        at += spans[-1][1]
+    padding = np.ones(-(-at // 4) * 4, dtype=bool)  # rows start on a word too
+    for at, width in spans:
+        padding[at:at + width] = False
 
-    def buffers(n_rows):
-        rows = np.empty((min(n_rows, BLOCK_ROWS), base + _TEXT), dtype=np.uint8)
+    def buffers(n):
+        rows = np.empty((min(n, BLOCK_ROWS), len(padding)), dtype=np.uint8)
         keep = np.empty(rows.shape, dtype=bool)
-        keep[:, width:base] = False
+        keep[:, padding] = False
         return rows, keep
 
     def block(lo, rows, keep):
-        m = min(len(values) - lo, BLOCK_ROWS)
-        at = 0
-        for table, lead, index in prefix:
-            w = table.shape[1]
-            rows[:m, at:at + w] = table.take(index[lo:lo + m], axis=0)
-            keep[:m, at:at + w] = lead.take(index[lo:lo + m], axis=0)
-            at += w
-        g17_fields(values[lo:lo + m], rows[:m, base:], keep[:m, base:])
+        m = min(n_rows - lo, BLOCK_ROWS)
+        for c, ((table, entries), (at, width)) in enumerate(zip(columns, spans)):
+            part = entries(lo, lo + m) if callable(entries) else entries[lo:lo + m]
+            if table is None:
+                g17_fields(part, rows[:m, at:at + width], keep[:m, at:at + width])
+                if c < len(columns) - 1:  # a comma for the CRLF
+                    rows[:m, at + 52], keep[:m, at + 53] = ord(","), False
+            else:
+                rows[:m, at:at + width] = table[0].take(part, axis=0)
+                keep[:m, at:at + width] = table[1].take(part, axis=0)
         return rows[:m][keep[:m]]
 
-    shared = helper is not None and len(values) > BLOCK_ROWS
-    mine = buffers(len(values))
-    theirs = buffers(len(values) - BLOCK_ROWS) if shared else None
-    with _open(path, binary=True) as fh:
+    shared = helper is not None and n_rows > BLOCK_ROWS
+    mine = buffers(n_rows)
+    theirs = buffers(n_rows - BLOCK_ROWS) if shared else None
+    with _open(path) as fh:
         fh.write((",".join(header) + "\r\n").encode("ascii"))
-        for lo in range(0, len(values), 2 * BLOCK_ROWS if shared else BLOCK_ROWS):
+        for lo in range(0, n_rows, 2 * BLOCK_ROWS if shared else BLOCK_ROWS):
             later = None
-            if shared and lo + BLOCK_ROWS < len(values):
+            if shared and lo + BLOCK_ROWS < n_rows:
                 later = helper.submit(contextvars.copy_context().run, block,
                                       lo + BLOCK_ROWS, *theirs)
             fh.write(block(lo, *mine))
@@ -326,7 +308,7 @@ def write_rows(path, header, prefix, values, helper=None) -> None:
 def write_json(path, payload: dict) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     with _open(path) as fh:
-        fh.write(text)
+        fh.write(text.encode("ascii"))  # json.dumps escapes every non-ASCII character
 
 
 class BackgroundWriter:

@@ -36,7 +36,7 @@ from . import _platform
 from .errors import NoMidGapState
 from .hamiltonian import HoppingProfile, _cell_blocks, _place_blocks, chain_apply_first_order
 from .lattice import InterfaceKind
-from .output import g17_texts, write_csv
+from .output import text_table, write_rows
 from .transfer import ZeroMode, zero_modes
 
 __all__ = [
@@ -314,35 +314,14 @@ def perturbation_matrix(kind: InterfaceKind, profile: HoppingProfile,
 
 
 def write_spectrum_csv(table: SpectrumTable, path) -> None:
-    """Columns: k, eig_index, energy, localization, kept.  k-rows whose
-    energies, localizations and verdicts are equal bit for bit (those of k
-    and -k) share the text of their lines, in which each distinct magnitude
-    is formatted once; a k-row writes only its k into it."""
+    """Columns: k, eig_index, energy, localization, kept."""
     n_eig = table.eigenvalues.shape[1]
-    # k-rows with the same bytes share one text of their lines: a `%` format
-    # that takes k at the start of each line, and where each line starts
-    text_of, rows = {}, []
-    for row in zip(table.eigenvalues, table.localization, table.kept):
-        key = b"".join(map(bytes, row))
-        if key not in text_of:
-            E, L, kept = row
-            fields = [None] * (4 * n_eig)
-            fields[0::4], fields[1::4], fields[2::4], fields[3::4] = (
-                range(n_eig), g17_texts(E).tolist(), g17_texts(L).tolist(), kept.tolist())
-            text = "%%s,%d,%s,%s,%d\r\n" * n_eig % tuple(fields)
-            ends = np.flatnonzero(np.frombuffer(text.encode("ascii"), np.uint8) == ord("\n")) + 1
-            text_of[key] = text, np.r_[0, ends]
-        rows.append(text_of[key])
-    k_text = g17_texts(table.k_grid).tolist()
-
-    def block(lo, hi):
-        fmt, ks = [], []
-        for row in range(lo // n_eig, (hi - 1) // n_eig + 1):
-            a, b = max(lo - row * n_eig, 0), min(hi - row * n_eig, n_eig)
-            text, starts = rows[row]
-            fmt.append(text[starts[a]:starts[b]])
-            ks += [k_text[row]] * (b - a)
-        return "".join(fmt), [ks]
-
-    write_csv(path, ["k", "eig_index", "energy", "localization", "kept"], table.eigenvalues.size,
-              block)
+    k_text, k_row = text_table(table.k_grid)
+    eig_text, _ = text_table(np.arange(n_eig))  # row j holds j
+    kept_text, _ = text_table([0, 1], last=True)  # a verdict is its own row
+    write_rows(path, ["k", "eig_index", "energy", "localization", "kept"], table.eigenvalues.size, [
+        (k_text, lambda lo, hi: k_row.take(np.arange(lo, hi) // n_eig)),
+        (eig_text, lambda lo, hi: np.arange(lo, hi) % n_eig),
+        (None, table.eigenvalues.ravel()),
+        (None, table.localization.ravel()),
+        (kept_text, table.kept.ravel())])

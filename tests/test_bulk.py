@@ -94,6 +94,19 @@ def test_bands_transient_memory_is_bounded_by_the_block():
     assert peak - bands.nbytes < 8 * 2**20
 
 
+def test_bands_csv_memory_is_bounded_by_the_block(tmp_path):
+    bands = bulk_bands(5.0, 2.0, default_k_path(200_000))
+    tracemalloc.start()
+    try:
+        write_bands_csv(bands, tmp_path / "bands.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # 1.2M rows: one block's buffers take under 1 MB, while an int64 index
+    # or path parameter for every row would take 9.6 MB
+    assert bands.size == 1_199_994 and peak < 4 * 2**20
+
+
 def test_gamma_point_spectrum():
     assert np.allclose(gamma_eigs(5.0, 2.0), [-17, -2, -2, 2, 2, 17], atol=1e-10)
     # the extremal pair is analytic in eps, so eps < 0 lowers it to 3b + eps

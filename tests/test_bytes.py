@@ -26,6 +26,8 @@ _COMMANDS = {
                 "--delta-minus", "-30"],
     "exist": ["exist", "--kind", "type2", "--delta-plus", "30", "--delta-minus", "30"],
     "bulk": ["bulk", "--b", "5", "--eps", "0"],
+    # 6,000 rows: bands.csv in two blocks
+    "bulk two blocks": ["bulk", "--b", "3", "--eps", "-2.5", "--path-points", "1000"],
     # 10,560 sites through a bend, two snapshots
     "evolve": ["evolve", "--kind", "type2", "--extent-m", "40", "--extent-n", "44",
                "--bend-m", "4", "--t-final", "0.01"],
@@ -61,6 +63,10 @@ _DIGESTS = {
         "bulk": {
             "bands.csv": "97ad895f421365770e6a65ee0284679cfbfcb2786ad7740121a0b74251c40b2d",
             "bulk.json": "88e9c7b6b602e9a3492f6caefb03a992fcbbd690644955afbe646032cb42c823",
+        },
+        "bulk two blocks": {
+            "bands.csv": "af923f853d641b17a5efe4c0cd062bee19b0e2baf03e0d5d2f1b6c9a9f2b6f21",
+            "bulk.json": "b4a704c3cd2383ee684f9bfff66d946b9d009ee2e7e163d8731004b28c8b8ed1",
         },
         "evolve": {
             "manifest.json": "2146fb429b5aeb8695262337d94b9b9741b8c65f4cc9538400c1d06f7584ba54",

@@ -706,25 +706,24 @@ def _object_array_templates(positions):
 @pytest.mark.parametrize("bend", [None, (2, 1), (-3, -1)])
 @pytest.mark.parametrize("origin", [None, (-17, -9)])
 def test_snapshot_templates_match_object_array_oracle(kind, bend, origin):
-    # the per-run prefix every snapshot row starts with: per coordinate, the
-    # text of each distinct value at the left edge of a table row, its keep
-    # mask a run of its length, and the table row of every site
-    from edgelab.output import BLOCK_ROWS, row_prefix
+    # the per-run text tables every snapshot row starts with: per coordinate,
+    # the text of each distinct value at the left edge of a table row, its
+    # keep mask a run of its length, and the table row of every site
+    from edgelab.output import BLOCK_ROWS, text_table
 
     dom = build_domain(DomainSpec(kind, (30, 28), MIXED, bend=bend, origin=origin))
     n = len(dom.positions)
     assert n > BLOCK_ROWS and n % BLOCK_ROWS
-    pieces = row_prefix(dom.positions.T)
-    assert len(pieces) == 2
+    pieces = [text_table(col) for col in dom.positions.T]
     texts = []
-    for (table, keep, index), col in zip(pieces, dom.positions.T):
+    for ((table, keep), index), col in zip(pieces, dom.positions.T):
         assert table.dtype == np.uint8 and index.dtype == np.int32 and index.shape == (n,)
         assert len(table) == len(np.unique(col)) and table.shape == keep.shape
         size = keep.sum(axis=1)
         assert (keep == (np.arange(table.shape[1]) < size[:, None])).all()
         assert not table[~keep].any() and size.max() == table.shape[1]
         texts.append([bytes(row[:k]) for row, k in zip(table, size.tolist())])
-    (x, ix), (y, iy) = ((text, piece[2]) for text, piece in zip(texts, pieces))
+    (x, ix), (y, iy) = ((text, piece[1]) for text, piece in zip(texts, pieces))
     rows = [x[i] + y[j] for i, j in zip(ix.tolist(), iy.tolist())]
     blocks = [b"".join(rows[lo:lo + BLOCK_ROWS]).decode() for lo in range(0, n, BLOCK_ROWS)]
     assert blocks == _object_array_templates(dom.positions)

@@ -21,54 +21,13 @@ from edgelab.output import (
     BLOCK_ROWS,
     BackgroundWriter,
     g17_fields,
-    g17_texts,
-    row_prefix,
-    write_csv,
+    text_table,
     write_json,
     write_rows,
 )
 
 SRC = Path(edgelab.__file__).parent
 _VALUES = [0.0, -0.0, 1.5, -2.25e-300, 1e-320, math.inf, -math.inf, math.nan, 1 / 3]
-
-
-@pytest.mark.parametrize("n_rows", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, 2 * BLOCK_ROWS + 1])
-def test_write_csv_matches_csv_writer_across_blocks(tmp_path, n_rows):
-    def block(lo, hi):
-        assert 0 <= lo < hi <= n_rows and hi - lo <= BLOCK_ROWS
-        rows = range(lo, hi)
-        return "%s%.17g,%d,%.17g\r\n" * (hi - lo), (
-            [f"p{i}," for i in rows], [float(i) for i in rows], list(rows),
-            [_VALUES[i % len(_VALUES)] for i in rows])
-
-    path = tmp_path / "new" / "dir" / "t.csv"  # the writer makes the directory
-    write_csv(path, ["name", "x", "i", "v"], n_rows, block)
-    ref = tmp_path / "ref.csv"
-    with open(ref, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["name", "x", "i", "v"])
-        for i in range(n_rows):
-            w.writerow([f"p{i}", f"{float(i):.17g}", i, f"{_VALUES[i % len(_VALUES)]:.17g}"])
-    assert path.read_bytes() == ref.read_bytes()
-
-
-# NaN with either sign bit and with a payload, subnormals and the largest finite double
-_SPECIAL = [0.0, 1 / 3, math.inf, math.nan, float(np.copysign(math.nan, -1)),
-            float(np.int64(0x7FF8000000000001).view(np.float64)), 5e-324,
-            2.2250738585072009e-308, 1.7976931348623157e308]
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.floats() | st.sampled_from(_SPECIAL), max_size=30))
-def test_g17_texts_is_the_percent_format_of_each_value(values):
-    # every value with its negation and its neighbours one ulp either side,
-    # so that equal magnitudes of either sign and close ones meet in one call
-    a = np.array(values, dtype=np.float64)
-    with np.errstate(over="ignore"):  # the largest double's upper neighbour is inf
-        a = np.stack([a, -a, np.nextafter(a, np.inf), np.nextafter(a, -np.inf)])
-    texts = g17_texts(a)
-    assert texts.shape == a.shape and texts.dtype == object
-    assert texts.ravel().tolist() == ["%.17g" % x for x in a.ravel().tolist()]
 
 
 def _kernel_texts(values):
@@ -191,25 +150,52 @@ def test_g17_tables_are_made_at_the_first_call_not_at_import():
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
-@pytest.mark.parametrize("n_rows", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, 2 * BLOCK_ROWS + 1])
-def test_write_rows_matches_csv_writer_across_blocks(tmp_path, n_rows):
+_N_ROWS = [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, 2 * BLOCK_ROWS + 1]
+
+
+@pytest.mark.parametrize("n_rows, layout", [pytest.param(n, "snapshot", id=str(n)) for n in _N_ROWS]
+                         + [pytest.param(n, layout, id=f"{layout}-{n}")
+                            for layout in ("spectrum", "per-block") for n in _N_ROWS])
+def test_write_rows_matches_csv_writer_across_blocks(tmp_path, n_rows, layout):
     rng = np.random.default_rng(n_rows)
     x = np.round(rng.normal(size=n_rows), 2)  # few distinct values
     y = rng.normal(size=n_rows) * 10.0 ** rng.integers(-30, 30, n_rows)
     y[::5] = [_VALUES[i % len(_VALUES)] for i in range(len(y[::5]))]
     values = rng.random(n_rows) ** 6
     values[1::3] = [_VALUES[i % len(_VALUES)] for i in range(len(values[1::3]))]
+    i = np.arange(n_rows)
+    calls = []
+
+    def per_block(f):
+        def entries(lo, hi):
+            calls.append((lo, hi))
+            return f(np.arange(lo, hi))
+        return entries
+
+    if layout == "snapshot":  # two tables, then a value: x, y, abs2
+        columns = [text_table(x), text_table(y), (None, memoryview(values).cast("B").cast("d"))]
+        fields = [x, y, values]
+        assert [index.shape for _, index in columns[:2]] == [(n_rows,)] * 2
+    elif layout == "spectrum":  # values in the middle, a table last
+        columns = [text_table(x), text_table(i % 7), (None, y), (None, values),
+                   text_table(values < 0.5, last=True)]
+        fields = [x, i % 7, y, values, (values < 0.5).astype(int)]
+    else:  # every entry made per block, as bands.csv's
+        columns = [(None, per_block(lambda r: r // 6)),
+                   (text_table(np.arange(6))[0], per_block(lambda r: r % 6)), (None, values)]
+        fields = [i // 6, i % 6, values]
     path = tmp_path / "new" / "dir" / "t.csv"  # the writer makes the directory
-    prefix = row_prefix([x, y])
-    write_rows(path, ["x", "y", "v"], prefix, memoryview(values).cast("B").cast("d"))
+    header = [f"c{c}" for c in range(len(columns))]
+    write_rows(path, header, n_rows, columns)
     ref = tmp_path / "ref.csv"
     with open(ref, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["x", "y", "v"])
-        w.writerows([f"{a:.17g}", f"{b:.17g}", f"{v:.17g}"]
-                    for a, b, v in zip(x.tolist(), y.tolist(), values.tolist()))
+        w.writerow(header)
+        w.writerows(zip(*([f"{v:.17g}" for v in f.tolist()] if f.dtype == float else f.tolist()
+                          for f in fields)))
     assert path.read_bytes() == ref.read_bytes()
-    assert [index.shape for _, _, index in prefix] == [(n_rows,)] * 2
+    blocks = [(lo, min(lo + BLOCK_ROWS, n_rows)) for lo in range(0, n_rows, BLOCK_ROWS)]
+    assert calls == ([pair for pair in blocks for _ in range(2)] if layout == "per-block" else [])
 
 
 def test_write_json_is_indented_sorted_and_newline_terminated(tmp_path):
@@ -354,12 +340,13 @@ def test_write_rows_with_a_helper_writes_the_same_bytes(tmp_path, n_rows):
     from concurrent.futures import ThreadPoolExecutor
 
     rng = np.random.default_rng(n_rows)
-    prefix = row_prefix([np.round(rng.normal(size=n_rows), 2), rng.normal(size=n_rows)])
     values = rng.random(n_rows) ** 6
     values[::7] = [_VALUES[i % len(_VALUES)] for i in range(len(values[::7]))]
-    write_rows(tmp_path / "alone.csv", ["x", "y", "v"], prefix, values)
+    columns = [text_table(np.round(rng.normal(size=n_rows), 2)), text_table(rng.normal(size=n_rows)),
+               (None, values)]
+    write_rows(tmp_path / "alone.csv", ["x", "y", "v"], n_rows, columns)
     with ThreadPoolExecutor(1) as helper:
-        write_rows(tmp_path / "shared.csv", ["x", "y", "v"], prefix, values, helper=helper)
+        write_rows(tmp_path / "shared.csv", ["x", "y", "v"], n_rows, columns, helper=helper)
     assert (tmp_path / "shared.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
 
 
