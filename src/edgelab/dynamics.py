@@ -18,12 +18,13 @@ series per snapshot interval; its truncation is below double precision, so
 the evolution is unitary to rounding.  :func:`evolve` takes the state
 ``steps`` sampling steps on through the same series, under the step rule
 dt * rho(H) <= 0.5 that the CLI keeps.  Domains are sized so packets never
-reach the outer edge.  :func:`record_run` formats its snapshots on one writer
-thread (:class:`edgelab.output.BackgroundWriter`) while it propagates.
+reach the outer edge.  :func:`record_run` propagates each interval on one
+worker thread while it samples and writes the snapshot before it.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -44,7 +45,7 @@ from .lattice import (
     frame_vectors,
     material_sign,
 )
-from .output import BackgroundWriter, text_table, write_json, write_rows
+from .output import text_table, write_json, write_rows
 from .spectrum import perturbation_m0
 from .transfer import zero_modes
 
@@ -341,11 +342,12 @@ def record_run(domain: Domain, state: WavepacketState, t_final: float,
     sampling steps of ``dt`` plus a JSON manifest with the diagnostic time
     series.  Each snapshot interval is one :func:`propagate` call; ``dt``
     keeps the step rule dt * rho(H) <= 0.5, and a run holds at most 10,000
-    snapshots.  Every snapshot but the last goes to one
-    :class:`~edgelab.output.BackgroundWriter`, so its text is formatted on
-    the writer thread while the next interval propagates.  The last is
-    written here, its blocks shared with that thread, which is joined
-    before the manifest is written."""
+    snapshots.  Each interval propagates on one worker thread, in a copy of
+    the caller's context (so its ``np.errstate`` holds there), while the
+    caller samples and writes the snapshot before it.  The last snapshot's
+    blocks are shared with the then idle thread.  A failure on either side
+    raises here once the running interval is done, and the thread is joined
+    before anything leaves, so no manifest follows a failure."""
     if stride < 1:
         raise ValueError("stride must be at least 1")
     if not (t_final > 0 and math.isfinite(t_final)):
@@ -391,18 +393,23 @@ def record_run(domain: Domain, state: WavepacketState, t_final: float,
         abs2 = np.hypot(st.amplitudes.real, st.amplitudes.imag)
         return np.float_power(abs2, 2.0, out=abs2)
 
-    # every snapshot but the last is written on the writer thread while the
-    # next interval propagates; the last has only its own blocks to overlap
-    with BackgroundWriter(write_snapshot) as writer:
+    from concurrent.futures import ThreadPoolExecutor  # 6-8 ms, so not at import
+
+    # the thread propagates an interval (from a copy: both threads only read
+    # the amplitudes) while this one samples and writes the snapshot at its
+    # start; the last snapshot has only its own blocks to overlap
+    with ThreadPoolExecutor(1, thread_name_prefix="edgelab-evolve") as pool:
         snap = done = 0
         while done < steps_total:
-            writer.send(snap, sample(state))
             chunk = min(stride, steps_total - done)
-            amps = propagate(state.amplitudes, H, dt * chunk, rho)
-            state = WavepacketState(domain=domain, amplitudes=amps, time=state.time + dt * chunk)
+            later = pool.submit(contextvars.copy_context().run, propagate,
+                                state.amplitudes, H, dt * chunk, rho)
+            write_snapshot(snap, sample(state))
+            state = WavepacketState(domain=domain, amplitudes=later.result(),
+                                    time=state.time + dt * chunk)
             done += chunk
             snap += 1
-        write_snapshot(snap, sample(state), helper=writer.executor)
+        write_snapshot(snap, sample(state), helper=pool)
 
     manifest = {
         "dt": dt,

@@ -11,12 +11,6 @@ JSON is strict (no NaN or infinity), indented by 2, with sorted keys and a
 final newline.
 Writing a file makes its directory, so a command that fails before it has
 results leaves none.
-
-A :class:`BackgroundWriter` runs a caller's write function on one writer
-thread, fed payloads while the caller goes on computing.  The kernel's numpy
-loops and scipy's sparse product release the GIL while they run, so on a
-second core the formatting overlaps the caller's work, in part.
-:func:`write_rows` may share a file's blocks with that thread.
 """
 
 from __future__ import annotations
@@ -199,7 +193,7 @@ def g17_fields(values, text, keep) -> int:
     Python's ``%`` instead; returns their count.  Elementwise numpy only,
     so two threads may run it at once."""
     global _tables
-    with _TABLES_LOCK:  # the caller and the writer thread may both come first
+    with _TABLES_LOCK:  # the caller and write_rows' helper may both come first
         t = _tables = _tables or _Tables()
     x = np.asarray(values, dtype=np.float64)
     ok = (x != 0) & np.isfinite(x)  # zero, inf and NaN take other routes
@@ -309,36 +303,3 @@ def write_json(path, payload: dict) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     with _open(path) as fh:
         fh.write(text.encode("ascii"))  # json.dumps escapes every non-ASCII character
-
-
-class BackgroundWriter:
-    """Runs ``write(key, doubles)`` for each :meth:`send`, in order, on one
-    writer thread while the caller goes on.  Each call runs in a copy of the
-    caller's context, so the caller's ``np.errstate`` holds there.  A send
-    first waits for the payload before it, so one payload waits while one is
-    written; the caller must leave a sent array unchanged.  ``executor`` is
-    the thread's, for work the caller shares with it (:func:`write_rows`'
-    ``helper``).  The first failure comes back as the same exception at the
-    next send and on leaving the ``with`` block, in place of any later
-    exception.  Leaving the block joins the thread on every path."""
-
-    def __init__(self, write):
-        from concurrent.futures import ThreadPoolExecutor  # 6-8 ms, so not at import
-
-        self.write, self._last = write, None
-        self.executor = ThreadPoolExecutor(1, thread_name_prefix="edgelab-writer")
-
-    def send(self, key: int, doubles) -> None:
-        """Have ``write(key, doubles)`` run once the payload before it is written."""
-        if self._last is not None:
-            self._last.result()
-        self._last = self.executor.submit(contextvars.copy_context().run, self.write, key, doubles)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        self.executor.shutdown()  # runs what it holds, then joins the thread
-        failure = None if self._last is None else self._last.exception()
-        if failure is not None and failure is not exc:
-            raise failure

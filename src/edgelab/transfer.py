@@ -430,9 +430,8 @@ def build_type2_zero_modes(profile: HoppingProfile) -> tuple[ZeroMode, ZeroMode]
     mode_a = _finalize(InterfaceKind.TYPE_II, profile, "A", -Ma, _cells(0, 0, 0, x, 0, -x), rate_a**2)
     mode_b = _finalize(InterfaceKind.TYPE_II, profile, "B", -Mb, _cells(y, z, y, 0, 0, 0), rate_b**2)
 
-    # sign conventions from the eigenvector-form lemma: x_n > 0, y_n < 0
-    if mode_a.cells[Ma, 3].real < 0:
-        mode_a = replace(mode_a, cells=-mode_a.cells)
+    # sign conventions from the eigenvector-form lemma: x_n > 0, y_n < 0; the x's
+    # share one sign, and _finalize made the first of them above noise positive
     if mode_b.cells[Mb, 0].real > 0:
         mode_b = replace(mode_b, cells=-mode_b.cells)
     return mode_a, mode_b

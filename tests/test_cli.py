@@ -679,15 +679,15 @@ def test_evolve_bytes_do_not_depend_on_openblas_num_threads(tmp_path):
 
 
 def test_evolve_reports_a_snapshot_the_writer_cannot_write(tmp_path, capsys):
-    # the writer thread fails on the first snapshot while the run goes on;
-    # the next send finds the failure and stops the run
+    # the first snapshot's write fails here while the first interval runs on
+    # the worker thread; the error leaves once that interval is done
     out = tmp_path / "o"
     (out / "snapshot_0000.csv").mkdir(parents=True)
     assert run([*_THREADED_EVOLVE, "--stride", "2", "--out", str(out)]) == 2
     assert capsys.readouterr().err == (f"config error: cannot write output: [Errno 21] "
                                        f"Is a directory: '{out / 'snapshot_0000.csv'}'\n")
     assert [path.name for path in out.iterdir()] == ["snapshot_0000.csv"]  # no manifest
-    assert not [t for t in threading.enumerate() if t.name.startswith("edgelab-writer")]
+    assert not [t for t in threading.enumerate() if t.name.startswith("edgelab-evolve")]
 
 
 def test_evolve_runs_unpinned_at_the_callers_thread_count(tmp_path, monkeypatch):

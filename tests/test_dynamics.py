@@ -570,8 +570,8 @@ def _random_state(dom, seed=3):
     return WavepacketState(domain=dom, amplitudes=amps / np.linalg.norm(amps))
 
 
-def _writer_threads():
-    return [t for t in threading.enumerate() if t.name.startswith("edgelab-writer")]
+def _evolve_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("edgelab-evolve")]
 
 
 def test_an_exception_mid_run_leaves_the_sent_snapshots_whole(tmp_path, monkeypatch):
@@ -591,8 +591,8 @@ def test_an_exception_mid_run_leaves_the_sent_snapshots_whole(tmp_path, monkeypa
     monkeypatch.setattr(dynamics, "propagate", failing)
     with pytest.raises(FloatingPointError, match="second interval"):
         dynamics.record_run(dom, st, t_final=0.01, out_dir=tmp_path / "o", stride=1)
-    assert _writer_threads() == []
-    # snapshots 0 and 1 were sent before the second interval; no manifest
+    assert _evolve_threads() == []
+    # snapshots 0 and 1 were written while the first two intervals ran; no manifest
     monkeypatch.setattr(dynamics, "propagate", propagate)
     files = _files(tmp_path / "o")
     assert sorted(files) == ["snapshot_0000.csv", "snapshot_0001.csv"]
@@ -601,6 +601,83 @@ def test_an_exception_mid_run_leaves_the_sent_snapshots_whole(tmp_path, monkeypa
     dynamics.record_run(dom, st, t_final=1.5 * dt, out_dir=tmp_path / "whole", stride=1)
     whole = _files(tmp_path / "whole")
     assert {name: whole[name] for name in files} == files
+
+
+def _spying_propagate(monkeypatch, names, before=None):
+    """Have record_run's intervals run ``before()`` and then the real
+    propagate, recording the name of the thread each runs on."""
+    from edgelab import dynamics
+
+    propagate = dynamics.propagate
+
+    def spy(*args):
+        names.append(threading.current_thread().name)
+        if before is not None:
+            before()
+        return propagate(*args)
+
+    monkeypatch.setattr(dynamics, "propagate", spy)
+
+
+def test_record_run_propagates_under_the_callers_errstate(tmp_path, monkeypatch):
+    from edgelab.dynamics import record_run
+
+    dom = small_domain(extent=(24, 24))
+    names = []
+    _spying_propagate(monkeypatch, names, lambda: np.multiply(np.full(3, 10.0), 1e308))
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError, match="overflow"):
+            record_run(dom, _random_state(dom), t_final=0.01, out_dir=tmp_path / "raise", stride=20)
+    assert not (tmp_path / "raise" / "manifest.json").exists()
+    with np.errstate(over="ignore"):
+        record_run(dom, _random_state(dom), t_final=0.01, out_dir=tmp_path / "ignore", stride=20)
+    assert (tmp_path / "ignore" / "manifest.json").exists()
+    # every interval ran on the worker thread, never here
+    assert names and all(name.startswith("edgelab-evolve") for name in names)
+    assert _evolve_threads() == []
+
+
+@pytest.mark.parametrize("failing", [None, "write", "propagate", "sample"])
+def test_record_run_joins_its_thread_on_every_path(tmp_path, monkeypatch, failing):
+    import time
+
+    from edgelab import dynamics
+
+    dom = small_domain(bend=(0, 1), extent=(24, 24))
+    failure = OSError(28, "No space left on device")
+    names = []
+
+    def slow_interval():  # still propagating when the caller fails
+        time.sleep(0.02)
+        if failing == "propagate":
+            raise failure
+
+    def fail(*args, **kwargs):
+        raise failure
+
+    write_json, alive = dynamics.write_json, []
+
+    def write_manifest(*args):  # the thread is joined before the manifest
+        alive.extend(_evolve_threads())
+        write_json(*args)
+
+    monkeypatch.setattr(dynamics, "write_json", write_manifest)
+    _spying_propagate(monkeypatch, names, slow_interval)
+    if failing == "write":
+        monkeypatch.setattr(dynamics, "write_rows", fail)
+    elif failing == "sample":
+        monkeypatch.setattr(dynamics, "interface_mass", fail)
+    out = tmp_path / "o"
+    if failing is None:
+        dynamics.record_run(dom, _random_state(dom), t_final=0.01, out_dir=out, stride=20)
+        assert (out / "manifest.json").exists() and alive == []
+    else:
+        with pytest.raises(OSError) as info:
+            dynamics.record_run(dom, _random_state(dom), t_final=0.01, out_dir=out, stride=20)
+        assert info.value is failure
+        assert not (out / "manifest.json").exists()
+    assert names and all(name.startswith("edgelab-evolve") for name in names)
+    assert _evolve_threads() == []
 
 
 @pytest.mark.parametrize("kwargs", [

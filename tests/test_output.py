@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 import threading
-import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,7 +18,6 @@ from edgelab import output
 from edgelab._platform import usable_cores
 from edgelab.output import (
     BLOCK_ROWS,
-    BackgroundWriter,
     g17_fields,
     text_table,
     write_json,
@@ -143,9 +141,12 @@ def test_g17_fields_takes_no_fallback_on_a_wide_domain_snapshot():
 
 
 def test_g17_tables_are_made_at_the_first_call_not_at_import():
-    code = ("import edgelab.cli, edgelab.output as o; assert o._tables is None; "
+    # nor is the executor module loaded, and the kernel starts no thread
+    code = ("import sys, threading, edgelab.cli, edgelab.output as o; assert o._tables is None; "
+            "assert 'concurrent.futures' not in sys.modules; "
             "import numpy as np; t = np.empty((1, o._TEXT), np.uint8); "
-            "o.g17_fields(np.ones(1), t, np.empty(t.shape, bool)); assert o._tables is not None")
+            "o.g17_fields(np.ones(1), t, np.empty(t.shape, bool)); assert o._tables is not None; "
+            "assert threading.active_count() == 1")
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
@@ -234,105 +235,6 @@ def test_usable_cores_falls_back_to_the_cpu_count(monkeypatch):
     assert usable_cores() == 3
     monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
     assert usable_cores() == 1
-
-
-def _writer_threads():
-    return [t for t in threading.enumerate() if t.name.startswith("edgelab-writer")]
-
-
-def _recording(written):
-    """A write function that records each payload's key, values and thread."""
-    def write(key, doubles):
-        written.append((key, doubles.tolist(), threading.get_ident()))
-    return write
-
-
-_PAYLOADS = [np.arange(n) / 3.0 for n in (0, 1, 5, 100_000)]
-
-
-def test_background_writer_writes_every_payload_in_one_thread():
-    written = []
-    with BackgroundWriter(_recording(written)) as writer:
-        for key, doubles in enumerate(_PAYLOADS):
-            writer.send(key, doubles)
-    assert [(key, values) for key, values, _ in written] == [
-        (key, doubles.tolist()) for key, doubles in enumerate(_PAYLOADS)]
-    threads = {thread for _, _, thread in written}
-    assert len(threads) == 1 and threading.get_ident() not in threads
-    assert _writer_threads() == []
-
-
-def test_background_writer_raises_the_writers_failure():
-    failure, written = OSError(28, "No space left on device"), []
-
-    def write(key, doubles):
-        if key == 1:
-            raise failure
-        written.append(key)
-
-    # at the next send, and again on leaving the block
-    with pytest.raises(OSError) as info:
-        with BackgroundWriter(write) as writer:
-            writer.send(0, np.zeros(3))
-            writer.send(1, np.zeros(3))
-            with pytest.raises(OSError) as at_send:
-                writer.send(2, np.zeros(3))
-            assert at_send.value is failure
-    assert info.value is failure and written == [0]  # it stops at the failure
-
-    # a failure in the last payload sent comes out of the with block
-    with pytest.raises(OSError) as info:
-        with BackgroundWriter(write) as writer:
-            writer.send(1, np.zeros(3))
-    assert info.value is failure
-    assert _writer_threads() == []
-
-
-def test_background_writer_failure_replaces_a_later_exception():
-    failure = ValueError("the writer's")
-
-    def write(key, doubles):
-        raise failure
-
-    with pytest.raises(ValueError) as info:
-        with BackgroundWriter(write) as writer:
-            writer.send(0, np.zeros(3))
-            raise KeyError("later")
-    assert info.value is failure and isinstance(info.value.__context__, KeyError)
-    assert _writer_threads() == []
-
-
-def test_background_writer_holds_the_callers_errstate():
-    def write(key, doubles):
-        np.multiply(doubles, 1e308)
-
-    with np.errstate(over="raise"):
-        with pytest.raises(FloatingPointError, match="overflow"):
-            with BackgroundWriter(write) as writer:
-                writer.send(0, np.full(3, 10.0))
-    with np.errstate(over="ignore"):
-        with BackgroundWriter(write) as writer:
-            writer.send(0, np.full(3, 10.0))
-
-
-def test_background_writer_leaves_no_thread_alive():
-    for raising in (False, True):
-        started = threading.Event()
-
-        def write(key, doubles):
-            started.set()
-            time.sleep(0.05)  # still writing when the caller leaves the block
-
-        try:
-            with BackgroundWriter(write) as writer:
-                writer.send(0, np.zeros(3))
-                assert started.wait(timeout=60)
-                assert len(_writer_threads()) == 1
-                if raising:
-                    raise KeyError("caller")
-        except KeyError:
-            assert raising
-        assert _writer_threads() == []
 
 
 @pytest.mark.parametrize("n_rows", [0, 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 5])
