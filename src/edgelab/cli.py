@@ -214,8 +214,9 @@ def cmd_evolve(cfg: dict) -> int:
         raise ConfigError("stride must be at least 1")
     if not cfg["width"] > 0:
         raise ConfigError("width must be positive")
-    if cfg["direction"] not in (1, -1):
-        raise ConfigError(f"direction must be +1 or -1, got {cfg['direction']}")
+    for key in ("direction", "turn"):
+        if cfg[key] not in (1, -1):
+            raise ConfigError(f"{key} must be +1 or -1, got {cfg[key]}")
     if (cfg["origin_m"] is None) != (cfg["origin_n"] is None):
         raise ConfigError("origin_m and origin_n must be given together")
     origin = None if cfg["origin_m"] is None else (cfg["origin_m"], cfg["origin_n"])

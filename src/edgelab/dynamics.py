@@ -344,10 +344,10 @@ def record_run(domain: Domain, state: WavepacketState, t_final: float,
     keeps the step rule dt * rho(H) <= 0.5, and a run holds at most 10,000
     snapshots.  Each interval propagates on one worker thread, in a copy of
     the caller's context (so its ``np.errstate`` holds there), while the
-    caller samples and writes the snapshot before it.  The last snapshot's
-    blocks are shared with the then idle thread.  A failure on either side
-    raises here once the running interval is done, and the thread is joined
-    before anything leaves, so no manifest follows a failure."""
+    caller samples and writes the snapshot before it: the thread only
+    propagates, and the caller formats every snapshot.  A failure on either
+    side raises here once the running interval is done, and the thread is
+    joined before anything leaves, so no manifest follows a failure."""
     if stride < 1:
         raise ValueError("stride must be at least 1")
     if not (t_final > 0 and math.isfinite(t_final)):
@@ -370,9 +370,9 @@ def record_run(domain: Domain, state: WavepacketState, t_final: float,
     partition = make_bend_partition(domain) if domain.spec.bend is not None else None
     x, y = (text_table(col) for col in domain.positions.T)
 
-    def write_snapshot(snap_idx: int, abs2, helper=None) -> None:
+    def write_snapshot(snap_idx: int, abs2) -> None:
         write_rows(out / f"snapshot_{snap_idx:04d}.csv", ["x", "y", "abs2"], len(abs2),
-                   [x, y, (None, abs2)], helper)
+                   [x, y, (None, abs2)])
 
     series = {"time": [], "norm": [], "energy": [], "interface_mass": []}
     if partition is not None:
@@ -397,7 +397,7 @@ def record_run(domain: Domain, state: WavepacketState, t_final: float,
 
     # the thread propagates an interval (from a copy: both threads only read
     # the amplitudes) while this one samples and writes the snapshot at its
-    # start; the last snapshot has only its own blocks to overlap
+    # start
     with ThreadPoolExecutor(1, thread_name_prefix="edgelab-evolve") as pool:
         snap = done = 0
         while done < steps_total:
@@ -409,7 +409,7 @@ def record_run(domain: Domain, state: WavepacketState, t_final: float,
                                     time=state.time + dt * chunk)
             done += chunk
             snap += 1
-        write_snapshot(snap, sample(state), helper=pool)
+    write_snapshot(snap, sample(state))  # nothing left to overlap
 
     manifest = {
         "dt": dt,

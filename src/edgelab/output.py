@@ -15,7 +15,6 @@ results leaves none.
 
 from __future__ import annotations
 
-import contextvars
 import json
 import math
 import threading
@@ -193,7 +192,7 @@ def g17_fields(values, text, keep) -> int:
     Python's ``%`` instead; returns their count.  Elementwise numpy only,
     so two threads may run it at once."""
     global _tables
-    with _TABLES_LOCK:  # the caller and write_rows' helper may both come first
+    with _TABLES_LOCK:  # callers on two threads may both find no tables yet
         t = _tables = _tables or _Tables()
     x = np.asarray(values, dtype=np.float64)
     ok = (x != 0) & np.isfinite(x)  # zero, inf and NaN take other routes
@@ -243,7 +242,7 @@ def text_table(values, last: bool = False):
     return (table, lead), inverse.astype(np.int32)
 
 
-def write_rows(path, header, n_rows: int, columns, helper=None) -> None:
+def write_rows(path, header, n_rows: int, columns) -> None:
     """The ``header`` line, then ``n_rows`` rows as csv.writer writes them,
     one field per column, each the ``%.17g`` text of its value.  A column is
     a pair (table, entries): with a :func:`text_table` ``table`` its entries
@@ -251,10 +250,7 @@ def write_rows(path, header, n_rows: int, columns, helper=None) -> None:
     by :func:`g17_fields`.  ``entries`` holds every row's, or is a function
     of (lo, hi) that makes those of rows lo..hi-1.  Each ``BLOCK_ROWS``
     block is one uint8 matrix made into bytes by one boolean-mask
-    compression.  With ``helper``, an executor, every other block is
-    formatted there, in buffers of its own, while the caller formats the one
-    before it; the caller writes the blocks in order, so at most one
-    formatted block waits."""
+    compression."""
     spans, at = [], 0  # each column's first byte and width in a row
     for table, _ in columns:
         if table is None:
@@ -264,39 +260,23 @@ def write_rows(path, header, n_rows: int, columns, helper=None) -> None:
     padding = np.ones(-(-at // 4) * 4, dtype=bool)  # rows start on a word too
     for at, width in spans:
         padding[at:at + width] = False
-
-    def buffers(n):
-        rows = np.empty((min(n, BLOCK_ROWS), len(padding)), dtype=np.uint8)
-        keep = np.empty(rows.shape, dtype=bool)
-        keep[:, padding] = False
-        return rows, keep
-
-    def block(lo, rows, keep):
-        m = min(n_rows - lo, BLOCK_ROWS)
-        for c, ((table, entries), (at, width)) in enumerate(zip(columns, spans)):
-            part = entries(lo, lo + m) if callable(entries) else entries[lo:lo + m]
-            if table is None:
-                g17_fields(part, rows[:m, at:at + width], keep[:m, at:at + width])
-                if c < len(columns) - 1:  # a comma for the CRLF
-                    rows[:m, at + 52], keep[:m, at + 53] = ord(","), False
-            else:
-                rows[:m, at:at + width] = table[0].take(part, axis=0)
-                keep[:m, at:at + width] = table[1].take(part, axis=0)
-        return rows[:m][keep[:m]]
-
-    shared = helper is not None and n_rows > BLOCK_ROWS
-    mine = buffers(n_rows)
-    theirs = buffers(n_rows - BLOCK_ROWS) if shared else None
+    rows = np.empty((min(n_rows, BLOCK_ROWS), len(padding)), dtype=np.uint8)
+    keep = np.empty(rows.shape, dtype=bool)
+    keep[:, padding] = False
     with _open(path) as fh:
         fh.write((",".join(header) + "\r\n").encode("ascii"))
-        for lo in range(0, n_rows, 2 * BLOCK_ROWS if shared else BLOCK_ROWS):
-            later = None
-            if shared and lo + BLOCK_ROWS < n_rows:
-                later = helper.submit(contextvars.copy_context().run, block,
-                                      lo + BLOCK_ROWS, *theirs)
-            fh.write(block(lo, *mine))
-            if later is not None:
-                fh.write(later.result())
+        for lo in range(0, n_rows, BLOCK_ROWS):
+            m = min(n_rows - lo, BLOCK_ROWS)
+            for c, ((table, entries), (at, width)) in enumerate(zip(columns, spans)):
+                part = entries(lo, lo + m) if callable(entries) else entries[lo:lo + m]
+                if table is None:
+                    g17_fields(part, rows[:m, at:at + width], keep[:m, at:at + width])
+                    if c < len(columns) - 1:  # a comma for the CRLF
+                        rows[:m, at + 52], keep[:m, at + 53] = ord(","), False
+                else:
+                    rows[:m, at:at + width] = table[0].take(part, axis=0)
+                    keep[:m, at:at + width] = table[1].take(part, axis=0)
+            fh.write(rows[:m][keep[:m]])
 
 
 def write_json(path, payload: dict) -> None:

@@ -32,12 +32,13 @@ from edgelab.lattice import InterfaceKind
 W = 6  # the window [-W, W]; at least 4
 
 
-def decaying_basis(T: np.ndarray, E: float, reach: int, sort: str) -> tuple[np.ndarray, float]:
+def decaying_basis(T: np.ndarray, E: float, reach: int, sort: str) -> tuple[np.ndarray, np.ndarray]:
     """A unitary Z whose leading half spans the states of the bulk blocks
     ``T`` (indexed d + 2) that decay to the right (``sort`` "iuc") or to the
-    left ("ouc"), and the smallest | |lambda| - 1 | over the pencil's
-    eigenvalues.  Refuses a bulk that is not gapped at E: the decaying
-    states must fill exactly half, so none lies on the unit circle."""
+    left ("ouc"), and the modulus |lambda| of each of the pencil's
+    eigenvalues (inf for an infinite one).  Refuses a bulk that is not
+    gapped at E: the decaying states must fill exactly half, so none lies on
+    the unit circle."""
     s = T.shape[-1]
     m = 2 * reach * s
     A = np.zeros((m, m), dtype=complex)
@@ -52,7 +53,26 @@ def decaying_basis(T: np.ndarray, E: float, reach: int, sort: str) -> tuple[np.n
         raise ValueError(f"gapless or degenerate bulk at E = {E}: {selected.sum()} of {m} "
                          f"eigenvalues selected by {sort!r}")
     with np.errstate(divide="ignore"):
-        return Z, float(np.min(np.abs(a / b - 1.0)))
+        return Z, a / b
+
+
+def _bulk_blocks(kind: InterfaceKind, profile: HoppingProfile, k: float) -> tuple[int, np.ndarray]:
+    """The bonds' reach R and the cell blocks at k, checked to reach no further."""
+    R = 1 if kind is InterfaceKind.TYPE_I else 2
+    T = _cell_blocks(kind, profile, k, False)
+    for row in (0, 5):
+        outside = np.delete(T[row], range(2 - R, 3 + R), axis=0)
+        assert not outside.any(), "bonds reach further than the pencil"
+    return R, T
+
+
+def bulk_moduli(kind: InterfaceKind, profile: HoppingProfile, k: float = 0.0,
+                E: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalue moduli |lambda| of the plus and of the minus bulk's
+    pencil at (k, E), each in ascending order, infinite ones last as inf."""
+    R, T = _bulk_blocks(kind, profile, k)
+    return tuple(np.sort(decaying_basis(T[row], E, R, sort)[1])
+                 for row, sort in ((5, "iuc"), (0, "ouc")))
 
 
 def interface_singular_values(kind: InterfaceKind, profile: HoppingProfile, k: float = 0.0,
@@ -61,13 +81,9 @@ def interface_singular_values(kind: InterfaceKind, profile: HoppingProfile, k: f
     matrix at (k, E), with H's rows scaled by 1 / max|H|; and the bulks'
     smallest distance of an eigenvalue modulus from 1.  The null space is
     the edge states at (k, E)."""
-    R, s = (1 if kind is InterfaceKind.TYPE_I else 2), 6
-    T = _cell_blocks(kind, profile, k, False)
-    for row in (0, 5):
-        outside = np.delete(T[row], range(2 - R, 3 + R), axis=0)
-        assert not outside.any(), "bonds reach further than the pencil"
-    right, margin_plus = decaying_basis(T[5], E, R, "iuc")  # cells n >= 2: the plus bulk
-    left, margin_minus = decaying_basis(T[0], E, R, "ouc")  # cells n <= -3: the minus bulk
+    (R, T), s = _bulk_blocks(kind, profile, k), 6
+    right, moduli_plus = decaying_basis(T[5], E, R, "iuc")  # cells n >= 2: the plus bulk
+    left, moduli_minus = decaying_basis(T[0], E, R, "ouc")  # cells n <= -3: the minus bulk
     H = chain_operator(kind, profile, -W, W, k) - E * np.eye(s * (2 * W + 1))
     rows = H[s * R:-s * R] / np.abs(H).max()
     m, n = 2 * R * s, H.shape[1]
@@ -75,4 +91,4 @@ def interface_singular_values(kind: InterfaceKind, profile: HoppingProfile, k: f
     ends[:m // 2, n - m:] = right[:, m // 2:].conj().T  # x_{W-R+1}: the last 2R cells
     ends[m // 2:, :m] = left[:, m // 2:].conj().T  # x_{-W+R}: the first 2R cells
     sv = np.linalg.svd(np.vstack([rows, ends]), compute_uv=False)
-    return sv[::-1], min(margin_plus, margin_minus)
+    return sv[::-1], float(np.min(np.abs(np.concatenate([moduli_plus, moduli_minus]) - 1.0)))

@@ -32,8 +32,8 @@ _COMMANDS = {
     "evolve": ["evolve", "--kind", "type2", "--extent-m", "40", "--extent-n", "44",
                "--bend-m", "4", "--t-final", "0.01"],
     # the benchmark's bend_evolve geometry: 7,200 sites, so every snapshot is
-    # two blocks, six of its seven snapshots are written while an interval
-    # propagates, and the last is shared with the worker thread
+    # two blocks, written in order; six of its seven snapshots are written
+    # while an interval propagates, and the last after the worker thread ends
     "evolve stride 4": ["evolve", "--kind", "type2", "--extent-m", "30", "--extent-n", "40",
                         "--origin-m", "-18", "--origin-n", "-10", "--bend-m", "2",
                         "--center-m", "-7", "--width", "4", "--t-final", "0.01",

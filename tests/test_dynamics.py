@@ -680,6 +680,30 @@ def test_record_run_joins_its_thread_on_every_path(tmp_path, monkeypatch, failin
     assert _evolve_threads() == []
 
 
+def test_record_run_formats_every_snapshot_block_in_the_caller(tmp_path, monkeypatch):
+    # the worker thread only propagates; every %.17g block, the last
+    # snapshot's included, is formatted on the caller's thread
+    from edgelab import dynamics, output
+
+    dom = small_domain(extent=(30, 40))
+    assert len(dom.positions) > output.BLOCK_ROWS
+    g17_fields, calls, names = output.g17_fields, [], []
+
+    def spy(values, text, keep):
+        calls.append((threading.current_thread().name, len(values)))
+        return g17_fields(values, text, keep)
+
+    monkeypatch.setattr(output, "g17_fields", spy)
+    _spying_propagate(monkeypatch, names)
+    manifest = dynamics.record_run(dom, _random_state(dom), t_final=0.01, out_dir=tmp_path / "o",
+                                   stride=20)
+    snapshots = len(manifest["series"]["time"])
+    assert snapshots >= 2 and names and all(name.startswith("edgelab-evolve") for name in names)
+    tail = len(dom.positions) - output.BLOCK_ROWS  # each snapshot's second block
+    assert sum(rows == tail for _, rows in calls) == snapshots
+    assert [name for name, _ in calls if name.startswith("edgelab-evolve")] == []
+
+
 @pytest.mark.parametrize("kwargs", [
     {"t_final": -1.0}, {"t_final": 0.0}, {"t_final": float("nan")}, {"t_final": float("inf")},
     {"t_final": 0.01, "dt": -1e-4}, {"t_final": 0.01, "dt": 0.0},

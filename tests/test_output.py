@@ -217,11 +217,13 @@ def test_write_json_refuses_non_finite_numbers(tmp_path, value):
 
 def test_only_the_output_module_writes_files():
     # the format of every file, and where its directory comes from, is
-    # decided in edgelab.output alone; no module forks a writer
+    # decided in edgelab.output alone; no module forks a writer, and the
+    # writer hands no block to a thread
     modules = sorted(SRC.glob("*.py"))
     assert len(modules) >= 10 and SRC / "output.py" in modules
     output = (SRC / "output.py").read_text()
     assert "json.dumps(" in output and ".mkdir(" in output and "open(" in output
+    assert "submit(" not in output and "contextvars" not in output
     found = [(path.name, needle) for path in modules
              for needle in ("import csv", "json.dump", ".mkdir(", "open(", "os.fork(", "fdopen(")
              if needle in path.read_text() and (path.name != "output.py" or "fork" in needle)]
@@ -235,21 +237,6 @@ def test_usable_cores_falls_back_to_the_cpu_count(monkeypatch):
     assert usable_cores() == 3
     monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
     assert usable_cores() == 1
-
-
-@pytest.mark.parametrize("n_rows", [0, 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 5])
-def test_write_rows_with_a_helper_writes_the_same_bytes(tmp_path, n_rows):
-    from concurrent.futures import ThreadPoolExecutor
-
-    rng = np.random.default_rng(n_rows)
-    values = rng.random(n_rows) ** 6
-    values[::7] = [_VALUES[i % len(_VALUES)] for i in range(len(values[::7]))]
-    columns = [text_table(np.round(rng.normal(size=n_rows), 2)), text_table(rng.normal(size=n_rows)),
-               (None, values)]
-    write_rows(tmp_path / "alone.csv", ["x", "y", "v"], n_rows, columns)
-    with ThreadPoolExecutor(1) as helper:
-        write_rows(tmp_path / "shared.csv", ["x", "y", "v"], n_rows, columns, helper=helper)
-    assert (tmp_path / "shared.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
 
 
 def test_g17_fields_fills_fresh_tables_from_threads_at_once(monkeypatch):

@@ -26,10 +26,11 @@ from edgelab.transfer import (
     q_matrix,
     type1_zero_exists,
     type2_zero_exists,
+    zero_modes,
 )
 
 from coefficient_rows import coeffs_type2
-from pencil_oracle import interface_singular_values
+from pencil_oracle import bulk_moduli, interface_singular_values
 
 params = st.tuples(
     st.floats(min_value=0.5, max_value=100.0),
@@ -483,6 +484,36 @@ def test_existence_verdicts_match_the_pencils_zero_mode_count():
         zero.extend(sv[:count])
         rest.append(sv[count])
     assert max(zero) < 1e-13 and min(rest) > 1e-5
+
+
+@pytest.mark.parametrize("kind", list(InterfaceKind))
+def test_zero_mode_decay_rate_is_the_slowest_bulk_eigenvalue_squared(kind):
+    # decay_rate is per two cells and the pencil's lambda per cell: the
+    # slower side is the plus bulk's largest |lambda| < 1 (right) or one over
+    # the minus bulk's smallest finite |lambda| > 1 (left).  Type I at c*
+    # in all four detuning sign patterns, type II between distinct
+    # materials.  Over 840 draws per kind (seeds 1-14) the relative
+    # difference read at most 2.1e-14 (type I) and 4.1e-14 (type II), while
+    # the next decay rate of either bulk lay at least 1.5e-3 (relative)
+    # below the slowest; on this draw the differences read at most 3.7e-15
+    # and 7.6e-15 and the separations 8.8e-4 and 4.7e-4
+    rng = np.random.default_rng(34)
+    patterns = [(1, -1), (-1, 1)] + ([(1, 1), (-1, -1)] if kind is InterfaceKind.TYPE_I else [])
+    worst, separation = 0.0, 1.0
+    for signs in patterns * (60 // len(patterns)):
+        bp, bm = rng.uniform(20, 80, 2)
+        dp, dm = np.multiply(signs, rng.uniform(0.1, 0.8, 2)) * (bp, bm)
+        profile = HoppingProfile(bp, bm, dp, dm, rng.uniform(0.3, 2.0) * (bp + bm) / 2)
+        if kind is InterfaceKind.TYPE_I:
+            profile = profile.with_c(matching_c_star(profile))
+        plus, minus = bulk_moduli(kind, profile)
+        right, left = plus[plus < 1], 1 / minus[np.isfinite(minus) & (minus > 1)]
+        rates = np.sort(np.concatenate([right, left])) ** 2
+        rate = max(m.decay_rate for m in zero_modes(kind, profile))
+        worst = max(worst, abs(rate - rates[-1]) / rates[-1])
+        below = rates[rates < rates[-1] * (1 - 1e-9)]  # a repeated eigenvalue counts once
+        separation = min(separation, 1 - below[-1] / rates[-1])
+    assert worst < 1e-12 and separation > 1e-4
 
 
 def test_build_type2_rejects_identical_materials():
