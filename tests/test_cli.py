@@ -409,10 +409,10 @@ def test_evolve_rejects_unbounded_snapshot_schedule(tmp_path, capsys):
 @pytest.mark.parametrize("flags, word", [
     (["--bend-m", "3", "--turn", "0"], "turn"),
     (["--bend-m", "3", "--turn", "7"], "turn"),
-    (["--turn", "7"], "turn"),  # used to run, and record turn 7, with no bend
     (["--origin-m", "-30"], "origin"),  # used to run a centred domain
     (["--origin-n", "-20"], "origin"),
     (["--direction", "0"], "direction"),  # used to run a left-moving packet
+    (["--turn", "7"], "turn"),  # used to run, and record turn 7, with no bend
 ])
 def test_evolve_rejects_inputs_it_would_ignore(tmp_path, capsys, flags, word):
     out = tmp_path / "o"
