@@ -320,7 +320,3 @@ def main(argv=None) -> int:
     except OSError as exc:  # the config file is read, and its errors mapped, above
         print(f"config error: cannot write output: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

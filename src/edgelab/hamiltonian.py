@@ -8,8 +8,9 @@ would leave the window are dropped.
 Every operator comes from one place: the frame bond list of
 :func:`edgelab.lattice.frame_bonds`, weighted by :func:`bond_weights` into six
 material rows of blocks T_d, each coupling a cell to the cell d further on.
-One placement of T_d makes H(k) and dH/dk in :func:`chain_operator` and the
-supercell's chiral block; :func:`chain_apply` applies the bonds matrix-free.
+One placement of T_d makes H(k) in :func:`chain_operator` and the supercell's
+chiral block; :func:`chain_apply` and :func:`chain_apply_first_order` apply
+H(0) and dH/dk at k = 0 matrix-free.
 """
 
 from __future__ import annotations
@@ -73,16 +74,9 @@ class HoppingProfile:
 
 @dataclass(frozen=True)
 class BlochOperator:
-    """A truncated interface Hamiltonian at fixed quasi-momentum.
+    """A truncated interface Hamiltonian at fixed quasi-momentum k: ``matrix``
+    is the dense Hermitian ``chain_operator(kind, profile, -N, N, k)``."""
 
-    ``matrix`` is ``chain_operator(kind, profile, -half_width, half_width, k)``:
-    dense Hermitian, site (n, j) at flat index 6 (n + half_width) + j - 1.
-    """
-
-    kind: InterfaceKind
-    profile: HoppingProfile
-    k: float
-    half_width: int
     matrix: np.ndarray
 
 
@@ -116,11 +110,11 @@ def _bond_tables(kind, profile, k, k_sign, derivative):
     return table
 
 
-def _cell_blocks(kind: InterfaceKind, profile: HoppingProfile, k: float, derivative: bool):
-    """The (6, 5, 6, 6) cell blocks of _bond_table: [r, d + 2] couples a cell of
-    material row r to the cell d further on.  Each entry is one bond's, added
-    onto zeros so that a -0.0 real part of i dm (-w) is stored as +0.0."""
-    j, j2, dn, vals = _bond_table(kind, profile, k, derivative)
+def _cell_blocks(kind: InterfaceKind, profile: HoppingProfile, k: float):
+    """The (6, 5, 6, 6) cell blocks of H(k) from _bond_table: [r, d + 2] couples
+    a cell of material row r to the cell d further on.  Each entry is one
+    bond's, added onto zeros so that a -0.0 part is stored as +0.0."""
+    j, j2, dn, vals = _bond_table(kind, profile, k, False)
     T = np.zeros((6, 5, 6, 6), dtype=complex)
     T[:, dn + 2, j, j2] += vals
     return T
@@ -139,59 +133,53 @@ def _place_blocks(H: np.ndarray, T: np.ndarray, lo: int) -> np.ndarray:
 
 
 def chain_operator(kind: InterfaceKind, profile: HoppingProfile, lo: int, hi: int,
-                   k: float = 0.0, derivative: bool = False) -> np.ndarray:
-    """Dense chain operator on the cells [lo, hi] with open ends; site (n, j)
-    has flat index 6 (n - lo) + j - 1."""
+                   k: float = 0.0) -> np.ndarray:
+    """Dense H(k) on the cells [lo, hi] with open ends; site (n, j) has flat
+    index 6 (n - lo) + j - 1."""
     H = np.zeros((6 * (hi - lo + 1),) * 2, dtype=complex)  # first: an impossible size fails at once
-    return _place_blocks(H, _cell_blocks(kind, profile, k, derivative), lo)
-
-
-def _bloch(kind: InterfaceKind, profile: HoppingProfile, k: float, N: int) -> BlochOperator:
-    H = chain_operator(kind, profile, -N, N, k)
-    return BlochOperator(kind=kind, profile=profile, k=k, half_width=N, matrix=H)
+    return _place_blocks(H, _cell_blocks(kind, profile, k), lo)
 
 
 def bloch_h1(profile: HoppingProfile, k: float, N: int) -> BlochOperator:
     """Type-I interface Hamiltonian on 2N+1 cells; N >= 2."""
     if N < 2:
         raise ValueError("type-I supercell needs N >= 2 to contain the interface rows")
-    return _bloch(InterfaceKind.TYPE_I, profile, k, N)
+    return BlochOperator(chain_operator(InterfaceKind.TYPE_I, profile, -N, N, k))
 
 
 def bloch_h2(profile: HoppingProfile, k: float, N: int) -> BlochOperator:
     """Type-II interface Hamiltonian on 2N+1 cells; N >= 4 (n+-2 couplings)."""
     if N < 4:
         raise ValueError("type-II supercell needs N >= 4 for the n+-2 couplings")
-    return _bloch(InterfaceKind.TYPE_II, profile, k, N)
+    return BlochOperator(chain_operator(InterfaceKind.TYPE_II, profile, -N, N, k))
 
 
 # ---------------------------------------------------------------------------
-# Matrix-free application of H(k) and dH/dk on the infinite chain.
+# Matrix-free application of H(0) and dH/dk at k = 0 on the infinite chain.
 # ---------------------------------------------------------------------------
 
-def _chain_apply(kind, profile, lo, cells, k, derivative):
+def _chain_apply(kind, profile, lo, cells, derivative):
     # source sublattice rows on the cells [lo - 4, lo + len(cells) + 3]; image
     # column i is cell lo - 2 + i, and its bond to cell + dn reads window 2 + dn
     src = np.zeros((6, len(cells) + 8), dtype=complex)
     src[:, 4:-4] = np.transpose(cells)
     reach = np.lib.stride_tricks.sliding_window_view(src, len(cells) + 4, axis=1)
-    _, j2, dn, vals = _bond_table(kind, profile, k, derivative)
+    _, j2, dn, vals = _bond_table(kind, profile, 0.0, derivative)
     rows = np.clip(np.arange(lo - 2, lo + len(cells) + 2), -3, 2) + 3
     t = (vals.T[:, rows] * reach[j2, dn + 2]).reshape(6, 3, -1)
     # the three bonds of each site in frame order, summed from zero as slice-adds would
     return (0.0 + t[:, 0] + t[:, 1] + t[:, 2]).T.copy()
 
 
-def chain_apply(kind: InterfaceKind, profile: HoppingProfile, lo: int, cells: np.ndarray,
-                k: float = 0.0, derivative: bool = False) -> np.ndarray:
-    """Apply the infinite-chain H(k), or dH/dk at k = 0 when ``derivative`` is
-    set, to the amplitudes ``cells[i]`` of cell lo + i (zero elsewhere).  Bonds
-    reach two cells, so the image is the (len(cells) + 4, 6) array of the cells
-    [lo - 2, lo + len(cells) + 1]."""
-    return _chain_apply(kind, profile, lo, cells, k, derivative)
+def chain_apply(kind: InterfaceKind, profile: HoppingProfile, lo: int,
+                cells: np.ndarray) -> np.ndarray:
+    """Apply the infinite-chain H(0) to the amplitudes ``cells[i]`` of cell
+    lo + i (zero elsewhere).  Bonds reach two cells, so the image is the
+    (len(cells) + 4, 6) array of the cells [lo - 2, lo + len(cells) + 1]."""
+    return _chain_apply(kind, profile, lo, cells, False)
 
 
 def chain_apply_first_order(kind: InterfaceKind, profile: HoppingProfile, lo: int,
                             cells: np.ndarray) -> np.ndarray:
     """:func:`chain_apply` with dH/dk at k = 0."""
-    return _chain_apply(kind, profile, lo, cells, 0.0, True)
+    return _chain_apply(kind, profile, lo, cells, True)

@@ -42,9 +42,6 @@ _NEIGHBOR_TABLE = {
     6: ((1, (1, 0)), (2, (0, 0)), (3, (0, 0))),
 }
 
-# Position of the single intercell neighbor within each row above.
-_INTERCELL_SLOT = {1: 2, 2: 1, 3: 0, 4: 2, 5: 1, 6: 0}
-
 
 class InterfaceKind(Enum):
     """The two junction orientations between the half-lattices."""
@@ -113,12 +110,13 @@ def frame_bonds(kind: InterfaceKind) -> np.ndarray:
     """The 18 directed bonds of a cell in interface-frame coordinates, read-only.
 
     Row (j, j2, dm, dn, intracell) couples site j of cell (m, n) to site j2
-    of cell (m + dm, n + dn); rows follow the order of :func:`neighbors`.
+    of cell (m + dm, n + dn); rows follow the order of :func:`neighbors`.  A
+    bond is intracell exactly when its cell shift is zero.
     """
     bonds = np.array([
-        (j, j2, *cell_to_frame(kind, dp, dq), slot != _INTERCELL_SLOT[j])
+        (j, j2, *cell_to_frame(kind, dp, dq), dp == dq == 0)
         for j, row in _NEIGHBOR_TABLE.items()
-        for slot, (j2, (dp, dq)) in enumerate(row)
+        for j2, (dp, dq) in row
     ])
     bonds.flags.writeable = False
     return bonds

@@ -91,7 +91,7 @@ def _chiral_block(kind, profile, k, N):
     and, for type II, at every k in the basis of _R_CELL, which acts within cells,
     so margin masses and cluster Gram matrices are the same in either basis."""
     # the cell blocks from sites 1-3 to sites 4-6: every bond of sites 1-3 ends there
-    T = _cell_blocks(kind, profile, k, False)[:, :, :3, 3:]
+    T = _cell_blocks(kind, profile, k)[:, :, :3, 3:]
     if kind is InterfaceKind.TYPE_II:
         # U = diag(e^{ink/2}) (x) _R_CELL: U^H C U has block (n, n + d) = e^{ikd/2} R^H T_d R,
         # whose imaginary part is rounding, about 1e-14 of max|C|
@@ -198,10 +198,11 @@ def supercell_spectrum(kind: InterfaceKind, profile: HoppingProfile, c: float | 
     ``c`` overrides the interface coupling of ``profile`` when given (handy
     for scanning the matching condition).
     """
-    if N < 20:
-        raise ValueError("supercell needs N >= 20")
-    if not 1 <= margin < N // 4:
-        raise ValueError("margin must be at least 1 and stay below N/4")
+    if margin < 1:
+        raise ValueError("margin must be at least 1")
+    floor = max(20, 4 * (margin + 1))  # margin < N // 4 exactly when N >= 4 (margin + 1)
+    if N < floor:
+        raise ValueError(f"supercell needs N >= {floor} for margin {margin}")
     if not 0 < threshold <= 1:
         raise ValueError("threshold must lie in (0, 1]")
     if c is not None:

@@ -2,9 +2,11 @@
 the bond rule, and the matrix-free product as 18 strided slice-adds.
 
 They are the independent oracle of :func:`edgelab.hamiltonian.chain_operator`
-and :func:`edgelab.hamiltonian.chain_apply`, which take the entries from six
-material rows and apply the bonds on contiguous sublattice rows.  Both must
-agree with this module bit for bit.
+(H(k)), :func:`edgelab.hamiltonian.chain_apply` (H(0)) and
+:func:`edgelab.hamiltonian.chain_apply_first_order` (dH/dk at k = 0), which
+take the entries from six material rows and apply the bonds on contiguous
+sublattice rows.  All three must agree with this module bit for bit.  The
+dense dH/dk and the product at k != 0 exist only here.
 """
 
 from __future__ import annotations

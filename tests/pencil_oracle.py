@@ -59,7 +59,7 @@ def decaying_basis(T: np.ndarray, E: float, reach: int, sort: str) -> tuple[np.n
 def _bulk_blocks(kind: InterfaceKind, profile: HoppingProfile, k: float) -> tuple[int, np.ndarray]:
     """The bonds' reach R and the cell blocks at k, checked to reach no further."""
     R = 1 if kind is InterfaceKind.TYPE_I else 2
-    T = _cell_blocks(kind, profile, k, False)
+    T = _cell_blocks(kind, profile, k)
     for row in (0, 5):
         outside = np.delete(T[row], range(2 - R, 3 + R), axis=0)
         assert not outside.any(), "bonds reach further than the pencil"
@@ -75,12 +75,12 @@ def bulk_moduli(kind: InterfaceKind, profile: HoppingProfile, k: float = 0.0,
                  for row, sort in ((5, "iuc"), (0, "ouc")))
 
 
-def interface_singular_values(kind: InterfaceKind, profile: HoppingProfile, k: float = 0.0,
-                              E: float = 0.0) -> tuple[np.ndarray, float]:
-    """The singular values, in ascending order, of the stacked interface
-    matrix at (k, E), with H's rows scaled by 1 / max|H|; and the bulks'
-    smallest distance of an eigenvalue modulus from 1.  The null space is
-    the edge states at (k, E)."""
+def interface_matrix(kind: InterfaceKind, profile: HoppingProfile, k: float = 0.0,
+                     E: float = 0.0) -> tuple[np.ndarray, float]:
+    """The stacked interface matrix at (k, E), on the window's flat vectors
+    in ``chain_operator``'s layout, with H's rows scaled by 1 / max|H|; and
+    the bulks' smallest distance of an eigenvalue modulus from 1.  Its null
+    space is the edge states at (k, E), restricted to the window."""
     (R, T), s = _bulk_blocks(kind, profile, k), 6
     right, moduli_plus = decaying_basis(T[5], E, R, "iuc")  # cells n >= 2: the plus bulk
     left, moduli_minus = decaying_basis(T[0], E, R, "ouc")  # cells n <= -3: the minus bulk
@@ -90,5 +90,13 @@ def interface_singular_values(kind: InterfaceKind, profile: HoppingProfile, k: f
     ends = np.zeros((m, n), dtype=complex)  # each complement has m / 2 columns
     ends[:m // 2, n - m:] = right[:, m // 2:].conj().T  # x_{W-R+1}: the last 2R cells
     ends[m // 2:, :m] = left[:, m // 2:].conj().T  # x_{-W+R}: the first 2R cells
-    sv = np.linalg.svd(np.vstack([rows, ends]), compute_uv=False)
-    return sv[::-1], float(np.min(np.abs(np.concatenate([moduli_plus, moduli_minus]) - 1.0)))
+    margin = float(np.min(np.abs(np.concatenate([moduli_plus, moduli_minus]) - 1.0)))
+    return np.vstack([rows, ends]), margin
+
+
+def interface_singular_values(kind: InterfaceKind, profile: HoppingProfile, k: float = 0.0,
+                              E: float = 0.0) -> tuple[np.ndarray, float]:
+    """The singular values of :func:`interface_matrix` in ascending order, and
+    the bulks' margin from the unit circle."""
+    M, margin = interface_matrix(kind, profile, k, E)
+    return np.linalg.svd(M, compute_uv=False)[::-1], margin

@@ -220,6 +220,16 @@ def test_match_c_takes_no_kind(tmp_path, capsys):
     assert "kind" not in json.loads((out / "match_c.json").read_text())["config"]
 
 
+def test_match_c_names_the_smallest_supercell_it_accepts(tmp_path, capsys):
+    # match-c has no --margin, so a too-small N is refused by the N the
+    # default margin 5 needs, not by the margin
+    out = tmp_path / "m"
+    assert run(["match-c", "--n-cells", "22", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "N >= 24" in err and "N/4" not in err
+    assert not out.exists()
+
+
 def test_bulk_command(tmp_path):
     out = tmp_path / "b"
     code = run(["bulk", "--b", "5", "--eps", "0", "--out", str(out)])

@@ -13,7 +13,7 @@ import pytest
 
 from edgelab import _platform, spectrum
 from edgelab.errors import NoMidGapState
-from edgelab.hamiltonian import HoppingProfile, bloch_h1, bloch_h2, chain_operator
+from edgelab.hamiltonian import HoppingProfile, bloch_h1, bloch_h2
 from edgelab.lattice import InterfaceKind
 from edgelab.spectrum import (
     _chiral_block,
@@ -26,6 +26,7 @@ from edgelab.spectrum import (
 )
 from edgelab.transfer import build_type1_zero_modes, matching_c_star, p_eigen
 
+import chain_oracle
 from blas_route import blas_threads
 from chiral_oracle import chiral_block
 from coefficient_rows import coeffs_type1
@@ -274,7 +275,7 @@ def test_m0_matrix_route_matches_dense_operator():
     mode_a, mode_b = build_type1_zero_modes(tuned)
     m0 = perturbation_m0(InterfaceKind.TYPE_I, tuned, (mode_a, mode_b))
     L = max(abs(n) for n in mode_a.amplitudes)
-    H1 = chain_operator(InterfaceKind.TYPE_I, tuned, -L, L, derivative=True)
+    H1 = chain_oracle.chain_operator(InterfaceKind.TYPE_I, tuned, -L, L, derivative=True)
     va = mode_a.as_vector(L)
     vb = mode_b.as_vector(L)
     assert m0[0, 1] == pytest.approx(np.vdot(va, H1 @ vb), rel=1e-10)

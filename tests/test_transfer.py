@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,7 +31,7 @@ from edgelab.transfer import (
 )
 
 from coefficient_rows import coeffs_type2
-from pencil_oracle import bulk_moduli, interface_singular_values
+from pencil_oracle import W, bulk_moduli, interface_matrix, interface_singular_values
 
 params = st.tuples(
     st.floats(min_value=0.5, max_value=100.0),
@@ -486,6 +487,20 @@ def test_existence_verdicts_match_the_pencils_zero_mode_count():
     assert max(zero) < 1e-13 and min(rest) > 1e-5
 
 
+def _zero_mode_draws(kind, seed, count):
+    """``count`` seeded random profiles with a zero-mode pair: type I at c*
+    in all four detuning sign patterns, type II between distinct materials."""
+    rng = np.random.default_rng(seed)
+    patterns = [(1, -1), (-1, 1)] + ([(1, 1), (-1, -1)] if kind is InterfaceKind.TYPE_I else [])
+    for signs in patterns * (count // len(patterns)):
+        bp, bm = rng.uniform(20, 80, 2)
+        dp, dm = np.multiply(signs, rng.uniform(0.1, 0.8, 2)) * (bp, bm)
+        profile = HoppingProfile(bp, bm, dp, dm, rng.uniform(0.3, 2.0) * (bp + bm) / 2)
+        if kind is InterfaceKind.TYPE_I:
+            profile = profile.with_c(matching_c_star(profile))
+        yield profile
+
+
 @pytest.mark.parametrize("kind", list(InterfaceKind))
 def test_zero_mode_decay_rate_is_the_slowest_bulk_eigenvalue_squared(kind):
     # decay_rate is per two cells and the pencil's lambda per cell: the
@@ -497,15 +512,8 @@ def test_zero_mode_decay_rate_is_the_slowest_bulk_eigenvalue_squared(kind):
     # the next decay rate of either bulk lay at least 1.5e-3 (relative)
     # below the slowest; on this draw the differences read at most 3.7e-15
     # and 7.6e-15 and the separations 8.8e-4 and 4.7e-4
-    rng = np.random.default_rng(34)
-    patterns = [(1, -1), (-1, 1)] + ([(1, 1), (-1, -1)] if kind is InterfaceKind.TYPE_I else [])
     worst, separation = 0.0, 1.0
-    for signs in patterns * (60 // len(patterns)):
-        bp, bm = rng.uniform(20, 80, 2)
-        dp, dm = np.multiply(signs, rng.uniform(0.1, 0.8, 2)) * (bp, bm)
-        profile = HoppingProfile(bp, bm, dp, dm, rng.uniform(0.3, 2.0) * (bp + bm) / 2)
-        if kind is InterfaceKind.TYPE_I:
-            profile = profile.with_c(matching_c_star(profile))
+    for profile in _zero_mode_draws(kind, 34, 60):
         plus, minus = bulk_moduli(kind, profile)
         right, left = plus[plus < 1], 1 / minus[np.isfinite(minus) & (minus > 1)]
         rates = np.sort(np.concatenate([right, left])) ** 2
@@ -514,6 +522,27 @@ def test_zero_mode_decay_rate_is_the_slowest_bulk_eigenvalue_squared(kind):
         below = rates[rates < rates[-1] * (1 - 1e-9)]  # a repeated eigenvalue counts once
         separation = min(separation, 1 - below[-1] / rates[-1])
     assert worst < 1e-12 and separation > 1e-4
+
+
+@pytest.mark.parametrize("kind", list(InterfaceKind))
+def test_zero_mode_pair_spans_the_pencils_null_space(kind):
+    # at k = 0, E = 0 the closed-form pair, cut to the pencil's window, spans
+    # the null space of the stacked interface matrix: the largest principal
+    # angle between the two planes is rounding.  Over 2,000 draws per kind
+    # (seeds 1-20) the angle read at most 9.6e-15 (type I) and 3.5e-14
+    # (type II), the two zero singular values at most 1.3e-15 and 3.7e-15,
+    # and the third-smallest singular value at least 3.4e-2 and 8.1e-2, so
+    # the null space is two-dimensional and well separated
+    worst, third = 0.0, np.inf
+    for profile in _zero_mode_draws(kind, 36, 100):
+        M, _ = interface_matrix(kind, profile)
+        _, sv, vh = np.linalg.svd(M)
+        assert sv[-2] < 1e-13, profile
+        null = vh[-2:].conj().T
+        pair = np.column_stack([m.as_vector(W) for m in zero_modes(kind, profile)])
+        worst = max(worst, scipy.linalg.subspace_angles(pair, null).max())
+        third = min(third, sv[-3])
+    assert worst < 1e-12 and third > 1e-3
 
 
 def test_build_type2_rejects_identical_materials():
